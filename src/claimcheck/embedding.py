@@ -17,6 +17,7 @@ import os
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,7 @@ class RemoteEmbedder:
     ):
         self.spec = spec
         self.session = session or requests.Session()
+        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self.base_delay = base_delay
         self.sleep = sleep
@@ -219,11 +221,26 @@ class RemoteEmbedder:
         return vectors
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
+        """Embed ``texts`` in batches of at most 64, posted concurrently.
+
+        At most ``max_in_flight`` batches are in flight at once and each
+        retries on its own; vectors come back in input order.  When batches
+        fail, the earliest one's error is raised once every batch has
+        finished.
+        """
         _check_texts(texts)
+        offsets = range(0, len(texts), MAX_BATCH)
+        if len(offsets) > 1:
+            with ThreadPoolExecutor(max_workers=min(len(offsets), self.max_in_flight)) as pool:
+                futures = [
+                    pool.submit(self._embed_batch_with_retry, texts[lo : lo + MAX_BATCH], lo)
+                    for lo in offsets
+                ]
+            batches = [future.result() for future in futures]
+        else:  # a single query or no text at all: no thread to start
+            batches = [self._embed_batch_with_retry(texts, lo) for lo in offsets]
         out: list[EmbeddingVector] = []
-        for lo in range(0, len(texts), MAX_BATCH):
-            batch = texts[lo : lo + MAX_BATCH]
-            vectors = self._embed_batch_with_retry(batch, lo)
+        for vectors in batches:
             for vec in vectors:
                 if len(vec) != self.spec.dimension:
                     raise ProtocolError(

@@ -82,22 +82,34 @@ class Report:
     timing_seconds: float | None = None  # kept out of the canonical JSON
 
 
-class _CountingBackend:
-    """Thread-safe call/token counters around any backend."""
+class _UsageCounter:
+    """Thread-safe running totals of backend calls and tokens."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self):
         self._lock = threading.Lock()
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
+        self._totals = {"backend_calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
+
+    def add(self, answer: RawAnswer) -> None:
+        with self._lock:
+            self._totals["backend_calls"] += 1
+            self._totals["prompt_tokens"] += answer.prompt_tokens
+            self._totals["completion_tokens"] += answer.completion_tokens
+
+    def snapshot(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._totals)
+
+
+class _CountingBackend:
+    """Records every completion of ``inner`` in a shared usage counter."""
+
+    def __init__(self, inner, usage: _UsageCounter):
+        self.inner = inner
+        self.usage = usage
 
     def complete(self, prompt: str) -> RawAnswer:
         answer = self.inner.complete(prompt)
-        with self._lock:
-            self.calls += 1
-            self.prompt_tokens += answer.prompt_tokens
-            self.completion_tokens += answer.completion_tokens
+        self.usage.add(answer)
         return answer
 
 
@@ -137,13 +149,11 @@ class FactCheckPipeline:
     ):
         self.config = config
         self.retriever = retriever
-        self._generator = _CountingBackend(agents.generator)
-        self._grader = _CountingBackend(agents.grader)
-        self._rewriter = _CountingBackend(agents.rewriter)
+        self._usage = _UsageCounter()
         self.agents = FactCheckAgents(
-            generator=self._generator,
-            grader=self._grader,
-            rewriter=self._rewriter,
+            generator=_CountingBackend(agents.generator, self._usage),
+            grader=_CountingBackend(agents.grader, self._usage),
+            rewriter=_CountingBackend(agents.rewriter, self._usage),
             embedder=agents.embedder,
             dedupe_threshold=agents.dedupe_threshold,
         )
@@ -236,6 +246,36 @@ class FactCheckPipeline:
         answer = self.agents.generate_answer(claim, context)
         return self._entry_from_answer(claim, parse_verdict(answer.text), bundle.hits, trace)
 
+    def _grade_documents(
+        self, claim: Claim, hits: tuple[EvidenceHit, ...], trace: SragTrace
+    ) -> list[bool]:
+        """Grade one round's documents concurrently; grades and notes in hit order.
+
+        The grades are independent waits on the grader, so they are issued
+        together, one thread per document; a remote backend's in-flight gate
+        bounds how many reach it at once.  A GradingError makes its document
+        a "no".  Any other error fails the claim, but only after every
+        sibling grade has finished, so no grading thread outlives the call.
+        """
+
+        def grade(hit: EvidenceHit) -> tuple[bool, str | None]:
+            try:
+                return self.agents.grade_document(claim, _hit_text(hit)), None
+            except GradingError as exc:
+                return False, f"document grade treated as no: {exc}"
+
+        if not hits:
+            return []
+        with ThreadPoolExecutor(max_workers=len(hits)) as pool:
+            futures = [pool.submit(grade, hit) for hit in hits]
+        grades: list[bool] = []
+        for future in futures:
+            ok, note = future.result()
+            grades.append(ok)
+            if note is not None:
+                trace.notes.append(note)
+        return grades
+
     def verify_claim_srag(self, claim: Claim) -> FactCheckEntry:
         """Self-reflective loop: grade evidence, regenerate, rewrite, within budgets."""
         budget = self.config.refinement
@@ -245,17 +285,8 @@ class FactCheckPipeline:
         last_kept: tuple[EvidenceHit, ...] = ()
         while True:
             bundle = self._retrieve(current, trace)
-            grades: list[bool] = []
-            kept: list[EvidenceHit] = []
-            for hit in bundle.hits:
-                try:
-                    ok = self.agents.grade_document(current, _hit_text(hit))
-                except GradingError as exc:
-                    ok = False
-                    trace.notes.append(f"document grade treated as no: {exc}")
-                grades.append(ok)
-                if ok:
-                    kept.append(hit)
+            grades = self._grade_documents(current, bundle.hits, trace)
+            kept = [hit for hit, ok in zip(bundle.hits, grades) if ok]
             trace.doc_grades.append(grades)
 
             if not kept or len(kept) < budget.min_relevant_fraction * len(grades):
@@ -316,9 +347,17 @@ class FactCheckPipeline:
             return self._unverifiable_entry(claim, f"Verification failed: {exc}", trace)
 
     def check_article(self, article: ArticleText, mode: str) -> Report:
+        """Extract and verify every claim of ``article``.
+
+        ``token_usage`` counts the backend calls made during this call, so
+        a pipeline reused across articles reports each article's own usage.
+        Calls made by another check on the same pipeline while this one
+        runs are counted here as well.
+        """
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         start = time.perf_counter()
+        before = self._usage.snapshot()
         warnings: list[str] = []
         chunks = chunk_text(
             article.id,
@@ -332,19 +371,8 @@ class FactCheckPipeline:
             workers = min(self.config.concurrency, len(claims))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 entries = list(pool.map(lambda c: self._verify_safely(c, article, mode), claims))
-        token_usage = {
-            "backend_calls": self._generator.calls + self._grader.calls + self._rewriter.calls,
-            "prompt_tokens": (
-                self._generator.prompt_tokens
-                + self._grader.prompt_tokens
-                + self._rewriter.prompt_tokens
-            ),
-            "completion_tokens": (
-                self._generator.completion_tokens
-                + self._grader.completion_tokens
-                + self._rewriter.completion_tokens
-            ),
-        }
+        after = self._usage.snapshot()
+        token_usage = {key: after[key] - before[key] for key in after}
         return Report(
             article_id=article.id,
             mode=mode,

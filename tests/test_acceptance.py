@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import shutil
 import socket
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -289,15 +291,33 @@ def simulate_refinement(bits: tuple[int, ...], docs: int, rewrites: int, regens:
 
 
 class BitGrader:
-    """Serves yes/no score objects from a bit string, in consumption order."""
+    """Serves yes/no score objects from a bit string, in consumption order.
 
-    def __init__(self, bits):
+    The document grades of one round arrive concurrently and in any order,
+    so document i of a round takes the round's i-th bit, as the simulator
+    consumes them.
+    """
+
+    def __init__(self, bits, docs: int):
         self.bits = list(bits)
+        self.docs = docs
         self.served = 0
+        self._round_start = 0
+        self._round_left = 0
+        self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> RawAnswer:
-        bit = self.bits[self.served]
-        self.served += 1
+        doc = re.search(r"evidence body (\d+)\n", prompt)
+        with self._lock:
+            if doc is None:  # an answer grade: the round's document grades are all in
+                at = self.served
+            else:
+                if self._round_left == 0:
+                    self._round_start, self._round_left = self.served, self.docs
+                self._round_left -= 1
+                at = self._round_start + int(doc.group(1))
+            bit = self.bits[at]
+            self.served += 1
         text = '{"score": "yes"}' if bit else '{"score": "no"}'
         return RawAnswer(text=text, prompt_fingerprint="-", model_id="bits")
 
@@ -339,7 +359,7 @@ def run_refinement(bits, docs: int, max_rewrites: int, max_regenerations: int):
         refinement=RefinementConfig(max_rewrites=max_rewrites, max_regenerations=max_regenerations),
     )
     generator = QueueBackend(["True. Supported. Source: Study D0"] * 8)
-    grader = BitGrader(bits)
+    grader = BitGrader(bits, docs)
     rewriter = QueueBackend([f"rewrite number {n}" for n in (1, 2)])
     spec = EmbedderSpec(model_id="h", dimension=16, endpoint=DETERMINISTIC_ENDPOINT, seed=3)
     agents = FactCheckAgents(generator, grader, rewriter, DeterministicEmbedder(spec))

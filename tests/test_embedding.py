@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -176,8 +178,101 @@ def test_remote_embed_batches_at_64(http_stub):
     texts = [f"t{i}" for i in range(MAX_BATCH * 2 + 2)]
     vectors = remote(http_stub).embed(texts)
     assert len(vectors) == len(texts)
-    sizes = [len(body["input"]) for _, _, body in http_stub.requests]
+    # batches are posted concurrently, so they may arrive in any order
+    batches = sorted(
+        (body["input"] for _, _, body in http_stub.requests), key=lambda b: texts.index(b[0])
+    )
+    sizes = [len(batch) for batch in batches]
     assert sizes == [64, 64, 2]
+    assert sum(batches, []) == texts
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, payload: dict):
+        self.status_code = status_code
+        self._payload = payload
+
+    def json(self) -> dict:
+        return self._payload
+
+
+class OverlapSession:
+    """A session whose posts only return once ``parties`` of them are in
+    flight together; records the peak number in flight and, with
+    ``reverse``, answers the batch furthest into the input first.  Each
+    vector's first value is its text's position in the input."""
+
+    def __init__(self, parties: int, reverse: bool = False, failing: int | None = None):
+        self.barrier = threading.Barrier(parties, timeout=10)
+        self.reverse = reverse
+        self.failing = failing
+        self.cond = threading.Condition()
+        self.in_flight: set[int] = set()
+        self.peak = 0
+        self.answered: list[int] = []
+
+    def post(self, url, json, headers, timeout):
+        first = int(json["input"][0][1:])
+        with self.cond:
+            self.in_flight.add(first)
+            self.peak = max(self.peak, len(self.in_flight))
+        self.barrier.wait()
+        with self.cond:
+            if self.reverse and not self.cond.wait_for(
+                lambda: max(self.in_flight) == first, timeout=10
+            ):
+                raise AssertionError("a later batch never answered")
+            self.in_flight.remove(first)
+            self.answered.append(first)
+            self.cond.notify_all()
+        if first == self.failing:
+            return FakeResponse(500, {})
+        rows = [{"index": i, "embedding": [float(first + i)] * 4} for i in range(len(json["input"]))]
+        return FakeResponse(200, {"data": rows[::-1]})
+
+
+def overlap_embedder(session: OverlapSession, **kwargs) -> RemoteEmbedder:
+    return RemoteEmbedder(
+        spec(endpoint="http://embeddings.invalid/v1", dimension=4),
+        session=session,
+        base_delay=0.001,
+        sleep=lambda s: None,
+        **kwargs,
+    )
+
+
+def test_remote_embed_overlaps_batches_and_keeps_input_order():
+    texts = [f"t{i}" for i in range(MAX_BATCH * 3 + 10)]
+    session = OverlapSession(parties=4, reverse=True)
+    vectors = overlap_embedder(session).embed(texts)
+    assert session.peak == 4
+    assert session.answered == [192, 128, 64, 0]
+    assert [v.values[0] for v in vectors] == [float(i) for i in range(len(texts))]
+
+
+def test_remote_embed_overlap_respects_in_flight_cap():
+    texts = [f"t{i}" for i in range(MAX_BATCH * 6)]
+    session = OverlapSession(parties=2)
+    vectors = overlap_embedder(session, max_in_flight=2).embed(texts)
+    assert session.peak == 2
+    assert sorted(session.answered) == list(range(0, len(texts), MAX_BATCH))
+    assert [v.values[0] for v in vectors] == [float(i) for i in range(len(texts))]
+
+
+def test_remote_embed_failed_batch_reports_its_indices():
+    texts = [f"t{i}" for i in range(MAX_BATCH * 2)]
+    session = OverlapSession(parties=1, failing=MAX_BATCH)
+    with pytest.raises(TransportError) as exc_info:
+        overlap_embedder(session).embed(texts)
+    assert exc_info.value.failed_indices == list(range(MAX_BATCH, 2 * MAX_BATCH))
+    assert session.answered.count(0) == 1
+    assert session.answered.count(MAX_BATCH) == MAX_ATTEMPTS
+
+
+def test_remote_embed_of_no_texts_posts_nothing():
+    session = OverlapSession(parties=1)
+    assert overlap_embedder(session).embed([]) == []
+    assert session.answered == []
 
 
 def test_remote_embed_retries_with_backoff(http_stub):

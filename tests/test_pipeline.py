@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -10,7 +14,7 @@ from claimcheck.agents import Claim, FactCheckAgents, VerdictLabel
 from claimcheck.config import RefinementConfig
 from claimcheck.corpus import ArticleText, ChunkKey
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
-from claimcheck.errors import BackendError, ConfigError
+from claimcheck.errors import BackendError, ConfigError, TransportError
 from claimcheck.lotr import EvidenceBundle, EvidenceHit
 from claimcheck.pipeline import (
     TERMINAL_DONE,
@@ -21,6 +25,7 @@ from claimcheck.pipeline import (
     render_report,
     report_to_dict,
 )
+from claimcheck.prompts import SCORE_RETRY_SUFFIX
 from conftest import QueueBackend, RuleBackend, make_run_config
 
 YES = '{"score": "yes"}'
@@ -198,9 +203,20 @@ def test_srag_happy_path_single_round(tmp_path):
     assert entry.trace.terminal_state == TERMINAL_DONE
 
 
+def grader_rejecting(*parents: str) -> RuleBackend:
+    """Grades by document content, so concurrent grades cannot swap answers:
+    no for the named parents' evidence, yes for every other document and
+    for every answer."""
+
+    def rule(prompt: str) -> str:
+        return NO if any(f"evidence text from {p}\n" in prompt for p in parents) else YES
+
+    return RuleBackend(rule)
+
+
 def test_srag_filters_irrelevant_docs_from_context(tmp_path):
     gen = QueueBackend(["True. Fine. Source: Study A"])
-    grader = QueueBackend([YES, NO, YES])  # doc a yes, doc b no, answer yes
+    grader = grader_rejecting("b")  # doc a yes, doc b no, answer yes
     pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[[hit("a"), hit("b")]])
     entry = pipeline.verify_claim_srag(claim())
     assert entry.trace.doc_grades == [[True, False]]
@@ -314,7 +330,7 @@ def test_srag_zero_budgets(tmp_path):
 def test_srag_min_relevant_fraction_forces_rewrite(tmp_path):
     gen = QueueBackend(["True. Good. Source: Study C"])
     # round 1: one of two docs relevant, below the 1.0 bar; round 2: both relevant
-    grader = QueueBackend([YES, NO, YES, YES, YES])
+    grader = grader_rejecting("b")
     rewriter = QueueBackend(["sharper query"])
     pipeline, _ = make_pipeline(
         tmp_path,
@@ -353,6 +369,106 @@ def test_srag_grading_error_is_treated_as_no(tmp_path):
     assert entry.trace.doc_grades == [[False], [True]]
     assert any("document grade treated as no" in n for n in entry.trace.notes)
     assert entry.label is VerdictLabel.TRUE
+
+
+def doc_parent(prompt: str) -> str | None:
+    """The parent id of the document a grading prompt is about; None for an answer grade."""
+    match = re.search(r"evidence text from (\w+)\n", prompt)
+    return match.group(1) if match else None
+
+
+def test_srag_grades_a_rounds_documents_concurrently(tmp_path):
+    parents = "abcd"
+    # every document grade waits until all four are in flight at once; a
+    # sequential loop breaks the barrier
+    barrier = threading.Barrier(len(parents), timeout=10)
+
+    def rule(prompt: str) -> str:
+        if doc_parent(prompt) is not None:
+            barrier.wait()
+        return YES
+
+    grader = RuleBackend(rule)
+    gen = QueueBackend(["True. Fine. Source: Study A"])
+    pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[[hit(p) for p in parents]])
+    entry = pipeline.verify_claim_srag(claim())
+    assert entry.trace.doc_grades == [[True] * len(parents)]
+    assert len(grader.prompts) == len(parents) + 1  # one call per document, one answer grade
+
+
+def test_srag_concurrent_grades_report_in_hit_order(tmp_path):
+    # later documents answer first; doc b stays unparseable through its
+    # retry, which makes it alone a "no" with a note
+    answers = {"a": YES, "b": "??", "c": YES, "d": NO}
+    done = {p: threading.Event() for p in answers}
+    finished: list[str] = []
+
+    def rule(prompt: str) -> str:
+        parent = doc_parent(prompt)
+        if parent is None:
+            return YES
+        later = chr(ord(parent) + 1)
+        if later in done and not done[later].wait(timeout=10):
+            raise AssertionError(f"doc {later} never finished grading")
+        if parent != "b" or prompt.endswith(SCORE_RETRY_SUFFIX):
+            finished.append(parent)
+            done[parent].set()
+        return answers[parent]
+
+    gen = QueueBackend(["True. Fine. Source: Study C"])
+    pipeline, _ = make_pipeline(
+        tmp_path, gen, RuleBackend(rule), bundles=[[hit(p) for p in answers]]
+    )
+    entry = pipeline.verify_claim_srag(claim())
+    assert finished == ["d", "c", "b", "a"]
+    assert entry.trace.doc_grades == [[True, False, True, False]]
+    assert entry.trace.notes == [
+        "document grade treated as no: document grade: grader output unparseable after reformat retry"
+    ]
+    assert entry.evidence_keys == (ChunkKey("a", 0), ChunkKey("c", 0))
+    assert "Study B" not in gen.prompts[0] and "Study D" not in gen.prompts[0]
+    assert entry.label is VerdictLabel.TRUE
+
+
+def srag_generator(claims: list[str]) -> RuleBackend:
+    def rule(prompt: str) -> str:
+        if prompt.startswith("You are a careful reader"):
+            return "\n".join(claims)
+        return "True. Fine. Source: Study A"
+
+    return RuleBackend(rule)
+
+
+def test_srag_transport_error_fails_claim_after_sibling_grades(tmp_path):
+    failed = threading.Event()
+    finished: list[str] = []
+
+    def rule(prompt: str) -> str:
+        parent = doc_parent(prompt)
+        if parent == "a":
+            failed.set()
+            raise TransportError("grader unreachable")
+        if not failed.wait(timeout=10):
+            raise AssertionError("doc a was never graded alongside its siblings")
+        time.sleep(0.05)  # still grading when the failure surfaces
+        finished.append(parent)
+        return YES
+
+    pipeline, _ = make_pipeline(
+        tmp_path,
+        srag_generator(["Zinc cures colds."]),
+        RuleBackend(rule),
+        bundles=[[hit("a"), hit("b"), hit("c")]],
+    )
+    threads_before = set(threading.enumerate())
+    report = pipeline.check_article(ARTICLE, "lotr_srag")
+    [entry] = report.entries
+    assert entry.trace.terminal_state == TERMINAL_ERROR
+    assert entry.label is VerdictLabel.UNVERIFIABLE
+    assert entry.explanation == "Verification failed: grader unreachable"
+    # the claim failed only once both siblings had finished and their threads exited
+    assert sorted(finished) == ["b", "c"]
+    assert set(threading.enumerate()) <= threads_before
 
 
 # -- check_article ------------------------------------------------------------
@@ -394,6 +510,69 @@ def test_check_article_baseline_end_to_end(tmp_path):
     assert report.warnings == []
     assert report.timing_seconds is not None
     assert "corpus_path" not in report.config
+
+
+def sequential_usage(*backends: RuleBackend) -> dict:
+    """Token usage of replaying every recorded prompt one at a time."""
+    usage = {"backend_calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
+    for backend in backends:
+        replay = RuleBackend(backend.rule)
+        for prompt in backend.prompts:
+            answer = replay.complete(prompt)
+            usage["backend_calls"] += 1
+            usage["prompt_tokens"] += answer.prompt_tokens
+            usage["completion_tokens"] += answer.completion_tokens
+    return usage
+
+
+def test_check_article_token_usage_matches_sequential_replay(tmp_path):
+    claims = [
+        "Zinc cures colds.",
+        "Garlic prevents flu.",
+        "Water helps digestion.",
+        "Sleep improves memory.",
+        "Sugar causes hyperactivity.",
+        "Vitamin C shortens colds.",
+    ]
+    gen = srag_generator(claims)
+    grader = grader_rejecting("b", "e")
+    hits = [hit(p) for p in "abcdefgh"]
+    pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[hits], concurrency=6)
+    # many more grading threads than cores, switching often: a lost update
+    # in the shared counters would show as a short count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = pipeline.check_article(ARTICLE, "lotr_srag")
+    finally:
+        sys.setswitchinterval(interval)
+    assert [e.claim.text for e in report.entries] == claims
+    assert all(
+        e.trace.doc_grades == [[True, False, True, True, False, True, True, True]]
+        for e in report.entries
+    )
+    # 1 extraction; per claim 8 document grades, 1 generation, 1 answer grade
+    assert report.token_usage["backend_calls"] == 1 + len(claims) * 10
+    assert report.token_usage == sequential_usage(gen, grader)
+
+
+def test_check_article_token_usage_is_per_article_on_a_reused_pipeline(tmp_path):
+    second = ArticleText(id="art2", body="Garlic prevents flu.")
+
+    def backends():
+        return (
+            srag_generator(["Garlic prevents flu.", "Water helps."]),
+            grader_rejecting("b"),
+        )
+
+    reused, _ = make_pipeline(tmp_path, *backends(), bundles=[[hit("a"), hit("b")]])
+    first_report = reused.check_article(ARTICLE, "lotr_srag")
+    second_report = reused.check_article(second, "lotr_srag")
+    fresh, _ = make_pipeline(tmp_path, *backends(), bundles=[[hit("a"), hit("b")]])
+    fresh_report = fresh.check_article(second, "lotr_srag")
+    assert second_report.token_usage == fresh_report.token_usage
+    assert first_report.token_usage["backend_calls"] == second_report.token_usage["backend_calls"]
+    assert render_report(second_report) == render_report(fresh_report)
 
 
 def test_check_article_rejects_unknown_mode(tmp_path):
