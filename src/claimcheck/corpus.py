@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
+import operator
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -27,7 +29,10 @@ _CSV_COLUMNS = ["id", "title", "abstract", "authors", "published_date", "keyword
 
 # A token is a run of word characters or a single non-space symbol, so
 # concatenating tokens with the whitespace between them restores the input.
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# Each match is a token with the whitespace before it: ``findall`` then
+# returns plain strings, and offsets come from running sums of their
+# lengths instead of one match object per token.
+_PIECE_RE = re.compile(r"\s*(?:\w+|[^\w\s])", re.UNICODE)
 
 
 class Token(NamedTuple):
@@ -106,7 +111,18 @@ def tokenize(text: str) -> list[Token]:
     so the input can be reconstructed from tokens plus the gaps between
     them.
     """
-    return [Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    pieces, ends = _token_pieces(text)
+    words = list(map(str.lstrip, pieces))
+    starts = map(operator.sub, ends, map(len, words))
+    return list(map(tuple.__new__, repeat(Token), zip(words, starts, ends)))
+
+
+def _token_pieces(text: str) -> tuple[list[str], list[int]]:
+    """Each token with its leading whitespace, and each token's end offset."""
+    # Trailing whitespace is cut off first: ``\s*`` would otherwise retry
+    # the rest of it from every position, quadratic in its length.
+    pieces = _PIECE_RE.findall(text, 0, len(text.rstrip()))
+    return pieces, list(accumulate(map(len, pieces)))
 
 
 def detokenize(text: str, tokens: list[Token]) -> str:
@@ -136,8 +152,8 @@ def chunk_text(
     """
     if not 0 <= overlap < chunk_size:
         raise ConfigError(f"need 0 <= overlap < chunk_size, got overlap={overlap} chunk_size={chunk_size}")
-    tokens = tokenize(text)
-    total = len(tokens)
+    pieces, ends = _token_pieces(text)
+    total = len(pieces)
     if total == 0:
         return []
     meta = dict(metadata or {})
@@ -150,7 +166,7 @@ def chunk_text(
                 parent_id=parent_id,
                 seq=len(chunks),
                 token_span=(start, end),
-                text=text[tokens[start].start : tokens[end - 1].end],
+                text=text[ends[start] - len(pieces[start].lstrip()) : ends[end - 1]],
                 metadata=dict(meta),
             )
         )

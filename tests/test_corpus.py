@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from claimcheck.corpus import (
     ArticleText,
     CorpusRecord,
+    Token,
     chunk_corpus,
     chunk_text,
     detokenize,
@@ -46,6 +48,21 @@ def test_tokenize_splits_punctuation():
 )
 def test_detokenize_round_trip(text):
     assert detokenize(text, tokenize(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("ab_9é,.—!  \t\n ")), max_size=60))
+def test_tokenize_matches_token_regex(text):
+    expected = [(m.group(0), m.start(), m.end()) for m in re.finditer(r"\w+|[^\w\s]", text)]
+    tokens = tokenize(text)
+    assert [tuple(t) for t in tokens] == expected
+    assert all(type(t) is Token for t in tokens)
+
+
+def test_tokenize_long_trailing_whitespace():
+    text = "end." + " \n" * 50_000
+    assert [t.text for t in tokenize(text)] == ["end", "."]
+    assert [c.text for c in chunk_text("a", text, 4, 1)] == ["end."]
 
 
 # -- chunk_text ---------------------------------------------------------------
