@@ -2,23 +2,35 @@
 
 Vectors are stored unit-normalized so cosine similarity reduces to a dot
 product.  Entries are keyed by (parent_id, seq); upserting an existing
-key replaces its vector.  Searches run against an immutable snapshot, so
-readers never block each other while writers hold the upsert lock.
+key replaces its vector.  The index holds one immutable snapshot, the
+key-sorted (keys, matrix, metadata) triple: searches read it without
+locking, and an upsert swaps in a new one under the upsert lock.
 
-On-disk format (version 1), line-delimited UTF-8 JSON:
+On-disk format (version 2), one file in three sections:
 
-    line 1   header: {"format": "claimcheck-index", "version": 1,
-                      "model_id": str, "dimension": int, "count": int}
-    line 2.. one entry per line, ascending chunk key:
-             {"parent_id": str, "seq": int, "vector": [float, ...],
-              "metadata": {str: str}}
+    header    one UTF-8 JSON line, keys sorted:
+              {"count": int, "dimension": int, "format": "claimcheck-index",
+               "metadata_bytes": int, "model_id": str, "sha256": str,
+               "version": 2}
+    metadata  ``metadata_bytes`` bytes, one UTF-8 JSON line per entry in
+              ascending chunk-key order:
+              {"metadata": {str: str}, "parent_id": str, "seq": int}
+    matrix    ``count * dimension`` little-endian float64 (``<f8``),
+              row-major, row i being the vector of metadata line i
 
-Floats serialize with ``repr`` (shortest round-trip), so a rebuild from
-identical inputs is byte-identical.
+``sha256`` is the hex SHA-256 of the header line without its ``sha256``
+key, followed by the metadata and matrix sections, so a truncated file
+or any altered byte, header included, fails the load with
+:class:`IndexFormatError` rather than yielding a partial index.  The
+matrix bytes are written and read exactly, with no renormalizing, so a
+rebuild from identical inputs is byte-identical and a loaded index
+scores exactly as the one that was persisted.  Version 1 files (vectors
+as JSON floats) are refused; ``claimcheck build-index`` rebuilds them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -34,7 +46,12 @@ from .embedding import unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
 
 FORMAT_NAME = "claimcheck-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_MATRIX_DTYPE = np.dtype("<f8")
+_HEADER_FIELDS = frozenset(
+    {"count", "dimension", "format", "metadata_bytes", "model_id", "sha256", "version"}
+)
+_ENTRY_FIELDS = frozenset({"metadata", "parent_id", "seq"})
 
 DEFAULT_K = 5
 DEFAULT_POOL_SIZE = 20
@@ -60,8 +77,7 @@ class VectorIndex:
         self.model_id = model_id
         self.dimension = int(dimension)
         self._lock = threading.Lock()
-        self._entries: dict[ChunkKey, tuple[np.ndarray, dict]] = {}
-        # snapshot: (keys tuple, matrix, metadata tuple), rebuilt on upsert
+        # the only store: key-sorted keys, their rows, their metadata
         self._snapshot: tuple[tuple[ChunkKey, ...], np.ndarray, tuple[dict, ...]] = (
             (),
             np.empty((0, dimension), np.float64),
@@ -73,7 +89,7 @@ class VectorIndex:
 
     def upsert(self, items: Iterable[tuple[ChunkKey, np.ndarray, dict]]) -> None:
         """Insert or replace entries; the whole batch validates before any write."""
-        staged: list[tuple[ChunkKey, np.ndarray, dict]] = []
+        batch: dict[ChunkKey, tuple[np.ndarray, dict]] = {}
         for key, vector, metadata in items:
             arr = np.asarray(vector, dtype=np.float64)
             if arr.ndim != 1 or arr.shape[0] != self.dimension:
@@ -81,22 +97,20 @@ class VectorIndex:
                 raise ValidationError(
                     f"vector for {tuple(key)} has dimension {got}, index expects {self.dimension}"
                 )
-            staged.append((ChunkKey(str(key[0]), int(key[1])), unit_normalize(arr), dict(metadata or {})))
-        if not staged:
+            batch[ChunkKey(str(key[0]), int(key[1]))] = (unit_normalize(arr), dict(metadata or {}))
+        if not batch:
             return
         with self._lock:
-            for key, vec, meta in staged:
-                self._entries[key] = (vec, meta)
-            self._rebuild_snapshot()
-
-    def _rebuild_snapshot(self) -> None:
-        keys = tuple(sorted(self._entries))
-        if keys:
-            matrix = np.vstack([self._entries[k][0] for k in keys])
-        else:
-            matrix = np.empty((0, self.dimension), np.float64)
-        metas = tuple(self._entries[k][1] for k in keys)
-        self._snapshot = (keys, matrix, metas)
+            keys, matrix, metas = self._snapshot
+            # old rows enter as views, so the new matrix is the only copy made
+            merged = dict(zip(keys, zip(matrix, metas)))
+            merged.update(batch)
+            keys = tuple(sorted(merged))
+            self._snapshot = (
+                keys,
+                np.vstack([merged[k][0] for k in keys]),
+                tuple(merged[k][1] for k in keys),
+            )
 
     def _prepare_query(self, query) -> np.ndarray:
         arr = np.asarray(query, dtype=np.float64)
@@ -155,86 +169,143 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index to ``path`` atomically in format version 1."""
+        """Write the index to ``path`` atomically in format version 2."""
         path = Path(path)
         keys, matrix, metas = self._snapshot
+        metadata = b"".join(
+            _json_line(
+                {
+                    "parent_id": key.parent_id,
+                    "seq": key.seq,
+                    "metadata": {str(k): str(v) for k, v in meta.items()},
+                }
+            )
+            for key, meta in zip(keys, metas)
+        )
+        matrix = np.ascontiguousarray(matrix, dtype=_MATRIX_DTYPE)  # no copy on little-endian hosts
         header = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "model_id": self.model_id,
             "dimension": self.dimension,
             "count": len(keys),
+            "metadata_bytes": len(metadata),
         }
+        header["sha256"] = _digest(header, metadata, matrix)
         tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
-            for key, row, meta in zip(keys, matrix, metas):
-                entry = {
-                    "parent_id": key.parent_id,
-                    "seq": key.seq,
-                    "vector": [float(x) for x in row],
-                    "metadata": {str(k): str(v) for k, v in sorted(meta.items())},
-                }
-                fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+        with tmp.open("wb") as fh:
+            fh.write(_json_line(header))
+            fh.write(metadata)
+            fh.write(matrix.data)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a persisted index; a damaged file never yields a partial index."""
         path = Path(path)
-        if not path.exists():
-            raise IndexFormatError(f"index file not found: {path}")
-        with path.open(encoding="utf-8") as fh:
+        try:
+            fh = path.open("rb")
+        except FileNotFoundError as exc:
+            raise IndexFormatError(f"index file not found: {path}") from exc
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
             header_line = fh.readline()
-            if not header_line.strip():
-                raise IndexFormatError(f"{path}: missing header line")
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"{path}: header is not valid JSON: {exc}") from exc
-            if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-                raise IndexFormatError(f"{path}: not a {FORMAT_NAME} file")
-            version = header.get("version")
-            if version != FORMAT_VERSION:
-                raise IndexFormatError(
-                    f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
-                )
-            count = int(header.get("count", -1))
-            dimension = int(header.get("dimension", 0))
-            model_id = str(header.get("model_id", ""))
-            staged: list[tuple[ChunkKey, np.ndarray, dict]] = []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    key = ChunkKey(str(row["parent_id"]), int(row["seq"]))
-                    vec = np.asarray(row["vector"], dtype=np.float64)
-                    meta = dict(row.get("metadata") or {})
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise IndexFormatError(f"{path}: bad entry at line {lineno}: {exc}") from exc
-                if vec.ndim != 1 or vec.shape[0] != dimension:
-                    raise IndexFormatError(
-                        f"{path}: entry at line {lineno} has dimension {vec.shape}, expected {dimension}"
-                    )
-                norm = float(np.linalg.norm(vec))
-                if norm == 0.0 or not np.isfinite(norm):
-                    raise IndexFormatError(
-                        f"{path}: entry at line {lineno} holds a zero or non-finite vector"
-                    )
-                # vectors were written normalized; renormalizing them here
-                # would shift similarities by 1 ulp and could flip exact-tie
-                # ordering between a rebuilt and a reloaded index
-                if abs(norm - 1.0) > 1e-9:
-                    vec = vec / norm
-                staged.append((key, vec, meta))
-        if count != len(staged):
-            raise IndexFormatError(
-                f"{path}: header says {count} entries but file holds {len(staged)} (truncated?)"
+            header = _parse_header(path, header_line)
+            count, dimension = header["count"], header["dimension"]
+            # checked before allocating, so a damaged count cannot ask for more
+            # memory than the file could fill
+            expected = (
+                len(header_line) + header["metadata_bytes"] + count * dimension * _MATRIX_DTYPE.itemsize
             )
-        index = cls(model_id=model_id, dimension=dimension)
-        with index._lock:
-            for key, vec, meta in staged:
-                index._entries[key] = (vec, meta)
-            index._rebuild_snapshot()
+            if size != expected:
+                raise IndexFormatError(
+                    f"{path}: file holds {size} bytes, but {count} entries of dimension "
+                    f"{dimension} need {expected} (truncated?)"
+                )
+            metadata = fh.read(header["metadata_bytes"])
+            matrix = np.empty((count, dimension), _MATRIX_DTYPE)
+            read = fh.readinto(matrix.data)
+        if len(metadata) != header["metadata_bytes"] or read != matrix.nbytes:
+            raise IndexFormatError(f"{path}: file shrank while it was read (truncated?)")
+        if _digest(header, metadata, matrix) != header["sha256"]:
+            raise IndexFormatError(f"{path}: checksum mismatch, the file is damaged")
+        keys, metas = _parse_entries(path, metadata, count)
+        bad = ~(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1))
+        if bad.any():
+            raise IndexFormatError(
+                f"{path}: entry {int(bad.argmax())} holds a zero or non-finite vector"
+            )
+        index = cls(model_id=header["model_id"], dimension=dimension)
+        index._snapshot = (keys, matrix, metas)
         return index
+
+
+def _json_line(obj) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _digest(header: dict, metadata: bytes, matrix: np.ndarray) -> str:
+    h = hashlib.sha256(_json_line({k: v for k, v in header.items() if k != "sha256"}))
+    h.update(metadata)
+    h.update(matrix.data)
+    return h.hexdigest()
+
+
+def _parse_header(path: Path, line: bytes) -> dict:
+    if not line.strip():
+        raise IndexFormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise IndexFormatError(f"{path}: not a {FORMAT_NAME} file")
+    version = header.get("version")
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(
+            f"{path}: format version {version} is not supported (expected {FORMAT_VERSION}); "
+            "re-run `claimcheck build-index` to rebuild the index"
+        )
+    # a header that parses but is not byte-for-byte the canonical line was
+    # altered outside the digested values (whitespace, escapes, key order)
+    sizes = ("count", "dimension", "metadata_bytes")
+    if (
+        set(header) != _HEADER_FIELDS
+        or _json_line(header) != line
+        or any(type(header[k]) is not int or header[k] < 0 for k in sizes)
+        or header["dimension"] == 0
+        or not isinstance(header["model_id"], str)
+        or not isinstance(header["sha256"], str)
+    ):
+        raise IndexFormatError(f"{path}: damaged header")
+    return header
+
+
+def _parse_entries(
+    path: Path, metadata: bytes, count: int
+) -> tuple[tuple[ChunkKey, ...], tuple[dict, ...]]:
+    lines = metadata.split(b"\n")
+    if lines.pop() != b"" or len(lines) != count:
+        raise IndexFormatError(f"{path}: metadata holds {len(lines)} lines for {count} entries")
+    keys: list[ChunkKey] = []
+    metas: list[dict] = []
+    for n, line in enumerate(lines):
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise IndexFormatError(f"{path}: bad entry {n}: {exc}") from exc
+        if not (
+            isinstance(entry, dict)
+            and set(entry) == _ENTRY_FIELDS
+            and isinstance(entry["parent_id"], str)
+            and type(entry["seq"]) is int
+            and isinstance(entry["metadata"], dict)
+            and all(isinstance(v, str) for v in entry["metadata"].values())
+        ):
+            raise IndexFormatError(f"{path}: bad entry {n}: {line[:200]!r}")
+        key = ChunkKey(entry["parent_id"], entry["seq"])
+        if keys and not keys[-1] < key:
+            raise IndexFormatError(f"{path}: entry {n} is not in ascending chunk-key order")
+        keys.append(key)
+        metas.append(entry["metadata"])
+    return tuple(keys), tuple(metas)

@@ -87,6 +87,25 @@ def test_check_requires_an_index(bundle, capsys):
     assert "run build-index" in err
 
 
+def test_check_refuses_a_version_1_index(bundle, capsys):
+    build_index(bundle)
+    header = {"count": 1, "dimension": 256, "format": "claimcheck-index", "model_id": "hash-256", "version": 1}
+    entry = {"metadata": {}, "parent_id": "a", "seq": 0, "vector": [1.0] + [0.0] * 255}
+    (bundle / "index" / "hash-256.idx").write_text(
+        json.dumps(header) + "\n" + json.dumps(entry) + "\n", encoding="utf-8"
+    )
+    capsys.readouterr()
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "re-run `claimcheck build-index`" in err
+    assert "Traceback" not in err
+
+
 def test_check_writes_report_and_sidecar(bundle, capsys):
     build_index(bundle)
     out_path = bundle / "out" / "report.json"

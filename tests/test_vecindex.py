@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.corpus import ChunkKey
 from claimcheck.errors import ConfigError, IndexFormatError, ValidationError
@@ -74,6 +78,30 @@ def test_upsert_replaces_existing_key():
     hit = index.top_k([0.0, 1.0])[0]
     assert hit.similarity == pytest.approx(1.0)
     assert hit.metadata == {"v": "new"}
+
+
+def test_upsert_merges_a_batch_into_key_order():
+    rng = np.random.default_rng(11)
+    first = [(ChunkKey("b", i), rng.normal(size=3), {"v": "1"}) for i in range(4)]
+    second = [
+        (ChunkKey("c", 0), rng.normal(size=3), {"v": "2"}),
+        (ChunkKey("b", 2), rng.normal(size=3), {"v": "2"}),
+        (ChunkKey("a", 0), rng.normal(size=3), {"v": "2"}),
+    ]
+    index = VectorIndex("m", 3)
+    index.upsert(first)
+    old_keys, old_matrix, old_metas = index._snapshot
+    frozen = old_matrix.copy()
+    index.upsert(second)
+    expected = VectorIndex("m", 3)
+    expected.upsert(sorted({k: (k, v, m) for k, v, m in first + second}.values()))
+    assert index._snapshot[0] == expected._snapshot[0]
+    assert np.array_equal(index._snapshot[1], expected._snapshot[1])
+    assert index._snapshot[2] == expected._snapshot[2]
+    # a reader still holding the old snapshot sees it unchanged
+    assert old_keys == tuple(k for k, _, _ in first)
+    assert np.array_equal(old_matrix, frozen)
+    assert [m["v"] for m in old_metas] == ["1"] * 4
 
 
 def test_upsert_validates_whole_batch_before_writing():
@@ -179,6 +207,7 @@ def test_persist_load_round_trip(tmp_path):
         [h.similarity for h in original], [h.similarity for h in reloaded]
     )
     assert [h.metadata for h in original] == [h.metadata for h in reloaded]
+    assert np.array_equal(loaded._snapshot[1], index._snapshot[1])
 
 
 def test_persist_is_deterministic_and_reload_stable(tmp_path):
@@ -188,7 +217,8 @@ def test_persist_is_deterministic_and_reload_stable(tmp_path):
     index.persist(first)
     index.persist(second)
     assert first.read_bytes() == second.read_bytes()
-    # persist(load(persist(x))) is byte-stable: floats round-trip via repr
+    # persist(load(persist(x))) is byte-stable: the matrix bytes are written
+    # and read exactly, with no renormalizing on load
     third = tmp_path / "c.idx"
     VectorIndex.load(first).persist(third)
     assert third.read_bytes() == first.read_bytes()
@@ -200,22 +230,45 @@ def test_persist_leaves_no_tmp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["test.idx"]
 
 
+def split_sections(data: bytes) -> tuple[dict, bytes, bytes]:
+    """(header, metadata section, matrix section) of a version 2 file."""
+    header_line, rest = data.split(b"\n", 1)
+    header = json.loads(header_line)
+    return header, rest[: header["metadata_bytes"]], rest[header["metadata_bytes"] :]
+
+
+def write_sealed(path, header: dict, metadata: bytes, matrix: bytes) -> None:
+    """Write a version 2 file with a valid digest, computed as the format documents."""
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    header["metadata_bytes"] = len(metadata)
+    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
+    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    path.write_bytes(line + metadata + matrix)
+
+
 def test_header_contents(tmp_path):
     path = tmp_path / "test.idx"
-    populated_index().persist(path)
-    header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    index = populated_index()
+    index.persist(path)
+    header, metadata, matrix = split_sections(path.read_bytes())
+    digest = header.pop("sha256")
     assert header == {
         "format": "claimcheck-index",
-        "version": 1,
+        "version": 2,
         "model_id": "model/with-slash",
         "dimension": 5,
         "count": 12,
+        "metadata_bytes": len(metadata),
     }
-
-
-def corrupt(path, mutate):
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(mutate(lines)), encoding="utf-8")
+    assert len(digest) == 64
+    entries = [json.loads(line) for line in metadata.splitlines()]
+    assert [(e["parent_id"], e["seq"]) for e in entries] == [tuple(k) for k in index._snapshot[0]]
+    assert entries[0]["metadata"] == {"n": "0", "title": "T0"}
+    assert np.array_equal(np.frombuffer(matrix, "<f8").reshape(12, 5), index._snapshot[1])
+    # resealing the same sections reproduces the file: the digest is as documented
+    write_sealed(tmp_path / "resealed.idx", {**header, "sha256": digest}, metadata, matrix)
+    assert (tmp_path / "resealed.idx").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_damaged_files(tmp_path):
@@ -224,41 +277,145 @@ def test_load_rejects_damaged_files(tmp_path):
     with pytest.raises(IndexFormatError, match="not found"):
         VectorIndex.load(path)
 
-    path.write_text("", encoding="utf-8")
+    path.write_bytes(b"")
     with pytest.raises(IndexFormatError, match="missing header"):
         VectorIndex.load(path)
 
-    path.write_text("{broken\n", encoding="utf-8")
+    path.write_bytes(b"{broken\n")
     with pytest.raises(IndexFormatError, match="not valid JSON"):
         VectorIndex.load(path)
 
-    path.write_text('{"format": "something-else", "version": 1}\n', encoding="utf-8")
+    path.write_bytes(b'{"format": "something-else", "version": 2}\n')
     with pytest.raises(IndexFormatError, match="not a claimcheck-index"):
         VectorIndex.load(path)
 
     populated_index().persist(path)
-    corrupt(path, lambda lines: [lines[0].replace('"version": 1', '"version": 99')] + lines[1:])
+    pristine = path.read_bytes()
+    header, metadata, matrix = split_sections(pristine)
+
+    path.write_bytes(pristine.replace(b'"version": 2', b'"version": 99', 1))
     with pytest.raises(IndexFormatError, match="version 99"):
         VectorIndex.load(path)
 
-    populated_index().persist(path)
-    corrupt(path, lambda lines: lines[:-1])  # truncate one entry
+    path.write_bytes(pristine[:-8])  # the last row loses its last component
     with pytest.raises(IndexFormatError, match="truncated"):
         VectorIndex.load(path)
 
-    populated_index().persist(path)
-    corrupt(path, lambda lines: lines[:-1] + ["{bad json\n"])
-    with pytest.raises(IndexFormatError, match="bad entry"):
+    path.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
+    with pytest.raises(IndexFormatError, match="checksum"):
         VectorIndex.load(path)
 
-    populated_index().persist(path)
-
-    def shrink_vector(lines):
-        row = json.loads(lines[1])
-        row["vector"] = row["vector"][:-1]
-        lines[1] = json.dumps(row) + "\n"
-        return lines
-
-    corrupt(path, shrink_vector)
-    with pytest.raises(IndexFormatError, match="dimension"):
+    write_sealed(path, header, metadata.replace(b"{", b"{bad json", 1), matrix)
+    with pytest.raises(IndexFormatError, match="bad entry 0"):
         VectorIndex.load(path)
+
+    write_sealed(path, header, metadata.replace(b'"seq": 0', b'"seq": "0"', 1), matrix)
+    with pytest.raises(IndexFormatError, match="bad entry 0"):
+        VectorIndex.load(path)
+
+    lines = metadata.splitlines(keepends=True)
+    write_sealed(path, header, b"".join([lines[1], lines[0], *lines[2:]]), matrix)
+    with pytest.raises(IndexFormatError, match="chunk-key order"):
+        VectorIndex.load(path)
+
+    write_sealed(path, {**header, "dimension": 4}, metadata, matrix)
+    with pytest.raises(IndexFormatError, match="dimension 4"):
+        VectorIndex.load(path)
+
+    write_sealed(path, {**header, "dimension": 0, "count": 0}, b"", b"")
+    with pytest.raises(IndexFormatError, match="damaged header"):
+        VectorIndex.load(path)
+
+    renamed = {("cound" if k == "count" else k): v for k, v in header.items()}
+    write_sealed(path, renamed, metadata, matrix)
+    with pytest.raises(IndexFormatError, match="damaged header"):
+        VectorIndex.load(path)
+
+    for bad_value in (0.0, np.nan, np.inf):
+        rows = np.frombuffer(matrix, "<f8").reshape(12, 5).copy()
+        rows[3] = bad_value if bad_value else 0.0
+        write_sealed(path, header, metadata, rows.tobytes())
+        with pytest.raises(IndexFormatError, match="entry 3 holds a zero or non-finite"):
+            VectorIndex.load(path)
+
+
+def test_load_rejects_equivalent_but_altered_header(tmp_path):
+    # each edit keeps the header's JSON values, so only the canonical-form
+    # check can catch it: the digest covers the values, not the spelling
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    pristine = path.read_bytes()
+    for old, new in ((b'"count": 12,', b'"count":\t12,'), (b'"model_id": "m', b'"model_id": "\\u006d')):
+        path.write_bytes(pristine.replace(old, new, 1))
+        with pytest.raises(IndexFormatError, match="damaged header"):
+            VectorIndex.load(path)
+
+
+def test_load_refuses_version_1_files(tmp_path):
+    path = tmp_path / "test.idx"
+    header = {"count": 1, "dimension": 2, "format": "claimcheck-index", "model_id": "m", "version": 1}
+    entry = {"metadata": {}, "parent_id": "a", "seq": 0, "vector": [1.0, 0.0]}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+    with pytest.raises(IndexFormatError, match="version 1 is not supported.*claimcheck build-index"):
+        VectorIndex.load(path)
+
+
+@pytest.fixture(scope="module")
+def pristine_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damage") / "test.idx"
+    populated_index().persist(path)
+    return path, path.read_bytes()
+
+
+def test_every_truncation_raises_index_format_error(pristine_file):
+    path, pristine = pristine_file
+    try:
+        for end in range(len(pristine)):
+            path.write_bytes(pristine[:end])
+            with pytest.raises(IndexFormatError):
+                VectorIndex.load(path)
+    finally:
+        path.write_bytes(pristine)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_damage_raises_index_format_error(pristine_file, data):
+    path, pristine = pristine_file
+    header_end = pristine.index(b"\n") + 1
+    metadata_end = header_end + split_sections(pristine)[0]["metadata_bytes"]
+    section = data.draw(
+        st.sampled_from([(0, header_end), (header_end, metadata_end), (metadata_end, len(pristine))])
+    )
+    offset = data.draw(st.integers(*section).filter(lambda i: i < len(pristine)))
+    if data.draw(st.booleans()):
+        damaged = pristine[:offset]
+    else:
+        flipped = pristine[offset] ^ data.draw(st.integers(1, 255))
+        damaged = pristine[:offset] + bytes([flipped]) + pristine[offset + 1 :]
+    path.write_bytes(damaged)
+    try:
+        with pytest.raises(IndexFormatError):
+            VectorIndex.load(path)
+    finally:
+        path.write_bytes(pristine)
+
+
+def test_load_peak_allocation_stays_near_one_matrix(tmp_path):
+    # the loaded snapshot is the only store: the matrix is read straight
+    # into its final array, with no staging copy beside it
+    n, d = 1000, 256
+    rng = np.random.default_rng(3)
+    index = VectorIndex("m", d)
+    index.upsert((ChunkKey("doc", i), rng.normal(size=d), {}) for i in range(n))
+    path = tmp_path / "big.idx"
+    index.persist(path)
+    del index
+    tracemalloc.start()
+    try:
+        loaded = VectorIndex.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n
+    assert peak < 1.5 * n * d * 8
