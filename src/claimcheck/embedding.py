@@ -288,8 +288,3 @@ def build_embedder(spec: EmbedderSpec, session: requests.Session | None = None):
         f"embedder {spec.model_id!r}: endpoint must be {DETERMINISTIC_ENDPOINT!r} "
         f"or an http(s) URL, got {spec.endpoint!r}"
     )
-
-
-def embed_text(texts: list[str], spec: EmbedderSpec) -> list[EmbeddingVector]:
-    """One-shot embedding of a list of texts under ``spec``."""
-    return build_embedder(spec).embed(texts)

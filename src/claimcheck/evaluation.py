@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import prompts
 from .agents import LlmBackend, parse_score
@@ -195,6 +194,58 @@ def _paired_arrays(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, 
     return va, vb
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with ``y`` = 1 - x given exactly.
+
+    Taking the complement from the caller rather than forming ``1 - x``
+    keeps full relative precision when x is within rounding of 1.
+    """
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for I_x(a, b), evaluated by the modified Lentz method."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return h
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided p-value of Student's t: I_x(df/2, 1/2) with x = df/(df + t^2)."""
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    return _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _normal_two_sided_p(z: float) -> float:
+    """Two-sided p-value of a standard normal statistic."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Two-sided paired t-test on a - b."""
     va, vb = _paired_arrays(a, b)
@@ -206,7 +257,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if sd == 0.0:
         raise DegenerateSampleError("paired differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 1))
+    p = _t_two_sided_p(t, n - 1)
     return TestResult(statistic=t, pvalue=p, n=n, method=f"paired-t df={n - 1}")
 
 
@@ -272,7 +323,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> TestResult:
         if variance <= 0:
             raise DegenerateSampleError("zero variance in signed ranks")
         z = (w - mean) / math.sqrt(variance)
-        p = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+        p = _normal_two_sided_p(z)
         method = "normal-approx"
     return TestResult(statistic=w, pvalue=min(1.0, p), n=n, method=method)
 

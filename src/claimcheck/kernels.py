@@ -1,10 +1,7 @@
-"""Numeric kernels for the vector index.
+"""Numeric kernels for the vector index, in numpy.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback with identical semantics.  The active path is chosen at import
-time: numba when importable, unless the ``CLAIMCHECK_NUMBA`` environment
-variable is set to ``0``/``false``/``no``/``off``.  Both variants stay
-importable so tests and the benchmark can compare them directly.
+``topk_scan`` ranks the rows of a matrix against a query and
+``mmr_greedy`` selects a diverse subset of a candidate pool.
 
 Tie-breaking contract shared by every kernel: candidates are presented
 in ascending chunk-key order, and exact score ties resolve to the lowest
@@ -13,36 +10,14 @@ index, i.e. the lowest chunk key.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# a constant, not a selector: perfbench/run.py environment() records it in
+# every benchmark result
+ACTIVE_PATH = "numpy"
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.getenv("CLAIMCHECK_NUMBA", "1").strip().lower() in ("0", "false", "no", "off")
-
-
-NUMBA_ENABLED = HAS_NUMBA and not _numba_disabled_by_env()
-
-_JIT_OPTS = dict(cache=True, nogil=True)
-
-
-def topk_scan_numpy(matrix: np.ndarray, query: np.ndarray, k: int, min_sim: float):
+def topk_scan(matrix: np.ndarray, query: np.ndarray, k: int, min_sim: float):
     """Top-k dot products of ``query`` against rows of ``matrix``.
 
     Returns (indices, sims) sorted by similarity descending, row index
@@ -59,47 +34,7 @@ def topk_scan_numpy(matrix: np.ndarray, query: np.ndarray, k: int, min_sim: floa
     return chosen.astype(np.int64), sims[chosen].astype(np.float64)
 
 
-@njit(**_JIT_OPTS)
-def _topk_scan_jit(matrix, query, k, min_sim):  # pragma: no cover - compiled
-    n, d = matrix.shape
-    if n == 0 or k <= 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    best_sims = np.empty(k, np.float64)
-    best_idx = np.empty(k, np.int64)
-    count = 0
-    for i in range(n):
-        s = 0.0
-        for j in range(d):
-            s += matrix[i, j] * query[j]
-        if s < min_sim:
-            continue
-        pos = count
-        while pos > 0 and best_sims[pos - 1] < s:
-            pos -= 1
-        if pos >= k:
-            continue
-        stop = count if count < k else k - 1
-        for m in range(stop, pos, -1):
-            best_sims[m] = best_sims[m - 1]
-            best_idx[m] = best_idx[m - 1]
-        best_sims[pos] = s
-        best_idx[pos] = i
-        if count < k:
-            count += 1
-    return best_idx[:count].copy(), best_sims[:count].copy()
-
-
-def topk_scan_numba(matrix: np.ndarray, query: np.ndarray, k: int, min_sim: float):
-    """Fused scan: dot products, threshold, and top-k in one pass."""
-    return _topk_scan_jit(
-        np.ascontiguousarray(matrix, np.float64),
-        np.ascontiguousarray(query, np.float64),
-        np.int64(k),
-        np.float64(min_sim),
-    )
-
-
-def mmr_greedy_numpy(cand_sims: np.ndarray, pairwise: np.ndarray, lam: float, k: int) -> np.ndarray:
+def mmr_greedy(cand_sims: np.ndarray, pairwise: np.ndarray, lam: float, k: int) -> np.ndarray:
     """Greedy maximal-marginal-relevance selection over a candidate pool.
 
     Score of a remaining candidate is ``lam * sim_to_query -
@@ -121,57 +56,3 @@ def mmr_greedy_numpy(cand_sims: np.ndarray, pairwise: np.ndarray, lam: float, k:
         masked[best] = True
         redundancy = np.maximum(redundancy, pairwise[best])
     return out
-
-
-@njit(**_JIT_OPTS)
-def _mmr_greedy_jit(cand_sims, pairwise, lam, k):  # pragma: no cover - compiled
-    p = cand_sims.shape[0]
-    kk = min(k, p)
-    out = np.empty(kk, np.int64)
-    if kk <= 0:
-        return out[:0]
-    redundancy = np.zeros(p, np.float64)
-    masked = np.zeros(p, np.bool_)
-    for step in range(kk):
-        best = -1
-        best_score = -np.inf
-        for i in range(p):
-            if masked[i]:
-                continue
-            score = lam * cand_sims[i] - (1.0 - lam) * redundancy[i]
-            if score > best_score:
-                best_score = score
-                best = i
-        out[step] = best
-        masked[best] = True
-        for i in range(p):
-            if pairwise[best, i] > redundancy[i]:
-                redundancy[i] = pairwise[best, i]
-    return out
-
-
-def mmr_greedy_numba(cand_sims: np.ndarray, pairwise: np.ndarray, lam: float, k: int) -> np.ndarray:
-    return _mmr_greedy_jit(
-        np.ascontiguousarray(cand_sims, np.float64),
-        np.ascontiguousarray(pairwise, np.float64),
-        np.float64(lam),
-        np.int64(k),
-    )
-
-
-if NUMBA_ENABLED:
-    topk_scan = topk_scan_numba
-    mmr_greedy = mmr_greedy_numba
-    ACTIVE_PATH = "numba"
-else:
-    topk_scan = topk_scan_numpy
-    mmr_greedy = mmr_greedy_numpy
-    ACTIVE_PATH = "numpy"
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so first queries are not billed for it."""
-    m = np.eye(2, dtype=np.float64)
-    q = np.array([1.0, 0.0])
-    topk_scan(m, q, 1, -1.0)
-    mmr_greedy(np.array([1.0, 0.5]), m, 0.5, 2)

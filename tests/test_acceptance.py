@@ -40,7 +40,7 @@ from claimcheck.evaluation import (
     split_sentences,
     wilcoxon_signed_rank,
 )
-from claimcheck.kernels import mmr_greedy, mmr_greedy_numpy, topk_scan, topk_scan_numpy
+from claimcheck.kernels import mmr_greedy, topk_scan
 from claimcheck.lotr import EvidenceBundle, EvidenceHit, dedupe, long_context_reorder
 from claimcheck.pipeline import (
     TERMINAL_DONE,
@@ -142,12 +142,11 @@ def test_mmr_matches_brute_force_oracle():
         k = int(rng.integers(1, n + 1))
         for lam in lambdas:
             expected = mmr_oracle(cand_sims, pairwise, lam, k)
-            for impl in (mmr_greedy, mmr_greedy_numpy):
-                got = list(impl(cand_sims, pairwise, lam, k))
-                assert got == expected, (
-                    f"trial {trial} lam={lam} k={k}: {got} != {expected}\n"
-                    f"sims={cand_sims}\npairwise=\n{pairwise}"
-                )
+            got = list(mmr_greedy(cand_sims, pairwise, lam, k))
+            assert got == expected, (
+                f"trial {trial} lam={lam} k={k}: {got} != {expected}\n"
+                f"sims={cand_sims}\npairwise=\n{pairwise}"
+            )
         # pure relevance must degrade to plain top-k ordering
         relevance_order = list(mmr_greedy(cand_sims, pairwise, 1.0, k))
         assert relevance_order == topk_oracle(cand_sims, k, -np.inf)
@@ -166,11 +165,10 @@ def test_topk_scan_matches_oracle():
         min_sim = float(rng.uniform(-2.0, 2.0))
         sims = matrix @ query if n else np.empty(0)
         expected = topk_oracle(sims, k, min_sim)
-        for impl in (topk_scan, topk_scan_numpy):
-            idx, vals = impl(matrix, query, k, min_sim)
-            assert list(idx) == expected
-            # reduction order may differ from BLAS by one ulp
-            assert np.allclose(vals, sims[expected], rtol=0.0, atol=1e-9)
+        idx, vals = topk_scan(matrix, query, k, min_sim)
+        assert list(idx) == expected
+        # reduction order may differ from BLAS by one ulp
+        assert np.allclose(vals, sims[expected], rtol=0.0, atol=1e-9)
 
 
 # -- 3. evidence list handling in bulk -----------------------------------------

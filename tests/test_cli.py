@@ -326,3 +326,16 @@ def test_console_script_help():
     assert result.returncode == 0
     for command in ("ingest", "build-index", "check", "evaluate"):
         assert command in result.stdout
+
+
+def test_import_loads_only_runtime_dependencies():
+    # scipy is only a test oracle and the kernels are numpy: neither package may load
+    probe = (
+        "import sys, claimcheck, claimcheck.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -20,7 +20,9 @@ from claimcheck.evaluation import (
     ComparisonRow,
     ConsistencyScore,
     _greedy_match,
+    _normal_two_sided_p,
     _rankdata,
+    _t_two_sided_p,
     compare_systems,
     consistency,
     entry_response_text,
@@ -185,6 +187,29 @@ def test_paired_t_matches_scipy():
         ref = scipy.stats.ttest_rel(a, b)
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-10)
         assert ours.pvalue == pytest.approx(ref.pvalue, abs=1e-10)
+
+
+def test_t_p_value_matches_closed_forms():
+    # exact for df = 1 and 2; scipy itself drifts ~1e-9 relative at these extremes
+    for exponent in range(-8, 7):
+        t = 10.0**exponent
+        s = math.sqrt(2.0 + t * t)
+        closed_forms = {1: (2.0 / math.pi) * math.atan(1.0 / t), 2: 2.0 / (s * (s + t))}
+        for df, expected in closed_forms.items():
+            for signed in (t, -t):
+                got = _t_two_sided_p(signed, df)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (signed, df)
+
+
+def test_t_p_value_limits():
+    assert _t_two_sided_p(0.0, 3) == 1.0
+    assert _t_two_sided_p(1e200, 3) == 0.0  # t * t overflows to inf
+
+
+def test_normal_p_value_at_the_five_percent_point():
+    for z in (1.959963984540054, -1.959963984540054):
+        assert _normal_two_sided_p(z) == pytest.approx(0.05, rel=0.0, abs=1e-15)
+    assert _normal_two_sided_p(0.0) == 1.0
 
 
 def test_paired_t_sign_convention():

@@ -1,31 +1,22 @@
-"""The numba kernels and their numpy fallbacks must be interchangeable."""
+"""The numpy kernels: ranking, thresholds, edge cases and tie-breaking."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from claimcheck import kernels
 
-pairs = [(kernels.topk_scan_numpy, kernels.mmr_greedy_numpy)]
-if kernels.HAS_NUMBA:
-    pairs.append((kernels.topk_scan_numba, kernels.mmr_greedy_numba))
-
-
-def unit_rows(rng, n, d):
-    m = rng.normal(size=(n, d))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
+# a single kernel path; the "numpy" id keeps these tests' names stable
+with_topk = pytest.mark.parametrize("topk", [kernels.topk_scan], ids=["numpy"])
+with_mmr = pytest.mark.parametrize("mmr", [kernels.mmr_greedy], ids=["numpy"])
 
 
 # -- topk_scan ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("topk,_", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_topk_basic(topk, _):
+@with_topk
+def test_topk_basic(topk):
     matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]])
     query = np.array([1.0, 0.0])
     idx, sims = topk(matrix, query, 2, -1.0)
@@ -33,8 +24,8 @@ def test_topk_basic(topk, _):
     np.testing.assert_allclose(sims, [1.0, 0.8])
 
 
-@pytest.mark.parametrize("topk,_", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_topk_edge_cases(topk, _):
+@with_topk
+def test_topk_edge_cases(topk):
     matrix = np.eye(3)
     query = np.array([1.0, 0.0, 0.0])
     idx, sims = topk(matrix, query, 10, -1.0)  # k > n
@@ -47,15 +38,15 @@ def test_topk_edge_cases(topk, _):
     assert idx.size == 0
 
 
-@pytest.mark.parametrize("topk,_", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_topk_threshold_is_inclusive(topk, _):
+@with_topk
+def test_topk_threshold_is_inclusive(topk):
     matrix = np.array([[1.0, 0.0], [0.0, 1.0]])
     idx, sims = topk(matrix, np.array([1.0, 0.0]), 5, 1.0)
     assert idx.tolist() == [0]
 
 
-@pytest.mark.parametrize("topk,_", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_topk_exact_ties_prefer_low_index(topk, _):
+@with_topk
+def test_topk_exact_ties_prefer_low_index(topk):
     row = np.array([0.6, 0.8])
     matrix = np.vstack([row, row, row])
     idx, sims = topk(matrix, np.array([1.0, 0.0]), 2, -1.0)
@@ -63,31 +54,11 @@ def test_topk_exact_ties_prefer_low_index(topk, _):
     assert sims[0] == sims[1]
 
 
-def test_topk_paths_agree_on_random_instances():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(11)
-    for trial in range(60):
-        n = int(rng.integers(0, 40))
-        d = int(rng.integers(1, 12))
-        matrix = unit_rows(rng, n, d) if n else np.empty((0, d))
-        if n >= 4 and trial % 3 == 0:
-            matrix[1] = matrix[0]  # plant an exact tie
-            matrix[n - 1] = matrix[n // 2]
-        query = unit_rows(rng, 1, d)[0]
-        k = int(rng.integers(0, n + 3))
-        min_sim = float(rng.uniform(-1.1, 0.9))
-        i_np, s_np = kernels.topk_scan_numpy(matrix, query, k, min_sim)
-        i_nb, s_nb = kernels.topk_scan_numba(matrix, query, k, min_sim)
-        assert i_np.tolist() == i_nb.tolist(), f"trial {trial}"
-        np.testing.assert_allclose(s_np, s_nb, atol=1e-12)
-
-
 # -- mmr_greedy ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("_, mmr", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_mmr_hand_case(_, mmr):
+@with_mmr
+def test_mmr_hand_case(mmr):
     # a is most relevant; b is nearly a duplicate of a, so diversity
     # prefers the weaker but novel c
     cand_sims = np.array([0.9, 0.85, 0.5])
@@ -95,15 +66,15 @@ def test_mmr_hand_case(_, mmr):
     assert mmr(cand_sims, pairwise, 0.5, 2).tolist() == [0, 2]
 
 
-@pytest.mark.parametrize("_, mmr", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_mmr_lambda_one_is_pure_relevance(_, mmr):
+@with_mmr
+def test_mmr_lambda_one_is_pure_relevance(mmr):
     cand_sims = np.array([0.2, 0.9, 0.9, 0.5])
     pairwise = np.ones((4, 4))
     assert mmr(cand_sims, pairwise, 1.0, 3).tolist() == [1, 2, 3]
 
 
-@pytest.mark.parametrize("_, mmr", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_mmr_edge_cases(_, mmr):
+@with_mmr
+def test_mmr_edge_cases(mmr):
     cand_sims = np.array([0.9, 0.1])
     pairwise = np.eye(2)
     assert mmr(cand_sims, pairwise, 0.5, 5).tolist() == [0, 1]  # k > n
@@ -111,70 +82,8 @@ def test_mmr_edge_cases(_, mmr):
     assert mmr(np.empty(0), np.empty((0, 0)), 0.5, 3).size == 0
 
 
-@pytest.mark.parametrize("_, mmr", pairs, ids=["numpy", "numba"][: len(pairs)])
-def test_mmr_ties_prefer_low_index(_, mmr):
+@with_mmr
+def test_mmr_ties_prefer_low_index(mmr):
     cand_sims = np.array([0.7, 0.7, 0.7])
     pairwise = np.eye(3)
     assert mmr(cand_sims, pairwise, 1.0, 2).tolist() == [0, 1]
-
-
-def test_mmr_paths_agree_on_random_instances():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(12)
-    for trial in range(60):
-        n = int(rng.integers(1, 12))
-        rows = unit_rows(rng, n, 6)
-        if n >= 3 and trial % 4 == 0:
-            rows[1] = rows[0]
-        pairwise = rows @ rows.T
-        cand_sims = rows @ unit_rows(rng, 1, 6)[0]
-        lam = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-        k = int(rng.integers(0, n + 2))
-        got_np = kernels.mmr_greedy_numpy(cand_sims, pairwise, lam, k)
-        got_nb = kernels.mmr_greedy_numba(cand_sims, pairwise, lam, k)
-        assert got_np.tolist() == got_nb.tolist(), f"trial {trial}"
-
-
-# -- dispatch -----------------------------------------------------------------
-
-
-def test_active_path_matches_flag():
-    if kernels.NUMBA_ENABLED:
-        assert kernels.ACTIVE_PATH == "numba"
-        assert kernels.topk_scan is kernels.topk_scan_numba
-        assert kernels.mmr_greedy is kernels.mmr_greedy_numba
-    else:
-        assert kernels.ACTIVE_PATH == "numpy"
-        assert kernels.topk_scan is kernels.topk_scan_numpy
-        assert kernels.mmr_greedy is kernels.mmr_greedy_numpy
-
-
-def active_path_in_subprocess(flag_value: str | None) -> str:
-    env = dict(os.environ)
-    env.pop("CLAIMCHECK_NUMBA", None)
-    if flag_value is not None:
-        env["CLAIMCHECK_NUMBA"] = flag_value
-    out = subprocess.run(
-        [sys.executable, "-c", "from claimcheck import kernels; print(kernels.ACTIVE_PATH)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_path():
-    assert active_path_in_subprocess("0") == "numpy"
-    assert active_path_in_subprocess("off") == "numpy"
-
-
-def test_env_flag_default_prefers_numba():
-    expected = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert active_path_in_subprocess(None) == expected
-    assert active_path_in_subprocess("1") == expected
-
-
-def test_warmup_runs():
-    kernels.warmup()
