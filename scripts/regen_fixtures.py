@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from claimcheck import corpus, evaluation, prompts  # noqa: E402
-from claimcheck.agents import FactCheckAgents, RawAnswer, prompt_fingerprint  # noqa: E402
+from claimcheck.agents import FactCheckAgents, RawAnswer, ScriptedBackend, prompt_fingerprint  # noqa: E402
 from claimcheck.config import load_config  # noqa: E402
 from claimcheck.embedding import build_embedder, cosine_similarity  # noqa: E402
 from claimcheck.lotr import MergingRetriever, RetrieverLeg  # noqa: E402
@@ -458,12 +458,7 @@ def main() -> None:
     assert base_first.label.value == "unverifiable", "uncited baseline verdict must downgrade"
 
     mock_path = FIXTURES / "mock_responses.jsonl"
-    with mock_path.open("w", encoding="utf-8") as fh:
-        for fp in sorted(recorded):
-            fh.write(
-                json.dumps({"fingerprint": fp, "response": recorded[fp]}, ensure_ascii=False)
-                + "\n"
-            )
+    ScriptedBackend(recorded).save(mock_path)
     print(f"recorded {len(recorded)} scripted responses -> {mock_path}")
 
     # evaluation golden over the three reports (one article, offline judges)

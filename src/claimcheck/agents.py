@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
-import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
-
-import requests
 
 from . import prompts
 from .corpus import Chunk, ChunkKey
@@ -31,17 +26,11 @@ from .errors import (
     GradingError,
     ProtocolError,
     RewriteError,
-    TransportError,
     ValidationError,
 )
-
-logger = logging.getLogger(__name__)
+from .transport import JsonEndpoint
 
 SCRIPTED_ENDPOINT = "scripted"
-RETRY_BASE_DELAY = 1.0
-RETRY_FACTOR = 2.0
-MAX_ATTEMPTS = 5
-DEFAULT_MAX_IN_FLIGHT = 4
 CLAIM_DEDUPE_THRESHOLD = 0.9
 
 
@@ -86,90 +75,47 @@ class LlmBackend(Protocol):
 
 
 class RemoteChatBackend:
-    """Chat-completions HTTP client.
+    """Chat-completions adapter over one :class:`JsonEndpoint`.
 
     POSTs ``{"model", "messages", "temperature", "max_tokens"}`` and
-    reads ``choices[0].message.content``; retries transport failures
-    with exponential backoff and caps concurrent in-flight requests.
+    reads ``choices[0].message.content``.  ``transport`` holds the
+    endpoint's seams: ``session``, ``max_in_flight``, ``base_delay`` and
+    ``sleep``.
     """
 
-    def __init__(
-        self,
-        config: LlmBackendConfig,
-        session: requests.Session | None = None,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        base_delay: float = RETRY_BASE_DELAY,
-        sleep=time.sleep,
-        timeout: float = 120.0,
-    ):
-        if not config.endpoint.startswith(("http://", "https://")):
-            raise ConfigError(
-                f"backend {config.model_id!r} ({config.role}) needs an http(s) endpoint, "
-                f"got {config.endpoint!r}"
-            )
+    def __init__(self, config: LlmBackendConfig, **transport):
         self.config = config
-        self.session = session or requests.Session()
-        self._gate = threading.Semaphore(max_in_flight)
-        self.base_delay = base_delay
-        self.sleep = sleep
-        self.timeout = timeout
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key_env:
-            import os
-
-            secret = os.environ.get(self.config.api_key_env)
-            if not secret:
-                raise ConfigError(
-                    f"backend {self.config.model_id!r} expects the secret in environment "
-                    f"variable {self.config.api_key_env!r}, which is not set"
-                )
-            headers["Authorization"] = f"Bearer {secret}"
-        return headers
+        self.endpoint = JsonEndpoint(
+            config.endpoint,
+            f"backend {config.model_id!r} ({config.role})",
+            timeout=120.0,
+            api_key_env=config.api_key_env,
+            **transport,
+        )
 
     def complete(self, prompt: str) -> RawAnswer:
-        fingerprint = prompt_fingerprint(prompt)
-        body = {
-            "model": self.config.model_id,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_output_tokens,
-        }
-        last: Exception | None = None
-        for attempt in range(MAX_ATTEMPTS):
-            try:
-                with self._gate:
-                    resp = self.session.post(
-                        self.config.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-                    )
-                if resp.status_code != 200:
-                    raise TransportError(f"chat endpoint returned HTTP {resp.status_code}")
-                try:
-                    payload = resp.json()
-                    text = payload["choices"][0]["message"]["content"]
-                    usage = payload.get("usage") or {}
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise ProtocolError(f"malformed chat response: {exc}") from exc
-                if not isinstance(text, str) or not text.strip():
-                    raise BackendError(
-                        f"backend {self.config.model_id!r} returned an empty completion"
-                    )
-                return RawAnswer(
-                    text=text,
-                    prompt_fingerprint=fingerprint,
-                    model_id=self.config.model_id,
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
-                )
-            except (TransportError, requests.RequestException) as exc:
-                last = exc
-                if attempt + 1 < MAX_ATTEMPTS:
-                    self.sleep(self.base_delay * (RETRY_FACTOR**attempt))
-                    logger.warning(
-                        "chat call failed (attempt %d/%d): %s", attempt + 1, MAX_ATTEMPTS, exc
-                    )
-        raise TransportError(f"chat call failed after {MAX_ATTEMPTS} attempts: {last}")
+        payload = self.endpoint.post(
+            {
+                "model": self.config.model_id,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": self.config.temperature,
+                "max_tokens": self.config.max_output_tokens,
+            }
+        )
+        try:
+            text = payload["choices"][0]["message"]["content"]
+            usage = payload.get("usage") or {}
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProtocolError(f"malformed chat response: {exc}") from exc
+        if not isinstance(text, str) or not text.strip():
+            raise BackendError(f"backend {self.config.model_id!r} returned an empty completion")
+        return RawAnswer(
+            text=text,
+            prompt_fingerprint=prompt_fingerprint(prompt),
+            model_id=self.config.model_id,
+            prompt_tokens=int(usage.get("prompt_tokens", 0)),
+            completion_tokens=int(usage.get("completion_tokens", 0)),
+        )
 
 
 class ScriptedBackend:
@@ -235,11 +181,7 @@ class ScriptedBackend:
         )
 
 
-def build_backend(
-    config: LlmBackendConfig,
-    mock_fixtures: str | Path | None = None,
-    session: requests.Session | None = None,
-) -> LlmBackend:
+def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = None) -> LlmBackend:
     """Pick the transport implied by the config's endpoint."""
     if config.endpoint == SCRIPTED_ENDPOINT:
         if mock_fixtures is None:
@@ -248,7 +190,7 @@ def build_backend(
                 "mock-fixtures path is configured"
             )
         return ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
-    return RemoteChatBackend(config, session=session)
+    return RemoteChatBackend(config)
 
 
 class VerdictLabel(str, Enum):

@@ -12,27 +12,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
-import os
 import struct
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
-
-logger = logging.getLogger(__name__)
+from .transport import JsonEndpoint
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
-RETRY_BASE_DELAY = 1.0
-RETRY_FACTOR = 2.0
-MAX_ATTEMPTS = 5
-DEFAULT_MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -162,59 +152,33 @@ class DeterministicEmbedder:
 
 
 class RemoteEmbedder:
-    """HTTP embedding client.
+    """Embeddings adapter over one :class:`JsonEndpoint`.
 
-    POSTs ``{"model": ..., "input": [...]}`` and expects
-    ``{"data": [{"index": i, "embedding": [...]}, ...]}``.  Batches of at
-    most 64 texts, exponential backoff on transport failures, and a cap
-    on concurrent in-flight requests.
+    POSTs ``{"model": ..., "input": [...]}`` in batches of at most 64
+    texts and expects ``{"data": [{"index": i, "embedding": [...]}, ...]}``.
+    ``transport`` holds the endpoint's seams: ``session``,
+    ``max_in_flight``, ``base_delay`` and ``sleep``.
     """
 
-    def __init__(
-        self,
-        spec: EmbedderSpec,
-        session: requests.Session | None = None,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        base_delay: float = RETRY_BASE_DELAY,
-        sleep=time.sleep,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, spec: EmbedderSpec, **transport):
         self.spec = spec
-        self.session = session or requests.Session()
-        self.max_in_flight = max_in_flight
-        self._gate = threading.Semaphore(max_in_flight)
-        self.base_delay = base_delay
-        self.sleep = sleep
-        self.timeout = timeout
+        self.endpoint = JsonEndpoint(
+            spec.endpoint,
+            f"embedder {spec.model_id!r}",
+            timeout=60.0,
+            api_key_env=spec.api_key_env,
+            **transport,
+        )
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.spec.api_key_env:
-            secret = os.environ.get(self.spec.api_key_env)
-            if not secret:
-                raise ConfigError(
-                    f"embedder {self.spec.model_id!r} expects the secret in "
-                    f"environment variable {self.spec.api_key_env!r}, which is not set"
-                )
-            headers["Authorization"] = f"Bearer {secret}"
-        return headers
-
-    def _post_batch(self, batch: list[str]) -> list[list[float]]:
-        with self._gate:
-            resp = self.session.post(
-                self.spec.endpoint,
-                json={"model": self.spec.model_id, "input": batch},
-                headers=self._headers(),
-                timeout=self.timeout,
-            )
-        if resp.status_code != 200:
-            raise TransportError(f"embedding endpoint returned HTTP {resp.status_code}")
+    def _post_batch(self, batch: list[str], offset: int) -> list[list[float]]:
         try:
-            payload = resp.json()
-            data = payload["data"]
-            rows = sorted(data, key=lambda d: d["index"])
+            payload = self.endpoint.post({"model": self.spec.model_id, "input": batch})
+        except TransportError as exc:
+            raise TransportError(str(exc), failed_indices=list(range(offset, offset + len(batch)))) from exc
+        try:
+            rows = sorted(payload["data"], key=lambda d: d["index"])
             vectors = [row["embedding"] for row in rows]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(batch):
             raise ProtocolError(f"sent {len(batch)} texts, received {len(vectors)} embeddings")
@@ -231,14 +195,11 @@ class RemoteEmbedder:
         _check_texts(texts)
         offsets = range(0, len(texts), MAX_BATCH)
         if len(offsets) > 1:
-            with ThreadPoolExecutor(max_workers=min(len(offsets), self.max_in_flight)) as pool:
-                futures = [
-                    pool.submit(self._embed_batch_with_retry, texts[lo : lo + MAX_BATCH], lo)
-                    for lo in offsets
-                ]
+            with ThreadPoolExecutor(max_workers=min(len(offsets), self.endpoint.max_in_flight)) as pool:
+                futures = [pool.submit(self._post_batch, texts[lo : lo + MAX_BATCH], lo) for lo in offsets]
             batches = [future.result() for future in futures]
         else:  # a single query or no text at all: no thread to start
-            batches = [self._embed_batch_with_retry(texts, lo) for lo in offsets]
+            batches = [self._post_batch(texts, lo) for lo in offsets]
         out: list[EmbeddingVector] = []
         for vectors in batches:
             for vec in vectors:
@@ -250,25 +211,6 @@ class RemoteEmbedder:
                 out.append(EmbeddingVector(np.asarray(vec, dtype=np.float64), self.spec.model_id))
         return out
 
-    def _embed_batch_with_retry(self, batch: list[str], offset: int) -> list[list[float]]:
-        last: Exception | None = None
-        for attempt in range(MAX_ATTEMPTS):
-            try:
-                return self._post_batch(batch)
-            except (TransportError, requests.RequestException) as exc:
-                last = exc
-                if attempt + 1 < MAX_ATTEMPTS:
-                    delay = self.base_delay * (RETRY_FACTOR**attempt)
-                    logger.warning(
-                        "embedding batch at offset %d failed (attempt %d/%d): %s",
-                        offset, attempt + 1, MAX_ATTEMPTS, exc,
-                    )
-                    self.sleep(delay)
-        raise TransportError(
-            f"embedding batch failed after {MAX_ATTEMPTS} attempts: {last}",
-            failed_indices=list(range(offset, offset + len(batch))),
-        )
-
 
 def _check_texts(texts: list[str]) -> None:
     if not isinstance(texts, (list, tuple)):
@@ -278,13 +220,8 @@ def _check_texts(texts: list[str]) -> None:
             raise ValidationError(f"text at position {i} is empty")
 
 
-def build_embedder(spec: EmbedderSpec, session: requests.Session | None = None):
+def build_embedder(spec: EmbedderSpec):
     """Pick the provider implied by the spec's endpoint."""
     if spec.endpoint == DETERMINISTIC_ENDPOINT:
         return DeterministicEmbedder(spec)
-    if spec.endpoint.startswith(("http://", "https://")):
-        return RemoteEmbedder(spec, session=session)
-    raise ConfigError(
-        f"embedder {spec.model_id!r}: endpoint must be {DETERMINISTIC_ENDPOINT!r} "
-        f"or an http(s) URL, got {spec.endpoint!r}"
-    )
+    return RemoteEmbedder(spec)

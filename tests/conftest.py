@@ -94,6 +94,17 @@ def http_stub():
         yield server
 
 
+class FakeResponse:
+    """The part of ``requests.Response`` the remote clients read."""
+
+    def __init__(self, status_code: int, payload: dict):
+        self.status_code = status_code
+        self._payload = payload
+
+    def json(self) -> dict:
+        return self._payload
+
+
 class QueueBackend:
     """LLM backend that pops canned completions in order."""
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -31,7 +33,7 @@ from claimcheck.errors import (
     TransportError,
     ValidationError,
 )
-from conftest import QueueBackend, RuleBackend
+from conftest import FakeResponse, QueueBackend, RuleBackend
 
 KEY = ChunkKey("a1", 0)
 
@@ -270,6 +272,50 @@ def test_remote_chat_api_key(http_stub, monkeypatch):
 def test_remote_chat_requires_http_endpoint():
     with pytest.raises(ConfigError, match="http"):
         RemoteChatBackend(chat_config("scripted"))
+
+
+class ChatOverlapSession:
+    """A session whose posts only return once ``parties`` of them are in
+    flight together, and then a moment later, so that a post the cap
+    should have held back has time to show; records the peak number in
+    flight."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=10)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def post(self, url, json, headers, timeout):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        self.barrier.wait()
+        time.sleep(0.05)
+        with self.lock:
+            self.in_flight -= 1
+        return FakeResponse(200, chat_payload(json["messages"][0]["content"].upper()))
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_remote_chat_in_flight_cap(cap):
+    limit = 4 if cap is None else cap  # the default cap is 4
+    session = ChatOverlapSession(parties=limit)
+    kwargs = {} if cap is None else {"max_in_flight": cap}
+    backend = RemoteChatBackend(chat_config("http://chat.invalid/v1"), session=session, **kwargs)
+    answers: dict[int, str] = {}
+
+    def call(i: int) -> None:
+        answers[i] = backend.complete(f"prompt {i}").text
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in threads)
+    assert session.peak == limit
+    assert answers == {i: f"PROMPT {i}" for i in range(8)}
 
 
 def test_build_backend_dispatch(tmp_path, http_stub):

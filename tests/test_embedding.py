@@ -9,7 +9,6 @@ import pytest
 
 from claimcheck.embedding import (
     DETERMINISTIC_ENDPOINT,
-    MAX_ATTEMPTS,
     MAX_BATCH,
     DeterministicEmbedder,
     EmbedderSpec,
@@ -21,6 +20,8 @@ from claimcheck.embedding import (
     unit_normalize,
 )
 from claimcheck.errors import ConfigError, ProtocolError, TransportError, ValidationError
+from claimcheck.transport import MAX_ATTEMPTS
+from conftest import FakeResponse
 
 
 def spec(**overrides) -> EmbedderSpec:
@@ -185,15 +186,6 @@ def test_remote_embed_batches_at_64(http_stub):
     sizes = [len(batch) for batch in batches]
     assert sizes == [64, 64, 2]
     assert sum(batches, []) == texts
-
-
-class FakeResponse:
-    def __init__(self, status_code: int, payload: dict):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self) -> dict:
-        return self._payload
 
 
 class OverlapSession:
