@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,6 +34,7 @@ from .transport import JsonEndpoint
 
 SCRIPTED_ENDPOINT = "scripted"
 CLAIM_DEDUPE_THRESHOLD = 0.9
+GRADE_MEMO_ENTRIES = 4096
 
 
 def prompt_fingerprint(prompt: str) -> str:
@@ -181,16 +184,59 @@ class ScriptedBackend:
         )
 
 
+class GradeMemo:
+    """Reuses a deterministic grader's answers to identical prompts.
+
+    Answers are kept by prompt fingerprint in a least-recently-used map
+    of at most ``GRADE_MEMO_ENTRIES`` entries, and only when they parse
+    as a score: an unparseable answer, and any failure, is asked again
+    the next time.  A reused answer is the stored :class:`RawAnswer`,
+    token counts included, so callers that count calls above the memo
+    count the same calls and tokens whether or not it hit.
+    """
+
+    def __init__(self, inner: LlmBackend):
+        self.inner = inner
+        self._answers: OrderedDict[str, RawAnswer] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt: str) -> RawAnswer:
+        key = prompt_fingerprint(prompt)
+        with self._lock:
+            answer = self._answers.get(key)
+            if answer is not None:
+                self._answers.move_to_end(key)
+                return answer
+        answer = self.inner.complete(prompt)
+        if parse_score(answer.text) is not None:
+            with self._lock:
+                self._answers[key] = answer
+                self._answers.move_to_end(key)
+                if len(self._answers) > GRADE_MEMO_ENTRIES:
+                    self._answers.popitem(last=False)
+        return answer
+
+
 def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = None) -> LlmBackend:
-    """Pick the transport implied by the config's endpoint."""
+    """Pick the transport implied by the config's endpoint.
+
+    A grader at temperature 0 answers an identical prompt identically,
+    so it is wrapped in a :class:`GradeMemo`; the generator and rewriter
+    never are, because a regeneration re-sends its prompt for a new
+    sample.
+    """
     if config.endpoint == SCRIPTED_ENDPOINT:
         if mock_fixtures is None:
             raise ConfigError(
                 f"backend {config.model_id!r} ({config.role}) is scripted but no "
                 "mock-fixtures path is configured"
             )
-        return ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
-    return RemoteChatBackend(config)
+        backend: LlmBackend = ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
+    else:
+        backend = RemoteChatBackend(config)
+    if config.role == "grader" and config.temperature == 0:
+        return GradeMemo(backend)
+    return backend
 
 
 class VerdictLabel(str, Enum):

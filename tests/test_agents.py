@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,6 +14,7 @@ from claimcheck import prompts
 from claimcheck.agents import (
     Claim,
     FactCheckAgents,
+    GradeMemo,
     LlmBackendConfig,
     RemoteChatBackend,
     ScriptedBackend,
@@ -329,6 +332,145 @@ def test_build_backend_dispatch(tmp_path, http_stub):
     )
     assert isinstance(build_backend(scripted_cfg, mock_fixtures=path), ScriptedBackend)
     assert isinstance(build_backend(chat_config(http_stub.url)), RemoteChatBackend)
+
+
+# -- GradeMemo ----------------------------------------------------------------
+
+YES = '{"score": "yes"}'
+NO = '{"score": "no"}'
+
+
+class CountingSession:
+    """A session answering each post with ``answer(prompt)`` and recording
+    every prompt it was posted; a ``None`` answer is an HTTP 503."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.posts: list[str] = []
+
+    def post(self, url, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
+        with self.lock:
+            self.posts.append(prompt)
+        text = self.answer(prompt)
+        if text is None:
+            return FakeResponse(503, {})
+        return FakeResponse(200, chat_payload(text))
+
+
+def memoized_grader(answer) -> tuple[GradeMemo, CountingSession]:
+    session = CountingSession(answer)
+    backend = RemoteChatBackend(
+        chat_config("http://grader.invalid/v1", role="grader"),
+        session=session,
+        base_delay=0.001,
+        sleep=lambda s: None,
+    )
+    return GradeMemo(backend), session
+
+
+def test_grade_memo_posts_a_repeated_grade_once():
+    memo, session = memoized_grader(lambda prompt: YES if prompt.endswith("a") else NO)
+    first = memo.complete("grade a")
+    again = memo.complete("grade a")
+    assert again == first
+    assert again.text == YES and again.prompt_tokens == 7 and again.completion_tokens == 3
+    assert memo.complete("grade b").text == NO
+    assert session.posts == ["grade a", "grade b"]
+
+
+@pytest.mark.parametrize(
+    "first,error",
+    [("Relevant, I would say.", None), ("   ", BackendError), (None, TransportError)],
+    ids=["unparseable", "empty", "transport-error"],
+)
+def test_grade_memo_asks_again_after_a_grade_it_could_not_use(first, error):
+    reply = {"text": first}
+    memo, session = memoized_grader(lambda prompt: reply["text"])
+    if error is None:
+        assert memo.complete("grade a").text == first
+    else:
+        with pytest.raises(error):
+            memo.complete("grade a")
+    posted = len(session.posts)
+    reply["text"] = YES
+    assert memo.complete("grade a").text == YES
+    assert memo.complete("grade a").text == YES
+    assert len(session.posts) == posted + 1
+
+
+def test_grade_memo_keys_the_reformat_retry_apart():
+    memo, session = memoized_grader(
+        lambda prompt: YES if prompt.endswith(prompts.SCORE_RETRY_SUFFIX) else "Relevant, I would say."
+    )
+    agents = agents_with(grader=memo)
+    assert agents.grade_document(claim(), "doc") is True
+    assert agents.grade_document(claim(), "doc") is True
+    plain, retry = session.posts[0], session.posts[1]
+    assert retry == plain + prompts.SCORE_RETRY_SUFFIX
+    # the unparseable first answer is asked for again, the retry's grade is reused
+    assert session.posts == [plain, retry, plain]
+
+
+def test_grade_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr("claimcheck.agents.GRADE_MEMO_ENTRIES", 2)
+    memo, session = memoized_grader(lambda prompt: YES)
+    for prompt in ("a", "b", "a", "c", "a", "b"):
+        memo.complete(prompt)
+    # "a" was used again before "c" arrived, so "b" was the one evicted
+    assert session.posts == ["a", "b", "c", "b"]
+
+
+@pytest.mark.parametrize("endpoint", ["scripted", "http://chat.invalid/v1"])
+def test_build_backend_memoizes_graders_at_temperature_zero_only(tmp_path, endpoint):
+    fixtures = tmp_path / "mock.jsonl"
+    fixtures.write_text("", encoding="utf-8")
+
+    def built(role: str, temperature: float = 0.0):
+        config = LlmBackendConfig(model_id="m", endpoint=endpoint, role=role, temperature=temperature)
+        return build_backend(config, mock_fixtures=fixtures)
+
+    inner = ScriptedBackend if endpoint == "scripted" else RemoteChatBackend
+    grader = built("grader")
+    assert isinstance(grader, GradeMemo) and isinstance(grader.inner, inner)
+    assert isinstance(built("grader", temperature=0.7), inner)
+    assert isinstance(built("generator"), inner)
+    assert isinstance(built("rewriter"), inner)
+
+
+def test_grade_memo_stays_consistent_under_threads(monkeypatch):
+    monkeypatch.setattr("claimcheck.agents.GRADE_MEMO_ENTRIES", 3)
+    pool = [f"grade {i}" for i in range(6)]
+
+    def grade(prompt: str) -> str:
+        return YES if int(prompt.split()[1]) % 2 else NO
+
+    memo, session = memoized_grader(grade)
+    wrong: list[str] = []
+
+    def call(offset: int) -> None:
+        for n in range(300):
+            prompt = pool[(offset + n * (offset + 1)) % len(pool)]
+            answer = memo.complete(prompt)
+            if answer.text != grade(prompt) or answer.prompt_fingerprint != prompt_fingerprint(prompt):
+                wrong.append(prompt)
+
+    # more threads than cores, switching often, with evictions: a race on
+    # the map would show as a crossed answer, an exception or a long map
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool_of_callers:
+            futures = [pool_of_callers.submit(call, i) for i in range(8)]
+            for future in futures:
+                future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(memo._answers) <= 3
+    assert set(session.posts) == set(pool)
+    assert len(session.posts) < 8 * 300
 
 
 # -- claim extraction ---------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,14 +192,18 @@ def test_remote_embed_batches_at_64(http_stub):
 
 class OverlapSession:
     """A session whose posts only return once ``parties`` of them are in
-    flight together; records the peak number in flight and, with
-    ``reverse``, answers the batch furthest into the input first.  Each
-    vector's first value is its text's position in the input."""
+    flight together, and then after ``hold`` seconds; records the peak
+    number in flight and, with ``reverse``, answers the batch furthest
+    into the input first.  Each vector's first value is its text's
+    position in the input."""
 
-    def __init__(self, parties: int, reverse: bool = False, failing: int | None = None):
+    def __init__(
+        self, parties: int, reverse: bool = False, failing: int | None = None, hold: float = 0.0
+    ):
         self.barrier = threading.Barrier(parties, timeout=10)
         self.reverse = reverse
         self.failing = failing
+        self.hold = hold
         self.cond = threading.Condition()
         self.in_flight: set[int] = set()
         self.peak = 0
@@ -209,6 +215,7 @@ class OverlapSession:
             self.in_flight.add(first)
             self.peak = max(self.peak, len(self.in_flight))
         self.barrier.wait()
+        time.sleep(self.hold)
         with self.cond:
             if self.reverse and not self.cond.wait_for(
                 lambda: max(self.in_flight) == first, timeout=10
@@ -244,8 +251,14 @@ def test_remote_embed_overlaps_batches_and_keeps_input_order():
 
 def test_remote_embed_overlap_respects_in_flight_cap():
     texts = [f"t{i}" for i in range(MAX_BATCH * 6)]
-    session = OverlapSession(parties=2)
-    vectors = overlap_embedder(session, max_in_flight=2).embed(texts)
+    # two calls of three batches each: their pools hold four threads
+    # between them, so only the endpoint's gate can keep two in flight
+    session = OverlapSession(parties=2, hold=0.05)
+    embedder = overlap_embedder(session, max_in_flight=2)
+    halves = [texts[: MAX_BATCH * 3], texts[MAX_BATCH * 3 :]]
+    with ThreadPoolExecutor(max_workers=2) as callers:
+        futures = [callers.submit(embedder.embed, half) for half in halves]
+        vectors = [v for future in futures for v in future.result(timeout=30)]
     assert session.peak == 2
     assert sorted(session.answered) == list(range(0, len(texts), MAX_BATCH))
     assert [v.values[0] for v in vectors] == [float(i) for i in range(len(texts))]

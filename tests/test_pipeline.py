@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from claimcheck.agents import Claim, FactCheckAgents, VerdictLabel
+from claimcheck.agents import Claim, FactCheckAgents, GradeMemo, VerdictLabel
 from claimcheck.config import RefinementConfig
 from claimcheck.corpus import ArticleText, ChunkKey
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
@@ -573,6 +573,35 @@ def test_check_article_token_usage_is_per_article_on_a_reused_pipeline(tmp_path)
     assert second_report.token_usage == fresh_report.token_usage
     assert first_report.token_usage["backend_calls"] == second_report.token_usage["backend_calls"]
     assert render_report(second_report) == render_report(fresh_report)
+
+
+
+def test_check_article_report_bytes_do_not_depend_on_a_shared_grade_memo(tmp_path):
+    def rule(prompt: str) -> str:
+        if "evidence text from b\n" in prompt and not prompt.endswith(SCORE_RETRY_SUFFIX):
+            return "Relevant, I would say."  # parses only on the reformat retry
+        return YES
+
+    inner = RuleBackend(rule)
+    grader = GradeMemo(inner)
+    rendered, requests = [], []
+    for _ in range(2):
+        pipeline, _ = make_pipeline(
+            tmp_path,
+            srag_generator(["Zinc cures colds.", "Garlic prevents flu."]),
+            grader,
+            bundles=[[hit("a"), hit("b")]],
+        )
+        before = len(inner.prompts)
+        report = pipeline.check_article(ARTICLE, "lotr_srag")
+        requests.append(len(inner.prompts) - before)
+        rendered.append(render_report(report))
+        # 1 extraction; per claim 2 document grades, 1 reformat retry,
+        # 1 generation, 1 answer grade, memo hits included
+        assert report.token_usage["backend_calls"] == 1 + 2 * 5
+    assert rendered[0] == rendered[1]
+    # the second check asks again only for the grades that did not parse
+    assert requests == [8, 2]
 
 
 def test_check_article_rejects_unknown_mode(tmp_path):
