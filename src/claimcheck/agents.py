@@ -30,7 +30,7 @@ from .errors import (
     RewriteError,
     ValidationError,
 )
-from .transport import JsonEndpoint
+from .transport import JsonEndpoint, remote_endpoint
 
 SCRIPTED_ENDPOINT = "scripted"
 CLAIM_DEDUPE_THRESHOLD = 0.9
@@ -197,6 +197,7 @@ class GradeMemo:
 
     def __init__(self, inner: LlmBackend):
         self.inner = inner
+        self.endpoint = remote_endpoint(inner)
         self._answers: OrderedDict[str, RawAnswer] = OrderedDict()
         self._lock = threading.Lock()
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
-from .transport import JsonEndpoint
+from .transport import JsonEndpoint, run_all
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
@@ -187,19 +186,17 @@ class RemoteEmbedder:
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed ``texts`` in batches of at most 64, posted concurrently.
 
-        At most ``max_in_flight`` batches are in flight at once and each
-        retries on its own; vectors come back in input order.  When batches
-        fail, the earliest one's error is raised once every batch has
-        finished.
+        The batches overlap on the endpoint's pool, at most
+        ``max_in_flight`` at once, and each retries on its own; a single
+        batch posts in the caller's thread.  Vectors come back in input
+        order.  When batches fail, the earliest one's error is raised once
+        every batch has finished.
         """
         _check_texts(texts)
         offsets = range(0, len(texts), MAX_BATCH)
-        if len(offsets) > 1:
-            with ThreadPoolExecutor(max_workers=min(len(offsets), self.endpoint.max_in_flight)) as pool:
-                futures = [pool.submit(self._post_batch, texts[lo : lo + MAX_BATCH], lo) for lo in offsets]
-            batches = [future.result() for future in futures]
-        else:  # a single query or no text at all: no thread to start
-            batches = [self._post_batch(texts, lo) for lo in offsets]
+        batches = run_all(
+            lambda lo: self._post_batch(texts[lo : lo + MAX_BATCH], lo), offsets, lambda lo: self.endpoint
+        )
         out: list[EmbeddingVector] = []
         for vectors in batches:
             for vec in vectors:

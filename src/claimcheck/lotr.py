@@ -10,12 +10,12 @@ its middle, where generation models tend to lose it.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .corpus import ChunkKey
 from .errors import ConfigError, TransportError
+from .transport import remote_endpoint, run_all
 from .vecindex import DEFAULT_K, DEFAULT_LAMBDA, DEFAULT_POOL_SIZE, Hit, VectorIndex
 
 logger = logging.getLogger(__name__)
@@ -147,18 +147,26 @@ class MergingRetriever:
         ]
 
     def retrieve(self, claim_text: str) -> EvidenceBundle:
-        """Evidence for one claim; degrades to a single leg if one embedder is down."""
-        per_leg: list[list[EvidenceHit] | None] = [None] * len(self.legs)
-        failures: list[tuple[str, Exception]] = []
-        with ThreadPoolExecutor(max_workers=len(self.legs)) as pool:
-            futures = [pool.submit(self._query_leg, leg, claim_text) for leg in self.legs]
-            for i, future in enumerate(futures):
-                try:
-                    per_leg[i] = future.result()
-                except TransportError as exc:
-                    failures.append((self.legs[i].retriever_id, exc))
-                    logger.warning("retriever leg %r is down: %s", self.legs[i].retriever_id, exc)
-        alive = [hits for hits in per_leg if hits is not None]
+        """Evidence for one claim; degrades to a single leg if one embedder is down.
+
+        A leg on a remote embedder is queried on that embedder's endpoint
+        pool, overlapped with the others; an in-process leg runs in the
+        caller's thread.
+        """
+
+        def query(leg: RetrieverLeg) -> list[EvidenceHit] | TransportError:
+            try:
+                return self._query_leg(leg, claim_text)
+            except TransportError as exc:
+                return exc
+
+        per_leg = run_all(query, self.legs, lambda leg: remote_endpoint(leg.embedder))
+        failures = [
+            (leg.retriever_id, out) for leg, out in zip(self.legs, per_leg) if isinstance(out, TransportError)
+        ]
+        for rid, exc in failures:
+            logger.warning("retriever leg %r is down: %s", rid, exc)
+        alive = [hits for hits in per_leg if not isinstance(hits, TransportError)]
         if not alive:
             detail = "; ".join(f"{rid}: {exc}" for rid, exc in failures)
             raise TransportError(f"all retriever legs failed: {detail}")

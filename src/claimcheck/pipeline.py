@@ -31,6 +31,7 @@ from .config import MODES, RunConfig
 from .corpus import ArticleText, ChunkKey, chunk_text
 from .errors import ClaimcheckError, ConfigError, GradingError, ValidationError
 from .lotr import EvidenceBundle, EvidenceHit, MergingRetriever
+from .transport import remote_endpoint, run_all
 
 logger = logging.getLogger(__name__)
 
@@ -106,6 +107,7 @@ class _CountingBackend:
     def __init__(self, inner, usage: _UsageCounter):
         self.inner = inner
         self.usage = usage
+        self.endpoint = remote_endpoint(inner)
 
     def complete(self, prompt: str) -> RawAnswer:
         answer = self.inner.complete(prompt)
@@ -249,13 +251,14 @@ class FactCheckPipeline:
     def _grade_documents(
         self, claim: Claim, hits: tuple[EvidenceHit, ...], trace: SragTrace
     ) -> list[bool]:
-        """Grade one round's documents concurrently; grades and notes in hit order.
+        """Grade one round's documents; grades and notes in hit order.
 
-        The grades are independent waits on the grader, so they are issued
-        together, one thread per document; a remote backend's in-flight gate
-        bounds how many reach it at once.  A GradingError makes its document
-        a "no".  Any other error fails the claim, but only after every
-        sibling grade has finished, so no grading thread outlives the call.
+        The grades are independent, so a remote grader's are issued
+        together on its endpoint's pool, whose in-flight cap bounds how
+        many reach it at once; an in-process grader answers them in this
+        thread, one after another.  A GradingError makes its document a
+        "no".  Any other error fails the claim, but only after every
+        sibling grade has finished, so no grading task outlives the call.
         """
 
         def grade(hit: EvidenceHit) -> tuple[bool, str | None]:
@@ -264,13 +267,9 @@ class FactCheckPipeline:
             except GradingError as exc:
                 return False, f"document grade treated as no: {exc}"
 
-        if not hits:
-            return []
-        with ThreadPoolExecutor(max_workers=len(hits)) as pool:
-            futures = [pool.submit(grade, hit) for hit in hits]
+        endpoint = remote_endpoint(self.agents.grader)
         grades: list[bool] = []
-        for future in futures:
-            ok, note = future.result()
+        for ok, note in run_all(grade, hits, lambda hit: endpoint):
             grades.append(ok)
             if note is not None:
                 trace.notes.append(note)

@@ -13,7 +13,7 @@ import pytest
 
 from claimcheck.agents import LlmBackendConfig, RawAnswer, prompt_fingerprint
 from claimcheck.config import RunConfig
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, EmbedderSpec
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -97,9 +97,10 @@ def http_stub():
 class FakeResponse:
     """The part of ``requests.Response`` the remote clients read."""
 
-    def __init__(self, status_code: int, payload: dict):
+    def __init__(self, status_code: int, payload: dict, headers: dict | None = None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = dict(headers or {})
 
     def json(self) -> dict:
         return self._payload
@@ -149,6 +150,18 @@ class RuleBackend:
             prompt_tokens=len(prompt.split()),
             completion_tokens=len(text.split()),
         )
+
+
+class RecordingEmbedder(DeterministicEmbedder):
+    """The deterministic embedder, noting the thread each call runs on."""
+
+    def __init__(self, spec: EmbedderSpec):
+        super().__init__(spec)
+        self.threads: list[int] = []
+
+    def embed(self, texts):
+        self.threads.append(threading.get_ident())
+        return super().embed(texts)
 
 
 def make_run_config(base_dir: Path, **overrides) -> RunConfig:

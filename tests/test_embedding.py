@@ -251,8 +251,8 @@ def test_remote_embed_overlaps_batches_and_keeps_input_order():
 
 def test_remote_embed_overlap_respects_in_flight_cap():
     texts = [f"t{i}" for i in range(MAX_BATCH * 6)]
-    # two calls of three batches each: their pools hold four threads
-    # between them, so only the endpoint's gate can keep two in flight
+    # two calls of three batches each, from two threads: both submit to
+    # the endpoint's one pool of two threads, so at most two are in flight
     session = OverlapSession(parties=2, hold=0.05)
     embedder = overlap_embedder(session, max_in_flight=2)
     halves = [texts[: MAX_BATCH * 3], texts[MAX_BATCH * 3 :]]

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from claimcheck.corpus import ChunkKey
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.embedding import (
+    DETERMINISTIC_ENDPOINT,
+    MAX_BATCH,
+    DeterministicEmbedder,
+    EmbedderSpec,
+    RemoteEmbedder,
+)
 from claimcheck.errors import ConfigError, TransportError
 from claimcheck.lotr import (
     EvidenceHit,
@@ -16,7 +31,9 @@ from claimcheck.lotr import (
     long_context_reorder,
     merge_interleave,
 )
+from claimcheck.transport import run_all
 from claimcheck.vecindex import VectorIndex
+from conftest import FakeResponse, RecordingEmbedder
 
 
 def hit(name: str, sim: float = 0.5, retriever: str = "r1", rank: int = 0) -> EvidenceHit:
@@ -219,3 +236,116 @@ def test_retriever_validation():
         MergingRetriever([])
     with pytest.raises(ConfigError):
         make_retriever(reorder="bogus")
+
+
+# -- where the legs run ---------------------------------------------------------
+
+
+def test_retrieve_runs_in_process_legs_in_the_callers_thread(monkeypatch):
+    legs = [build_leg("m-a", 1, TEXTS), build_leg("m-b", 2, TEXTS)]
+    legs = [replace(leg, embedder=RecordingEmbedder(leg.embedder.spec)) for leg in legs]
+    retriever = MergingRetriever(legs, k=3, min_similarity=-1.0, pool_size=4, reorder="none")
+    expected = make_retriever().retrieve("zinc lozenges for cold symptoms")
+
+    def no_thread(self):
+        raise AssertionError(f"started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    bundle = retriever.retrieve("zinc lozenges for cold symptoms")
+    assert bundle == expected
+    assert [leg.embedder.threads for leg in legs] == [[threading.get_ident()]] * 2
+
+
+class EmbeddingSession:
+    """A fake ``requests`` session serving the deterministic embedder's
+    vectors over HTTP.  Every post waits at ``barrier``, when there is one,
+    and notes the thread it runs on."""
+
+    def __init__(self, spec: EmbedderSpec, barrier: threading.Barrier | None = None):
+        self.local = DeterministicEmbedder(spec)
+        self.barrier = barrier
+        self.threads: list[int] = []
+
+    def post(self, url, json, headers, timeout):
+        self.threads.append(threading.get_ident())
+        if self.barrier is not None:
+            self.barrier.wait()
+        vectors = self.local.embed(json["input"])
+        rows = [{"index": i, "embedding": v.values.tolist()} for i, v in enumerate(vectors)]
+        return FakeResponse(200, {"data": rows})
+
+
+def remote_leg(model_id: str, seed: int, barrier=None, **transport) -> tuple[RetrieverLeg, EmbeddingSession]:
+    """``build_leg``'s leg with its embedder behind HTTP."""
+    leg = build_leg(model_id, seed, TEXTS)
+    session = EmbeddingSession(leg.embedder.spec, barrier)
+    spec = replace(leg.embedder.spec, endpoint="http://embeddings.invalid/v1")
+    return replace(leg, embedder=RemoteEmbedder(spec, session=session, **transport)), session
+
+
+def test_retrieve_overlaps_remote_legs_on_their_endpoint_pools():
+    # each leg's query post waits until the other's is in flight too
+    barrier = threading.Barrier(2, timeout=10)
+    (leg_a, session_a), (leg_b, session_b) = remote_leg("m-a", 1, barrier), remote_leg("m-b", 2, barrier)
+    retriever = MergingRetriever([leg_a, leg_b], k=3, min_similarity=-1.0, pool_size=4, reorder="none")
+    bundle = retriever.retrieve("zinc lozenges for cold symptoms")
+    assert bundle == make_retriever().retrieve("zinc lozenges for cold symptoms")
+    assert threading.get_ident() not in session_a.threads + session_b.threads
+
+
+def one_thread_endpoint_jobs() -> None:
+    """A remote leg's query and a multi-batch embed, each run as a task on
+    the one pool thread of the endpoint it waits on.  Exits the process
+    with status 1 if they do not finish within 10 s."""
+    leg, _ = remote_leg("m-a", 1, max_in_flight=1)
+    endpoint = leg.embedder.endpoint
+    # both legs wait on one endpoint whose pool has a single thread
+    retriever = MergingRetriever([leg, replace(leg, retriever_id="m-a2")], k=3, min_similarity=-1.0)
+    texts = [f"text {i}" for i in range(2 * MAX_BATCH + 1)]
+    jobs = [
+        lambda: retriever.retrieve("zinc lozenges"),
+        lambda: leg.embedder.embed(texts),
+    ]
+    results: list = []
+
+    def run():
+        results.append(retriever.retrieve("zinc lozenges"))
+        # inside the pool's one thread, each job queries legs or posts
+        # batches on that same endpoint
+        results.append(run_all(lambda job: job(), jobs, lambda job: endpoint))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        print("a task waited on its own endpoint's pool", flush=True)
+        os._exit(1)  # a stuck pool thread would also block a normal exit
+    direct, (nested, vectors) = results
+    assert nested == direct
+    assert len(vectors) == len(texts)
+
+
+def test_remote_leg_and_multi_batch_embed_finish_on_a_one_thread_endpoint():
+    # in a child process, because a pool thread stuck on its own pool
+    # cannot be stopped and would keep the test run from exiting
+    here = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path[:0] = {[str(here.parent / 'src'), str(here)]!r}; "
+        "import test_lotr; test_lotr.one_thread_endpoint_jobs()"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stdout + child.stderr
+
+
+def test_repeated_set_ups_do_not_accumulate_pool_threads():
+    before = threading.active_count()
+    for _ in range(20):
+        legs = [remote_leg("m-a", 1)[0], remote_leg("m-b", 2)[0]]
+        MergingRetriever(legs, k=3, min_similarity=-1.0).retrieve("zinc lozenges")
+        del legs
+    gc.collect()
+    # a dropped endpoint's pool threads exit; 20 set-ups started 40
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before + 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before + 2

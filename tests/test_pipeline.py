@@ -10,12 +10,19 @@ import time
 
 import pytest
 
-from claimcheck.agents import Claim, FactCheckAgents, GradeMemo, VerdictLabel
+from claimcheck.agents import (
+    Claim,
+    FactCheckAgents,
+    GradeMemo,
+    LlmBackendConfig,
+    RemoteChatBackend,
+    VerdictLabel,
+)
 from claimcheck.config import RefinementConfig
 from claimcheck.corpus import ArticleText, ChunkKey
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
-from claimcheck.errors import BackendError, ConfigError, TransportError
-from claimcheck.lotr import EvidenceBundle, EvidenceHit
+from claimcheck.errors import BackendError, ConfigError
+from claimcheck.lotr import EvidenceBundle, EvidenceHit, MergingRetriever, RetrieverLeg
 from claimcheck.pipeline import (
     TERMINAL_DONE,
     TERMINAL_ERROR,
@@ -26,7 +33,8 @@ from claimcheck.pipeline import (
     report_to_dict,
 )
 from claimcheck.prompts import SCORE_RETRY_SUFFIX
-from conftest import QueueBackend, RuleBackend, make_run_config
+from claimcheck.vecindex import VectorIndex
+from conftest import FakeResponse, QueueBackend, RecordingEmbedder, RuleBackend, make_run_config
 
 YES = '{"score": "yes"}'
 NO = '{"score": "no"}'
@@ -377,6 +385,38 @@ def doc_parent(prompt: str) -> str | None:
     return match.group(1) if match else None
 
 
+class ChatSession:
+    """A fake ``requests`` session behind a remote chat backend: answers
+    each chat-completions post with ``rule(prompt)``, which returns the
+    completion text or an HTTP status to fail with, and counts the posts
+    in flight."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.posts = 0
+
+    def post(self, url, json, headers, timeout):
+        with self.lock:
+            self.in_flight += 1
+            self.posts += 1
+        try:
+            answer = self.rule(json["messages"][0]["content"])
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+        if isinstance(answer, int):
+            return FakeResponse(answer, {})
+        return FakeResponse(200, {"choices": [{"message": {"content": answer}}]})
+
+
+def remote_grader(session: ChatSession) -> RemoteChatBackend:
+    """A grader over HTTP, whose document grades overlap on its endpoint's pool."""
+    config = LlmBackendConfig(model_id="grade", endpoint="http://grader.invalid/v1", role="grader")
+    return RemoteChatBackend(config, session=session, sleep=lambda s: None)
+
+
 def test_srag_grades_a_rounds_documents_concurrently(tmp_path):
     parents = "abcd"
     # every document grade waits until all four are in flight at once; a
@@ -388,12 +428,12 @@ def test_srag_grades_a_rounds_documents_concurrently(tmp_path):
             barrier.wait()
         return YES
 
-    grader = RuleBackend(rule)
+    session = ChatSession(rule)
     gen = QueueBackend(["True. Fine. Source: Study A"])
-    pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[[hit(p) for p in parents]])
+    pipeline, _ = make_pipeline(tmp_path, gen, remote_grader(session), bundles=[[hit(p) for p in parents]])
     entry = pipeline.verify_claim_srag(claim())
     assert entry.trace.doc_grades == [[True] * len(parents)]
-    assert len(grader.prompts) == len(parents) + 1  # one call per document, one answer grade
+    assert session.posts == len(parents) + 1  # one call per document, one answer grade
 
 
 def test_srag_concurrent_grades_report_in_hit_order(tmp_path):
@@ -417,7 +457,7 @@ def test_srag_concurrent_grades_report_in_hit_order(tmp_path):
 
     gen = QueueBackend(["True. Fine. Source: Study C"])
     pipeline, _ = make_pipeline(
-        tmp_path, gen, RuleBackend(rule), bundles=[[hit(p) for p in answers]]
+        tmp_path, gen, remote_grader(ChatSession(rule)), bundles=[[hit(p) for p in answers]]
     )
     entry = pipeline.verify_claim_srag(claim())
     assert finished == ["d", "c", "b", "a"]
@@ -443,32 +483,73 @@ def test_srag_transport_error_fails_claim_after_sibling_grades(tmp_path):
     failed = threading.Event()
     finished: list[str] = []
 
-    def rule(prompt: str) -> str:
+    def rule(prompt: str) -> str | int:
         parent = doc_parent(prompt)
         if parent == "a":
             failed.set()
-            raise TransportError("grader unreachable")
+            return 404  # not retried: fails the grade at once
         if not failed.wait(timeout=10):
             raise AssertionError("doc a was never graded alongside its siblings")
         time.sleep(0.05)  # still grading when the failure surfaces
         finished.append(parent)
         return YES
 
+    session = ChatSession(rule)
     pipeline, _ = make_pipeline(
         tmp_path,
         srag_generator(["Zinc cures colds."]),
-        RuleBackend(rule),
+        remote_grader(session),
         bundles=[[hit("a"), hit("b"), hit("c")]],
     )
-    threads_before = set(threading.enumerate())
     report = pipeline.check_article(ARTICLE, "lotr_srag")
     [entry] = report.entries
     assert entry.trace.terminal_state == TERMINAL_ERROR
     assert entry.label is VerdictLabel.UNVERIFIABLE
-    assert entry.explanation == "Verification failed: grader unreachable"
-    # the claim failed only once both siblings had finished and their threads exited
+    assert entry.explanation == "Verification failed: backend 'grade' (grader) returned HTTP 404"
+    # the claim failed only once both sibling grades had finished: their
+    # posts returned, and their completions were counted before the
+    # article's usage was taken
     assert sorted(finished) == ["b", "c"]
-    assert set(threading.enumerate()) <= threads_before
+    assert session.in_flight == 0
+    assert report.token_usage["backend_calls"] == 1 + 2  # extraction, the two sibling grades
+
+
+def test_srag_over_in_process_models_runs_in_the_callers_thread(tmp_path, monkeypatch):
+    texts = [f"evidence text from {p}" for p in "abcd"]
+    legs = []
+    for model_id in ("leg-a", "leg-b"):
+        spec = EmbedderSpec(model_id=model_id, dimension=32, endpoint=DETERMINISTIC_ENDPOINT)
+        embedder = RecordingEmbedder(spec)
+        index = VectorIndex(model_id=model_id, dimension=32)
+        index.upsert(
+            (ChunkKey(p, 0), vec.values, {"text": text})
+            for p, text, vec in zip("abcd", texts, DeterministicEmbedder(spec).embed(texts))
+        )
+        legs.append(RetrieverLeg(retriever_id=model_id, embedder=embedder, index=index))
+    graded: list[int] = []
+
+    def rule(prompt: str) -> str:
+        graded.append(threading.get_ident())
+        return YES
+
+    agents = FactCheckAgents(
+        generator=QueueBackend(["True. Fine."]),
+        grader=RuleBackend(rule),
+        rewriter=QueueBackend([]),
+        embedder=legs[0].embedder,
+    )
+    retriever = MergingRetriever(legs, k=4, min_similarity=-1.0, pool_size=4)
+    pipeline = FactCheckPipeline(make_run_config(tmp_path), agents, retriever)
+
+    def no_thread(self):
+        raise AssertionError(f"started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    entry = pipeline.verify_claim_srag(claim("evidence text from a"))
+    assert entry.trace.doc_grades == [[True] * 4]
+    caller = threading.get_ident()
+    assert graded == [caller] * 5  # four document grades, one answer grade
+    assert [leg.embedder.threads for leg in legs] == [[caller], [caller]]
 
 
 # -- check_article ------------------------------------------------------------
@@ -538,7 +619,7 @@ def test_check_article_token_usage_matches_sequential_replay(tmp_path):
     grader = grader_rejecting("b", "e")
     hits = [hit(p) for p in "abcdefgh"]
     pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[hits], concurrency=6)
-    # many more grading threads than cores, switching often: a lost update
+    # six claim threads grading at once, switching often: a lost update
     # in the shared counters would show as a short count
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
