@@ -25,13 +25,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from claimcheck import corpus, evaluation, prompts  # noqa: E402
-from claimcheck.agents import FactCheckAgents, RawAnswer, ScriptedBackend, prompt_fingerprint  # noqa: E402
+from claimcheck import corpus, evaluation, prompts, service  # noqa: E402
+from claimcheck.agents import RawAnswer, ScriptedBackend, prompt_fingerprint  # noqa: E402
 from claimcheck.config import load_config  # noqa: E402
-from claimcheck.embedding import build_embedder, cosine_similarity  # noqa: E402
-from claimcheck.lotr import MergingRetriever, RetrieverLeg  # noqa: E402
-from claimcheck.pipeline import FactCheckPipeline, render_report  # noqa: E402
-from claimcheck.vecindex import VectorIndex  # noqa: E402
+from claimcheck.embedding import cosine_similarity  # noqa: E402
+from claimcheck.pipeline import FactCheckPipeline, render_report, report_to_dict  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -248,32 +246,8 @@ def make_rules(records_by_id: dict):
     return generator_rule, grader_rule, rewriter_rule
 
 
-def build_indexes(config, records):
-    chunks = corpus.chunk_corpus(
-        records, chunk_size=config.chunking.kb_chunk_size, overlap=config.chunking.kb_overlap
-    )
-    legs = []
-    for spec in config.embedders:
-        embedder = build_embedder(spec)
-        vectors = embedder.embed([c.text for c in chunks])
-        index = VectorIndex(model_id=spec.model_id, dimension=spec.dimension)
-        index.upsert(
-            (c.key, v.values, {**c.metadata, "text": c.text}) for c, v in zip(chunks, vectors)
-        )
-        legs.append(RetrieverLeg(retriever_id=spec.model_id, embedder=embedder, index=index))
-    return chunks, legs
-
-
-def check_retrieval_coverage(config, legs):
+def check_retrieval_coverage(config, retriever):
     r = config.retrieval
-    retriever = MergingRetriever(
-        legs,
-        k=r.k,
-        lambda_=r.lambda_,
-        min_similarity=r.min_similarity,
-        pool_size=r.pool_size,
-        reorder=r.reorder,
-    )
     print("retrieval coverage (min_similarity =", r.min_similarity, ")")
     for query, wanted in RELEVANCE.items():
         bundle = retriever.retrieve(query)
@@ -286,25 +260,11 @@ def check_retrieval_coverage(config, legs):
         if query == C5:
             titles = {str(h.metadata.get('title')) for h in bundle.hits}
             assert titles != {KB05_TITLE}, "full bundle for the garlic claim must be mixed"
-    return retriever
 
 
-def run_mode(config, retriever, recorded, lock, mode, article):
-    gen_rule, grade_rule, rewrite_rule = RULES
-    agents = FactCheckAgents(
-        generator=RecordingBackend(gen_rule, recorded, lock, "scripted-generator"),
-        grader=RecordingBackend(grade_rule, recorded, lock, "scripted-grader"),
-        rewriter=RecordingBackend(rewrite_rule, recorded, lock, "scripted-rewriter"),
-        embedder=build_embedder(config.embedders[0]),
-    )
-    pipeline = FactCheckPipeline(config, agents, retriever if mode != "baseline" else None)
-    return pipeline.check_article(article, mode)
-
-
-def check_claim_separation(config):
+def check_claim_separation(config, embedder):
     """Dedupe must drop only the duplicated overlap claim, and the rewritten
     garlic claim must still align with its ground-truth original."""
-    embedder = build_embedder(config.embedders[0])
     vecs = embedder.embed(CLAIMS + [C5_R1, C7_R2])
     for i in range(len(CLAIMS)):
         for j in range(i + 1, len(CLAIMS)):
@@ -413,27 +373,36 @@ def write_golden_prompts():
 
 
 def main() -> None:
-    global RULES
     config = load_config(FIXTURES / "config.yaml")
     records, rejected = corpus.ingest_corpus(config.corpus_path)
     assert not rejected, [r.reason for r in rejected]
-    records_by_id = {r.id: r for r in records}
-    RULES = make_rules(records_by_id)
+    embedders = service.build_embedders(config)
 
-    check_claim_separation(config)
-    chunks, legs = build_indexes(config, records)
+    check_claim_separation(config, embedders[0])
+    chunks = corpus.chunk_corpus(records, config.chunking.kb_chunk_size, config.chunking.kb_overlap)
     print(f"kb chunks: {len(chunks)} ({sorted({c.parent_id for c in chunks})})")
-    retriever = check_retrieval_coverage(config, legs)
+    indexes = list(service.build_indexes(config, chunks, embedders))
+    retriever = service.build_retriever(config, embedders, indexes)
+    check_retrieval_coverage(config, retriever)
 
     article = corpus.load_article(FIXTURES / "immune-boosters.md")
     recorded: dict[str, str] = {}
     lock = threading.Lock()
+    gen_rule, grade_rule, rewrite_rule = make_rules({r.id: r for r in records})
+    agents = service.build_agents(
+        config,
+        embedders,
+        generator=RecordingBackend(gen_rule, recorded, lock, "scripted-generator"),
+        grader=RecordingBackend(grade_rule, recorded, lock, "scripted-grader"),
+        rewriter=RecordingBackend(rewrite_rule, recorded, lock, "scripted-rewriter"),
+    )
+    pipeline = FactCheckPipeline(config, agents, retriever)
     GOLDEN.mkdir(parents=True, exist_ok=True)
 
     reports = {}
     for mode in ("baseline", "lotr", "lotr_srag"):
-        report = run_mode(config, retriever, recorded, lock, mode, article)
-        again = run_mode(config, retriever, recorded, lock, mode, article)
+        report = pipeline.check_article(article, mode)
+        again = pipeline.check_article(article, mode)
         assert render_report(report) == render_report(again), f"{mode} not deterministic"
         reports[mode] = report
         path = GOLDEN / f"report_{mode}.json"
@@ -462,14 +431,11 @@ def main() -> None:
     print(f"recorded {len(recorded)} scripted responses -> {mock_path}")
 
     # evaluation golden over the three reports (one article, offline judges)
-    from claimcheck.pipeline import report_to_dict
-
     gt = evaluation.load_ground_truth(FIXTURES / "ground_truth.jsonl")
-    embedder = build_embedder(config.embedders[0])
     result = evaluation.evaluate_run(
         [report_to_dict(r) for r in reports.values()],
         gt,
-        embed=embedder.embed,
+        embed=embedders[0].embed,
         statements_fn=evaluation.split_sentences,
         judge_fn=evaluation.lexical_judge,
         match_threshold=config.evaluation.match_threshold,

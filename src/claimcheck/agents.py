@@ -360,8 +360,8 @@ class Claim:
 _ENUMERATION_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
 
 
-def _parse_claim_lines(text: str) -> list[str] | None:
-    """Lines of a claim list; [] for an explicit NONE; None when unparseable."""
+def parse_listed_lines(text: str) -> list[str] | None:
+    """Lines of an enumerated list; [] for an explicit NONE; None when unparseable."""
     if not text.strip():
         return None
     lines = []
@@ -411,10 +411,10 @@ class FactCheckAgents:
         found: list[tuple[str, ChunkKey]] = []
         for chunk in chunks:
             prompt = prompts.EXTRACT_CLAIMS.render(chunk=chunk.text)
-            lines = _parse_claim_lines(self.generator.complete(prompt).text)
+            lines = parse_listed_lines(self.generator.complete(prompt).text)
             if lines is None:
                 retry = prompt + prompts.CLAIMS_RETRY_SUFFIX
-                lines = _parse_claim_lines(self.generator.complete(retry).text)
+                lines = parse_listed_lines(self.generator.complete(retry).text)
             if lines is None:
                 message = f"chunk {tuple(chunk.key)}: claim listing unparseable after retry"
                 if warnings is None:

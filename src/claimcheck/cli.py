@@ -14,32 +14,25 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import glob
 import json
 import logging
-import re
 import sys
 import time
 from pathlib import Path
 
-from . import corpus, evaluation
-from .agents import FactCheckAgents, build_backend
+from . import corpus, evaluation, service
+from .agents import build_backend
 from .config import RunConfig, load_config
 from .embedding import build_embedder
 from .errors import ClaimcheckError, ConfigError, ValidationError
-from .lotr import MergingRetriever, RetrieverLeg
-from .pipeline import FactCheckPipeline, render_report
-from .vecindex import VectorIndex
+from .pipeline import render_report
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
 EXIT_INVALID = 2
-
-
-def _index_path(index_dir: str | Path, model_id: str) -> Path:
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_id)
-    return Path(index_dir) / f"{slug}.idx"
 
 
 def _print_rejections(rejected, stream=sys.stderr) -> None:
@@ -73,66 +66,20 @@ def _cmd_build_index(args, config: RunConfig) -> int:
     chunks = corpus.chunk_corpus(
         records, chunk_size=config.chunking.kb_chunk_size, overlap=config.chunking.kb_overlap
     )
-    texts = [c.text for c in chunks]
-    index_dir = Path(config.index_dir)
-    index_dir.mkdir(parents=True, exist_ok=True)
-    for spec in config.embedders:
-        embedder = build_embedder(spec)
-        vectors = embedder.embed(texts)
-        index = VectorIndex(model_id=spec.model_id, dimension=spec.dimension)
-        index.upsert(
-            # evidence text rides along in the metadata: retrieval feeds it
-            # to grading and generation without a second corpus lookup
-            (chunk.key, vec.values, {**chunk.metadata, "text": chunk.text})
-            for chunk, vec in zip(chunks, vectors)
-        )
-        path = _index_path(index_dir, spec.model_id)
+    Path(config.index_dir).mkdir(parents=True, exist_ok=True)
+    for index in service.build_indexes(config, chunks, service.build_embedders(config)):
+        path = service.index_path(config, index.model_id)
         index.persist(path)
-        print(f"{spec.model_id}: {len(index)} vectors (dim {spec.dimension}) -> {path}")
+        print(f"{index.model_id}: {len(index)} vectors (dim {index.dimension}) -> {path}")
+        del index  # one leg in memory at a time: free it before the next is embedded
     print(f"indexed {len(chunks)} chunks from {len(records)} records")
     return EXIT_OK
-
-
-def _build_retriever(config: RunConfig) -> MergingRetriever:
-    legs = []
-    for spec in config.embedders:
-        path = _index_path(config.index_dir, spec.model_id)
-        if not path.exists():
-            raise ConfigError(f"index for {spec.model_id!r} not found at {path}; run build-index")
-        index = VectorIndex.load(path)
-        if index.dimension != spec.dimension:
-            raise ConfigError(
-                f"index {path} has dimension {index.dimension}, config says {spec.dimension}"
-            )
-        legs.append(
-            RetrieverLeg(retriever_id=spec.model_id, embedder=build_embedder(spec), index=index)
-        )
-    r = config.retrieval
-    return MergingRetriever(
-        legs,
-        k=r.k,
-        lambda_=r.lambda_,
-        min_similarity=r.min_similarity,
-        pool_size=r.pool_size,
-        reorder=r.reorder,
-    )
-
-
-def _build_agents(config: RunConfig) -> FactCheckAgents:
-    return FactCheckAgents(
-        generator=build_backend(config.generator, mock_fixtures=config.mock_fixtures),
-        grader=build_backend(config.grader, mock_fixtures=config.mock_fixtures),
-        rewriter=build_backend(config.rewriter, mock_fixtures=config.mock_fixtures),
-        embedder=build_embedder(config.embedders[0]),
-    )
 
 
 def _cmd_check(args, config: RunConfig) -> int:
     mode = args.mode.replace("-", "_")
     article = corpus.load_article(args.article)
-    retriever = _build_retriever(config) if mode != "baseline" else None
-    pipeline = FactCheckPipeline(config, _build_agents(config), retriever)
-    report = pipeline.check_article(article, mode)
+    report = service.build_pipeline(config, mode).check_article(article, mode)
     rendered = render_report(report, fmt=args.format)
     if args.out:
         out = Path(args.out)
@@ -164,9 +111,8 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
         if p.exists():
             paths.append(p)
             continue
-        matches = sorted(p.parent.glob(p.name)) if p.parent != Path("") else sorted(Path(".").glob(pattern))
         # globs like report_*.json would otherwise pick up our own sidecars
-        matches = [m for m in matches if not m.name.endswith(".meta.json")]
+        matches = [Path(m) for m in sorted(glob.glob(pattern)) if not m.endswith(".meta.json")]
         if not matches:
             raise ValidationError(f"no report files match {pattern!r}")
         paths.extend(matches)
@@ -203,16 +149,14 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
     embedder = build_embedder(config.embedders[0])
     eval_cfg = config.evaluation
 
-    if eval_cfg.statement_source == "sentences":
-        statements_fn = evaluation.split_sentences
-    else:
-        backend = build_backend(config.grader, mock_fixtures=config.mock_fixtures)
-        statements_fn = lambda text: evaluation.extract_statements(text, backend)  # noqa: E731
-    if eval_cfg.judge == "lexical":
-        judge_fn = evaluation.lexical_judge
-    else:
-        judge_backend = build_backend(config.grader, mock_fixtures=config.mock_fixtures)
-        judge_fn = lambda p, h: evaluation.nli_judge(p, h, judge_backend)  # noqa: E731
+    statements_fn, judge_fn = evaluation.split_sentences, evaluation.lexical_judge
+    if "backend" in (eval_cfg.statement_source, eval_cfg.judge):
+        # one grader lists statements and judges them: one grade memo, one endpoint
+        grader = build_backend(config.grader, mock_fixtures=config.mock_fixtures)
+        if eval_cfg.statement_source == "backend":
+            statements_fn = lambda text: evaluation.extract_statements(text, grader)  # noqa: E731
+        if eval_cfg.judge == "backend":
+            judge_fn = lambda p, h: evaluation.nli_judge(p, h, grader)  # noqa: E731
 
     result = evaluation.evaluate_run(
         reports,

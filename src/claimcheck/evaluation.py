@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .agents import LlmBackend, parse_score
+from .agents import LlmBackend, parse_listed_lines, parse_score
 from .embedding import cosine_similarity
 from .errors import (
     DegenerateSampleError,
@@ -75,26 +75,14 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_RE.findall(text) if s.strip()]
 
 
-def _parse_statement_lines(text: str) -> list[str] | None:
-    if not text.strip():
-        return None
-    lines = [re.sub(r"^\s*(?:[-*•]|\d+[.)])\s*", "", ln).strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        return None
-    if len(lines) == 1 and lines[0].strip(".!").lower() == "none":
-        return []
-    return lines
-
-
 def extract_statements(text: str, backend: LlmBackend) -> list[str]:
     """Atomic factual statements listed by the backend; empty text costs no call."""
     if not text.strip():
         return []
     prompt = prompts.EXTRACT_STATEMENTS.render(text=text)
-    lines = _parse_statement_lines(backend.complete(prompt).text)
+    lines = parse_listed_lines(backend.complete(prompt).text)
     if lines is None:
-        lines = _parse_statement_lines(backend.complete(prompt + prompts.CLAIMS_RETRY_SUFFIX).text)
+        lines = parse_listed_lines(backend.complete(prompt + prompts.CLAIMS_RETRY_SUFFIX).text)
         if lines is None:
             raise ExtractionError("statement listing unparseable after retry")
     return lines

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from claimcheck import cli
+from conftest import RuleBackend
 
 
 def run(*argv: str) -> int:
@@ -85,6 +86,34 @@ def test_check_requires_an_index(bundle, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "run build-index" in err
+
+
+def test_check_baseline_needs_no_index(bundle, capsys):
+    # only the retrieval modes load indexes
+    out_path = bundle / "report_baseline.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "baseline",
+        "--out", str(out_path),
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert not (bundle / "index").exists()
+    assert out_path.read_bytes() == (bundle / "golden" / "report_baseline.json").read_bytes()
+
+
+def test_check_refuses_an_index_of_another_dimension(bundle, capsys):
+    build_index(bundle)
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("dimension: 256", "dimension: 128"), encoding="utf-8")
+    capsys.readouterr()
+    code = run(
+        "--config", str(config),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr",
+    )
+    assert code == 2
+    assert "hash-256.idx has dimension 256, config says 128" in capsys.readouterr().err
 
 
 def test_check_refuses_a_version_1_index(bundle, capsys):
@@ -271,6 +300,53 @@ def test_evaluate_glob_skips_meta_sidecars(bundle, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
+
+
+def test_evaluate_glob_matches_report_directories(bundle, capsys, monkeypatch):
+    # one directory per run: the wildcard sits in a directory component,
+    # and the pattern is relative to the working directory
+    for mode in ("baseline", "lotr", "lotr_srag"):
+        run_dir = bundle / "runs" / mode
+        run_dir.mkdir(parents=True)
+        src = bundle / "golden" / f"report_{mode}.json"
+        (run_dir / src.name).write_bytes(src.read_bytes())
+        (run_dir / f"{src.name}.meta.json").write_text("{}", encoding="utf-8")
+    monkeypatch.chdir(bundle)
+    code = run(
+        "--config", "config.yaml",
+        "evaluate",
+        "--reports", "runs/*/report_*.json",
+        "--ground-truth", "ground_truth.jsonl",
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
+
+
+def test_evaluate_builds_one_grader_backend(bundle, capsys, monkeypatch):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    text = text.replace("statement_source: sentences", "statement_source: backend")
+    config.write_text(text.replace("judge: lexical", "judge: backend"), encoding="utf-8")
+    built = []
+
+    def fake_build_backend(cfg, mock_fixtures=None):
+        built.append(cfg.role)
+        return RuleBackend(
+            lambda p: "A statement." if p.startswith("List every atomic") else '{"score": "yes"}'
+        )
+
+    monkeypatch.setattr(cli, "build_backend", fake_build_backend)
+    code = run(
+        "--config", str(config),
+        "evaluate",
+        "--reports", str(bundle / "golden" / "report_lotr_srag.json"),
+        "--ground-truth", str(bundle / "ground_truth.jsonl"),
+    )
+    capsys.readouterr()
+    assert code == 0
+    # statement listing and judging share one grader: one memo, one endpoint
+    assert built == ["grader"]
 
 
 def test_evaluate_requires_inputs(bundle, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,16 @@ def test_fixture_config_loads(fixtures_dir: Path):
     assert Path(config.corpus_path).parent == fixtures_dir.resolve()
     assert config.mock_fixtures is not None
     assert Path(config.mock_fixtures).exists()
+
+
+def test_readme_production_example_loads(fixtures_dir: Path, tmp_path):
+    readme = (fixtures_dir.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    config = config_from_dict(yaml.safe_load(blocks[0]), base_dir=tmp_path)
+    assert config.evaluation.statement_source == "backend"
+    assert config.evaluation.judge == "backend"
+    assert config.grader.endpoint.startswith("https://")
 
 
 def test_relative_paths_resolve_against_base_dir(tmp_path):
