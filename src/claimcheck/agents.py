@@ -385,13 +385,11 @@ class FactCheckAgents:
         grader: LlmBackend,
         rewriter: LlmBackend,
         embedder,
-        dedupe_threshold: float = CLAIM_DEDUPE_THRESHOLD,
     ):
         self.generator = generator
         self.grader = grader
         self.rewriter = rewriter
         self.embedder = embedder
-        self.dedupe_threshold = float(dedupe_threshold)
 
     # -- extraction ----------------------------------------------------
 
@@ -430,7 +428,7 @@ class FactCheckAgents:
         kept_vectors = []
         for (text, key), vec in zip(found, vectors):
             duplicate = any(
-                cosine_similarity(vec, seen) >= self.dedupe_threshold for seen in kept_vectors
+                cosine_similarity(vec, seen) >= CLAIM_DEDUPE_THRESHOLD for seen in kept_vectors
             )
             if not duplicate:
                 kept.append((text, key))

@@ -114,7 +114,7 @@ class RunConfig:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
 
     def to_dict(self) -> dict:
-        """Plain-data snapshot embedded into reports; round-trips via from_dict."""
+        """Plain-data snapshot embedded into reports; round-trips via config_from_dict."""
         return {
             "corpus_path": self.corpus_path,
             "index_dir": self.index_dir,

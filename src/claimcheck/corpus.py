@@ -70,7 +70,6 @@ class ArticleText:
 
     id: str
     body: str
-    source_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -315,4 +314,4 @@ def load_article(path: str | Path, article_id: str | None = None) -> ArticleText
     if not path.exists():
         raise ValidationError(f"article file not found: {path}")
     body = path.read_text(encoding="utf-8")
-    return ArticleText(id=article_id or path.stem, body=body, source_path=str(path))
+    return ArticleText(id=article_id or path.stem, body=body)

@@ -43,44 +43,26 @@ class EmbedderSpec:
             raise ConfigError(f"embedder {self.model_id!r} needs an endpoint")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A single embedding tagged with the model that produced it."""
-
-    values: np.ndarray
-    model_id: str
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("embedding must be a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"embedding from {self.model_id!r} contains non-finite values")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
-
 def _as_array(vec) -> np.ndarray:
-    if isinstance(vec, EmbeddingVector):
-        return vec.values
     arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError("expected a 1-D vector")
     return arr
 
 
+def checked_norm(vec) -> float:
+    """The L2 norm of a vector that can be normalized; a zero or non-finite
+    norm is an error."""
+    norm = float(np.linalg.norm(_as_array(vec)))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValidationError("cannot normalize a zero or non-finite vector")
+    return norm
+
+
 def unit_normalize(vec) -> np.ndarray:
     """Scale a vector to unit L2 norm; a zero vector is an error."""
     arr = _as_array(vec)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValidationError("cannot normalize a zero or non-finite vector")
-    return arr / norm
+    return arr / checked_norm(arr)
 
 
 def cosine_similarity(a, b) -> float:
@@ -139,15 +121,14 @@ class DeterministicEmbedder:
     def __init__(self, spec: EmbedderSpec):
         self.spec = spec
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """A float64 matrix of shape ``(len(texts), dimension)``, row i
+        being the vector of ``texts[i]``."""
         _check_texts(texts)
-        return [
-            EmbeddingVector(
-                deterministic_test_embedder(t, self.spec.dimension, self.spec.seed),
-                self.spec.model_id,
-            )
-            for t in texts
-        ]
+        out = np.empty((len(texts), self.spec.dimension), np.float64)
+        for row, text in zip(out, texts):
+            row[:] = deterministic_test_embedder(text, self.spec.dimension, self.spec.seed)
+        return out
 
 
 class RemoteEmbedder:
@@ -169,43 +150,54 @@ class RemoteEmbedder:
             **transport,
         )
 
-    def _post_batch(self, batch: list[str], offset: int) -> list[list[float]]:
+    def _post_batch(self, texts: list[str], offset: int, out: np.ndarray) -> None:
+        """Embed the batch of ``texts`` starting at ``offset`` into the same rows of ``out``."""
+        batch = texts[offset : offset + MAX_BATCH]
         try:
             payload = self.endpoint.post({"model": self.spec.model_id, "input": batch})
         except TransportError as exc:
             raise TransportError(str(exc), failed_indices=list(range(offset, offset + len(batch)))) from exc
         try:
             rows = sorted(payload["data"], key=lambda d: d["index"])
-            vectors = [row["embedding"] for row in rows]
-        except (KeyError, TypeError) as exc:
+            vectors = np.array([row["embedding"] for row in rows])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(batch):
             raise ProtocolError(f"sent {len(batch)} texts, received {len(vectors)} embeddings")
-        return vectors
+        # JSON numbers only: a string, boolean or null gives another dtype kind
+        if vectors.dtype.kind not in "fi":
+            raise ProtocolError(f"model {self.spec.model_id!r}: non-numeric embedding values")
+        if vectors.shape[1:] != (self.spec.dimension,):
+            raise ProtocolError(
+                f"model {self.spec.model_id!r}: expected dimension "
+                f"{self.spec.dimension}, received shape {vectors.shape[1:]}"
+            )
+        out[offset : offset + len(batch)] = vectors
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts`` in batches of at most 64, posted concurrently.
 
         The batches overlap on the endpoint's pool, at most
         ``max_in_flight`` at once, and each retries on its own; a single
-        batch posts in the caller's thread.  Vectors come back in input
-        order.  When batches fail, the earliest one's error is raised once
-        every batch has finished.
+        batch posts in the caller's thread.  Each batch writes its rows
+        into one float64 matrix of shape ``(len(texts), dimension)``, row
+        i being the vector of ``texts[i]``.  When batches fail, the
+        earliest one's error is raised once every batch has finished.  A
+        non-numeric, misshapen or non-finite embedding is a
+        :class:`ProtocolError`.
         """
         _check_texts(texts)
-        offsets = range(0, len(texts), MAX_BATCH)
-        batches = run_all(
-            lambda lo: self._post_batch(texts[lo : lo + MAX_BATCH], lo), offsets, lambda lo: self.endpoint
+        out = np.empty((len(texts), self.spec.dimension), np.float64)
+        run_all(
+            lambda offset: self._post_batch(texts, offset, out),
+            range(0, len(texts), MAX_BATCH),
+            lambda offset: self.endpoint,
         )
-        out: list[EmbeddingVector] = []
-        for vectors in batches:
-            for vec in vectors:
-                if len(vec) != self.spec.dimension:
-                    raise ProtocolError(
-                        f"model {self.spec.model_id!r}: expected dimension "
-                        f"{self.spec.dimension}, received {len(vec)}"
-                    )
-                out.append(EmbeddingVector(np.asarray(vec, dtype=np.float64), self.spec.model_id))
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise ProtocolError(
+                f"model {self.spec.model_id!r}: non-finite embedding for text {int(bad.argmax())}"
+            )
         return out
 
 

@@ -55,7 +55,7 @@ DEFAULT_MATCH_THRESHOLD = 0.75
 # -- per-pair metrics --------------------------------------------------------
 
 
-def semantic_similarity(answer: str, reference: str, embed: Callable[[list[str]], list]) -> float:
+def semantic_similarity(answer: str, reference: str, embed: Callable[[list[str]], np.ndarray]) -> float:
     """Embedding cosine between answer and reference, clamped to [0, 1]."""
     a_empty = not answer.strip()
     r_empty = not reference.strip()
@@ -514,7 +514,7 @@ def entry_response_text(entry: dict) -> str:
 def _greedy_match(
     gt_texts: list[str],
     predicted_texts: list[str],
-    embed: Callable[[list[str]], list],
+    embed: Callable[[list[str]], np.ndarray],
     threshold: float,
 ) -> dict[int, int]:
     """Greedy best-first matching of ground-truth claims to predictions."""
@@ -553,7 +553,7 @@ class EvalRunResult:
 def evaluate_run(
     reports: Sequence[dict],
     ground_truth: Sequence[GroundTruthEntry],
-    embed: Callable[[list[str]], list],
+    embed: Callable[[list[str]], np.ndarray],
     statements_fn: Callable[[str], list[str]],
     judge_fn: Callable[[str, str], bool],
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,

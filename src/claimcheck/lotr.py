@@ -99,7 +99,7 @@ class RetrieverLeg:
     """One (embedder, index) pair taking part in the merge."""
 
     retriever_id: str
-    embedder: object  # anything with .embed(list[str]) -> list[EmbeddingVector]
+    embedder: object  # anything whose .embed(list[str]) returns a (len, dimension) float64 matrix
     index: VectorIndex
 
 
@@ -127,9 +127,8 @@ class MergingRetriever:
         self.reorder = reorder
 
     def _query_leg(self, leg: RetrieverLeg, claim_text: str) -> list[EvidenceHit]:
-        vector = leg.embedder.embed([claim_text])[0]
         hits: list[Hit] = leg.index.mmr_select(
-            vector.values,
+            leg.embedder.embed([claim_text])[0],
             k=self.k,
             pool_size=self.pool_size,
             lambda_=self.lambda_,

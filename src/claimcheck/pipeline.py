@@ -157,7 +157,6 @@ class FactCheckPipeline:
             grader=_CountingBackend(agents.grader, self._usage),
             rewriter=_CountingBackend(agents.rewriter, self._usage),
             embedder=agents.embedder,
-            dedupe_threshold=agents.dedupe_threshold,
         )
 
     # -- per-claim flows -------------------------------------------------

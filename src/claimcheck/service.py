@@ -37,8 +37,8 @@ def build_indexes(config: RunConfig, chunks: Sequence[Chunk], embedders: list) -
         index.upsert(
             # evidence text rides along in the metadata: retrieval feeds it
             # to grading and generation without a second corpus lookup
-            (chunk.key, vec.values, {**chunk.metadata, "text": chunk.text})
-            for chunk, vec in zip(chunks, embedder.embed(texts))
+            (chunk.key, vector, {**chunk.metadata, "text": chunk.text})
+            for chunk, vector in zip(chunks, embedder.embed(texts))
         )
         yield index
 

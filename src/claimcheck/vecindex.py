@@ -42,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import ChunkKey
-from .embedding import unit_normalize
+from .embedding import checked_norm, unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
 
 FORMAT_NAME = "claimcheck-index"
@@ -88,8 +88,14 @@ class VectorIndex:
         return len(self._snapshot[0])
 
     def upsert(self, items: Iterable[tuple[ChunkKey, np.ndarray, dict]]) -> None:
-        """Insert or replace entries; the whole batch validates before any write."""
-        batch: dict[ChunkKey, tuple[np.ndarray, dict]] = {}
+        """Insert or replace entries; the whole batch validates before any write.
+
+        Each new vector is normalized straight into its row of the new
+        snapshot matrix, the only copy made of it, once the whole batch
+        has validated: a vector must not change until upsert returns.
+        Stored rows are copied bit for bit, never renormalized.
+        """
+        batch: dict[ChunkKey, tuple[np.ndarray, float | None, dict]] = {}
         for key, vector, metadata in items:
             arr = np.asarray(vector, dtype=np.float64)
             if arr.ndim != 1 or arr.shape[0] != self.dimension:
@@ -97,20 +103,23 @@ class VectorIndex:
                 raise ValidationError(
                     f"vector for {tuple(key)} has dimension {got}, index expects {self.dimension}"
                 )
-            batch[ChunkKey(str(key[0]), int(key[1]))] = (unit_normalize(arr), dict(metadata or {}))
+            batch[ChunkKey(str(key[0]), int(key[1]))] = (arr, checked_norm(arr), dict(metadata or {}))
         if not batch:
             return
         with self._lock:
             keys, matrix, metas = self._snapshot
-            # old rows enter as views, so the new matrix is the only copy made
-            merged = dict(zip(keys, zip(matrix, metas)))
+            # old rows enter as views with no norm to divide by
+            merged = {key: (row, None, meta) for key, row, meta in zip(keys, matrix, metas)}
             merged.update(batch)
             keys = tuple(sorted(merged))
-            self._snapshot = (
-                keys,
-                np.vstack([merged[k][0] for k in keys]),
-                tuple(merged[k][1] for k in keys),
-            )
+            matrix = np.empty((len(keys), self.dimension), np.float64)
+            for row, key in zip(matrix, keys):
+                vector, norm, _ = merged[key]
+                if norm is None:
+                    row[:] = vector
+                else:
+                    np.divide(vector, norm, out=row)
+            self._snapshot = (keys, matrix, tuple(merged[k][2] for k in keys))
 
     def _prepare_query(self, query) -> np.ndarray:
         arr = np.asarray(query, dtype=np.float64)

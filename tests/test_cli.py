@@ -74,6 +74,28 @@ def test_build_index_strict_on_rejects(bundle, capsys):
     assert "rejected 1 corpus rows" in capsys.readouterr().err
 
 
+def test_build_index_non_finite_embedding_is_operational(bundle, http_stub, capsys):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(
+        text.replace("endpoint: deterministic-test\n    seed: 7", f"endpoint: {http_stub.url}\n    seed: 7"),
+        encoding="utf-8",
+    )
+    # json decodes NaN, so the client receives a float that is not finite
+    vector = "[NaN" + ", 0.5" * 255 + "]"
+
+    def answer(body):
+        rows = [f'{{"index": {i}, "embedding": {vector}}}' for i in range(len(body["input"]))]
+        return 200, '{"data": [' + ", ".join(rows) + "]}"
+
+    http_stub.default = answer
+    assert run("--config", str(config), "build-index") == 1
+    err = capsys.readouterr().err
+    assert "non-finite embedding" in err
+    assert "Traceback" not in err
+    assert not (bundle / "index" / "hash-256.idx").exists()
+
+
 # -- check --------------------------------------------------------------------
 
 

@@ -14,9 +14,9 @@ from claimcheck.embedding import (
     MAX_BATCH,
     DeterministicEmbedder,
     EmbedderSpec,
-    EmbeddingVector,
     RemoteEmbedder,
     build_embedder,
+    checked_norm,
     cosine_similarity,
     deterministic_test_embedder,
     unit_normalize,
@@ -92,8 +92,8 @@ def test_deterministic_provider_validates_texts():
     with pytest.raises(ValidationError):
         embedder.embed("not a list")
     vectors = embedder.embed(["ok", "also ok"])
-    assert [v.model_id for v in vectors] == ["hash-test", "hash-test"]
-    assert all(v.dimension == 32 for v in vectors)
+    assert vectors.shape == (2, 32)
+    np.testing.assert_array_equal(vectors[1], deterministic_test_embedder("also ok", 32, seed=3))
 
 
 # -- vector math --------------------------------------------------------------
@@ -101,14 +101,14 @@ def test_deterministic_provider_validates_texts():
 
 def test_embedding_vector_validation():
     with pytest.raises(ValidationError):
-        EmbeddingVector(np.zeros((2, 2)), "m")
+        checked_norm(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        EmbeddingVector(np.array([]), "m")
+        checked_norm(np.array([]))
     with pytest.raises(ValidationError):
-        EmbeddingVector(np.array([1.0, np.nan]), "m")
-    vec = EmbeddingVector(np.array([3.0, 4.0]), "m")
-    with pytest.raises(ValueError):
-        vec.values[0] = 9.0  # frozen storage
+        checked_norm(np.array([1.0, np.nan]))
+    with pytest.raises(ValidationError):
+        checked_norm(np.array([1.0, np.inf]))
+    assert checked_norm(np.array([3.0, 4.0])) == 5.0
 
 
 def test_unit_normalize():
@@ -169,7 +169,7 @@ def remote(http_stub, dimension=4, **kwargs) -> RemoteEmbedder:
 def test_remote_embed_sorts_by_index(http_stub):
     http_stub.default = lambda body: (200, embedding_payload(body["input"]))
     vectors = remote(http_stub).embed(["a", "b", "c"])
-    assert [v.values[0] for v in vectors] == [1.0, 2.0, 3.0]
+    assert vectors[:, 0].tolist() == [1.0, 2.0, 3.0]
     path, headers, body = http_stub.requests[0]
     assert body == {"model": "hash-test", "input": ["a", "b", "c"]}
     assert headers["Content-Type"] == "application/json"
@@ -246,7 +246,7 @@ def test_remote_embed_overlaps_batches_and_keeps_input_order():
     vectors = overlap_embedder(session).embed(texts)
     assert session.peak == 4
     assert session.answered == [192, 128, 64, 0]
-    assert [v.values[0] for v in vectors] == [float(i) for i in range(len(texts))]
+    assert vectors[:, 0].tolist() == [float(i) for i in range(len(texts))]
 
 
 def test_remote_embed_overlap_respects_in_flight_cap():
@@ -258,10 +258,10 @@ def test_remote_embed_overlap_respects_in_flight_cap():
     halves = [texts[: MAX_BATCH * 3], texts[MAX_BATCH * 3 :]]
     with ThreadPoolExecutor(max_workers=2) as callers:
         futures = [callers.submit(embedder.embed, half) for half in halves]
-        vectors = [v for future in futures for v in future.result(timeout=30)]
+        vectors = np.vstack([future.result(timeout=30) for future in futures])
     assert session.peak == 2
     assert sorted(session.answered) == list(range(0, len(texts), MAX_BATCH))
-    assert [v.values[0] for v in vectors] == [float(i) for i in range(len(texts))]
+    assert vectors[:, 0].tolist() == [float(i) for i in range(len(texts))]
 
 
 def test_remote_embed_failed_batch_reports_its_indices():
@@ -276,7 +276,7 @@ def test_remote_embed_failed_batch_reports_its_indices():
 
 def test_remote_embed_of_no_texts_posts_nothing():
     session = OverlapSession(parties=1)
-    assert overlap_embedder(session).embed([]) == []
+    assert overlap_embedder(session).embed([]).shape == (0, 4)
     assert session.answered == []
 
 
@@ -319,6 +319,40 @@ def test_remote_embed_dimension_mismatch(http_stub):
     http_stub.responses = [(200, {"data": [{"index": 0, "embedding": [1.0, 2.0]}]})]
     with pytest.raises(ProtocolError, match="expected dimension 4"):
         remote(http_stub).embed(["a"])
+
+
+@pytest.mark.parametrize(
+    "embedding",
+    [
+        "5",
+        "null",
+        '["a", "b", "c", "d"]',
+        "[1.0, NaN, 1.0, 1.0]",
+        "[1.0, 1.0, Infinity, 1.0]",
+        '["1.0", "2.0", "3.0", "4.0"]',
+        "[true, false, true, false]",
+        "[1.0, null, 1.0, 1.0]",
+    ],
+)
+def test_remote_embed_malformed_vector_is_a_protocol_error(http_stub, embedding):
+    # every list holds 4 values, the dimension, so only their type is at
+    # fault; json decodes NaN and Infinity, so they reach the client as floats
+    http_stub.responses = [(200, f'{{"data": [{{"index": 0, "embedding": {embedding}}}]}}')]
+    with pytest.raises(ProtocolError, match="malformed|dimension|non-finite|non-numeric"):
+        remote(http_stub).embed(["a"])
+    assert len(http_stub.requests) == 1  # not retried
+
+
+@pytest.mark.parametrize("count", [0, 1, MAX_BATCH + 1])
+def test_embedders_return_one_float64_matrix(http_stub, count):
+    http_stub.default = lambda body: (200, embedding_payload(body["input"]))
+    texts = [f"text {i}" for i in range(count)]
+    for embedder in (DeterministicEmbedder(spec(dimension=4)), remote(http_stub)):
+        vectors = embedder.embed(texts)
+        assert isinstance(vectors, np.ndarray)
+        assert vectors.dtype == np.float64
+        assert vectors.shape == (count, 4)
+        assert vectors.flags.c_contiguous
 
 
 def test_remote_embed_api_key(http_stub, monkeypatch):

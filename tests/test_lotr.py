@@ -155,7 +155,7 @@ def build_leg(model_id: str, seed: int, texts: dict[str, str]) -> RetrieverLeg:
     keys = sorted(texts)
     vectors = embedder.embed([texts[k] for k in keys])
     index.upsert(
-        (ChunkKey(key, 0), vec.values, {"text": texts[key], "title": key.title()})
+        (ChunkKey(key, 0), vec, {"text": texts[key], "title": key.title()})
         for key, vec in zip(keys, vectors)
     )
     return RetrieverLeg(retriever_id=model_id, embedder=embedder, index=index)
@@ -271,7 +271,7 @@ class EmbeddingSession:
         if self.barrier is not None:
             self.barrier.wait()
         vectors = self.local.embed(json["input"])
-        rows = [{"index": i, "embedding": v.values.tolist()} for i, v in enumerate(vectors)]
+        rows = [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]
         return FakeResponse(200, {"data": rows})
 
 

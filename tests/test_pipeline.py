@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from claimcheck.agents import (
 )
 from claimcheck.config import RefinementConfig
 from claimcheck.corpus import ArticleText, ChunkKey
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
 from claimcheck.lotr import EvidenceBundle, EvidenceHit, MergingRetriever, RetrieverLeg
 from claimcheck.pipeline import (
@@ -522,7 +523,7 @@ def test_srag_over_in_process_models_runs_in_the_callers_thread(tmp_path, monkey
         embedder = RecordingEmbedder(spec)
         index = VectorIndex(model_id=model_id, dimension=32)
         index.upsert(
-            (ChunkKey(p, 0), vec.values, {"text": text})
+            (ChunkKey(p, 0), vec, {"text": text})
             for p, text, vec in zip("abcd", texts, DeterministicEmbedder(spec).embed(texts))
         )
         legs.append(RetrieverLeg(retriever_id=model_id, embedder=embedder, index=index))
@@ -716,6 +717,50 @@ def test_check_article_one_failing_claim_does_not_abort(tmp_path):
     assert failed.trace.terminal_state == TERMINAL_ERROR
     assert failed.explanation.startswith("Verification failed:")
     assert any("claim failed" in n for n in failed.trace.notes)
+
+
+class NullEmbeddingSession:
+    """A fake ``requests`` session serving the deterministic embedder's
+    vectors over HTTP, except ``null`` for a text containing ``bad``."""
+
+    def __init__(self, local: DeterministicEmbedder, bad: str):
+        self.local = local
+        self.bad = bad
+
+    def post(self, url, json, headers, timeout):
+        rows = [
+            {"index": i, "embedding": None if self.bad in text else self.local.embed([text])[0].tolist()}
+            for i, text in enumerate(json["input"])
+        ]
+        return FakeResponse(200, {"data": rows})
+
+
+def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
+    spec = EmbedderSpec(model_id="leg-a", dimension=32, endpoint=DETERMINISTIC_ENDPOINT)
+    local = DeterministicEmbedder(spec)
+    texts = [f"evidence text from {p}" for p in "ab"]
+    index = VectorIndex(model_id="leg-a", dimension=32)
+    index.upsert((ChunkKey(p, 0), vec, {"text": text}) for p, text, vec in zip("ab", texts, local.embed(texts)))
+    remote = RemoteEmbedder(
+        replace(spec, endpoint="http://embeddings.invalid/v1"),
+        session=NullEmbeddingSession(local, "explodes"),
+        sleep=lambda s: None,
+    )
+    retriever = MergingRetriever([RetrieverLeg("leg-a", remote, index)], k=2, min_similarity=-1.0, pool_size=2)
+    agents = FactCheckAgents(
+        generator=srag_generator(["Good claim stands.", "Bad claim explodes."]),
+        grader=RuleBackend(lambda prompt: YES),
+        rewriter=QueueBackend([]),
+        embedder=local,
+    )
+    pipeline = FactCheckPipeline(make_run_config(tmp_path), agents, retriever)
+    report = pipeline.check_article(ARTICLE, "lotr_srag")
+    good, bad = report.entries
+    assert good.trace.terminal_state == TERMINAL_DONE
+    assert good.label is VerdictLabel.TRUE
+    assert bad.trace.terminal_state == TERMINAL_ERROR
+    assert bad.label is VerdictLabel.UNVERIFIABLE
+    assert bad.explanation == "Verification failed: model 'leg-a': non-numeric embedding values"
 
 
 def test_check_article_extraction_warnings_surface(tmp_path):

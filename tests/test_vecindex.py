@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck.corpus import ChunkKey
+from claimcheck.embedding import unit_normalize
 from claimcheck.errors import ConfigError, IndexFormatError, ValidationError
 from claimcheck.vecindex import VectorIndex
 
@@ -102,6 +103,32 @@ def test_upsert_merges_a_batch_into_key_order():
     assert old_keys == tuple(k for k, _, _ in first)
     assert np.array_equal(old_matrix, frozen)
     assert [m["v"] for m in old_metas] == ["1"] * 4
+
+
+def test_stored_rows_equal_unit_normalize_bit_for_bit():
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(50, 16))
+    already_unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    for vectors in (raw, already_unit):
+        index = VectorIndex("m", 16)
+        index.upsert((ChunkKey("doc", i), v, {}) for i, v in enumerate(vectors))
+        expected = np.array([unit_normalize(v) for v in vectors])
+        assert index._snapshot[1].tobytes() == expected.tobytes()
+
+
+def test_second_upsert_leaves_earlier_rows_bytes_untouched():
+    rng = np.random.default_rng(6)
+    index = VectorIndex("m", 8)
+    index.upsert((ChunkKey("b", i), rng.normal(size=8), {}) for i in range(50))
+    keys, matrix, _ = index._snapshot
+    before = {key: row.tobytes() for key, row in zip(keys, matrix)}
+    # renormalizing a stored row would move the bytes of at least one
+    assert any(unit_normalize(row).tobytes() != row.tobytes() for row in matrix)
+    index.upsert([(ChunkKey(p, 0), rng.normal(size=8), {}) for p in "ac"])
+    keys, matrix, _ = index._snapshot
+    after = {key: row.tobytes() for key, row in zip(keys, matrix)}
+    assert len(after) == 52
+    assert all(after[key] == row for key, row in before.items())
 
 
 def test_upsert_validates_whole_batch_before_writing():
@@ -418,4 +445,20 @@ def test_load_peak_allocation_stays_near_one_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == n
+    assert peak < 1.5 * n * d * 8
+
+
+def test_upsert_peak_allocation_stays_near_one_matrix():
+    # each new row is normalized straight into the new snapshot matrix,
+    # with no normalized copy per row and no stacking copy beside it
+    n, d = 2000, 256
+    vectors = np.random.default_rng(4).normal(size=(n, d))
+    index = VectorIndex("m", d)
+    tracemalloc.start()
+    try:
+        index.upsert((ChunkKey("doc", i), v, {}) for i, v in enumerate(vectors))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == n
     assert peak < 1.5 * n * d * 8
