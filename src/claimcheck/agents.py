@@ -23,11 +23,13 @@ from .corpus import Chunk, ChunkKey
 from .embedding import cosine_similarity
 from .errors import (
     BackendError,
+    ClaimcheckError,
     ConfigError,
     ExtractionError,
     GradingError,
     ProtocolError,
     RewriteError,
+    TransportError,
     ValidationError,
 )
 from .transport import JsonEndpoint, remote_endpoint
@@ -376,6 +378,32 @@ def parse_listed_lines(text: str) -> list[str] | None:
     return lines
 
 
+def _dedupe_near(found: list[tuple[str, ChunkKey]], vectors) -> list[tuple[str, ChunkKey]]:
+    """The first of each group of claims whose embeddings' cosine reaches the threshold."""
+    kept: list[tuple[str, ChunkKey]] = []
+    kept_vectors = []
+    for (text, key), vec in zip(found, vectors):
+        duplicate = any(
+            cosine_similarity(vec, seen) >= CLAIM_DEDUPE_THRESHOLD for seen in kept_vectors
+        )
+        if not duplicate:
+            kept.append((text, key))
+            kept_vectors.append(vec)
+    return kept
+
+
+def _dedupe_exact(found: list[tuple[str, ChunkKey]]) -> list[tuple[str, ChunkKey]]:
+    """The first of each group of claims equal once case-folded and whitespace-collapsed."""
+    seen: set[str] = set()
+    kept = []
+    for text, key in found:
+        normal = " ".join(text.casefold().split())
+        if normal not in seen:
+            seen.add(normal)
+            kept.append((text, key))
+    return kept
+
+
 class FactCheckAgents:
     """The generator/grader/rewriter trio plus claim extraction."""
 
@@ -403,16 +431,27 @@ class FactCheckAgents:
 
         A chunk whose listing stays unparseable after one stricter retry
         raises ExtractionError; when a ``warnings`` list is supplied the
-        chunk is skipped with a note instead.  Duplicates (embedding
-        cosine >= the threshold) keep the earliest chunk's copy.
+        chunk is skipped with a note instead.  So is a chunk whose
+        generator call fails with a transport, protocol or backend error,
+        unless every chunk's call failed: then the first failure is
+        raised, since no part of the article was read.  Duplicates
+        (embedding cosine >= the threshold) keep the earliest chunk's
+        copy; if the dedupe embedding fails and ``warnings`` is supplied,
+        only exact repeats (case-folded, whitespace collapsed) are dropped,
+        with a note.  Any other error, and every error without
+        ``warnings``, is raised.
         """
         found: list[tuple[str, ChunkKey]] = []
+        failures: list[ClaimcheckError] = []
         for chunk in chunks:
-            prompt = prompts.EXTRACT_CLAIMS.render(chunk=chunk.text)
-            lines = parse_listed_lines(self.generator.complete(prompt).text)
-            if lines is None:
-                retry = prompt + prompts.CLAIMS_RETRY_SUFFIX
-                lines = parse_listed_lines(self.generator.complete(retry).text)
+            try:
+                lines = self._list_claims(chunk)
+            except (TransportError, ProtocolError, BackendError) as exc:
+                if warnings is None:
+                    raise
+                failures.append(exc)
+                warnings.append(f"chunk {tuple(chunk.key)}: claim extraction failed: {exc}; chunk skipped")
+                continue
             if lines is None:
                 message = f"chunk {tuple(chunk.key)}: claim listing unparseable after retry"
                 if warnings is None:
@@ -420,23 +459,34 @@ class FactCheckAgents:
                 warnings.append(message + "; chunk skipped")
                 continue
             found.extend((line, chunk.key) for line in lines)
+        if failures and len(failures) == len(chunks):
+            raise failures[0]
 
         if not found:
             return []
-        vectors = self.embedder.embed([text for text, _ in found])
-        kept: list[tuple[str, ChunkKey]] = []
-        kept_vectors = []
-        for (text, key), vec in zip(found, vectors):
-            duplicate = any(
-                cosine_similarity(vec, seen) >= CLAIM_DEDUPE_THRESHOLD for seen in kept_vectors
-            )
-            if not duplicate:
-                kept.append((text, key))
-                kept_vectors.append(vec)
+        try:
+            vectors = self.embedder.embed([text for text, _ in found])
+        except (TransportError, ProtocolError) as exc:
+            if warnings is None:
+                raise
+            warnings.append(f"claim dedupe embedding failed: {exc}; only exact repeats dropped")
+            kept = _dedupe_exact(found)
+        else:
+            kept = _dedupe_near(found, vectors)
         return [
             Claim(id=f"{article_id}:c{i + 1}", text=text, source_chunk=key)
             for i, (text, key) in enumerate(kept)
         ]
+
+    def _list_claims(self, chunk: Chunk) -> list[str] | None:
+        """The chunk's claim listing, asked once more with a stricter
+        prompt if unparseable; None if it stays unparseable."""
+        prompt = prompts.EXTRACT_CLAIMS.render(chunk=chunk.text)
+        lines = parse_listed_lines(self.generator.complete(prompt).text)
+        if lines is None:
+            retry = prompt + prompts.CLAIMS_RETRY_SUFFIX
+            lines = parse_listed_lines(self.generator.complete(retry).text)
+        return lines
 
     # -- generation ----------------------------------------------------
 

@@ -151,6 +151,11 @@ class FactCheckPipeline:
     ):
         self.config = config
         self.retriever = retriever
+        models = [agents.generator, agents.grader, agents.rewriter, agents.embedder]
+        if retriever is not None:
+            models.extend(leg.embedder for leg in retriever.legs)
+        # claims overlap only where some call waits on an HTTP endpoint
+        self._any_remote = any(remote_endpoint(model) is not None for model in models)
         self._usage = _UsageCounter()
         self.agents = FactCheckAgents(
             generator=_CountingBackend(agents.generator, self._usage),
@@ -345,7 +350,13 @@ class FactCheckPipeline:
             return self._unverifiable_entry(claim, f"Verification failed: {exc}", trace)
 
     def check_article(self, article: ArticleText, mode: str) -> Report:
-        """Extract and verify every claim of ``article``.
+        """Extract and verify every claim of ``article``; entries in claim order.
+
+        When some model answers over HTTP, the claims are verified side by
+        side on a pool of ``concurrency`` workers.  When every model is
+        in-process there is nothing to wait on, so the claims are verified
+        one after another in the caller's thread; so is an article whose
+        pool would have one worker.
 
         ``token_usage`` counts the backend calls made during this call, so
         a pipeline reused across articles reports each article's own usage.
@@ -364,11 +375,12 @@ class FactCheckPipeline:
             self.config.chunking.article_overlap,
         )
         claims = self.agents.extract_claims(article.id, chunks, warnings=warnings)
-        entries: list[FactCheckEntry] = []
-        if claims:
-            workers = min(self.config.concurrency, len(claims))
+        workers = min(self.config.concurrency, len(claims))
+        if self._any_remote and workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 entries = list(pool.map(lambda c: self._verify_safely(c, article, mode), claims))
+        else:
+            entries = [self._verify_safely(c, article, mode) for c in claims]
         after = self._usage.snapshot()
         token_usage = {key: after[key] - before[key] for key in after}
         return Report(

@@ -321,6 +321,8 @@ class BitGrader:
 
 
 class RepeatRetriever:
+    legs = ()  # no embedders of its own to wait on
+
     def __init__(self, hits):
         self.hits = tuple(hits)
         self.calls = 0

@@ -556,6 +556,103 @@ def test_extract_claims_unparseable_skips_chunk_with_warning_sink():
     assert len(warnings) == 1 and "chunk skipped" in warnings[0]
 
 
+def three_chunk_generator(failure: Exception | None) -> RuleBackend:
+    """Lists one claim per chunk, raising ``failure`` for the second chunk."""
+
+    def rule(prompt: str) -> str:
+        for word in ("first", "second", "third"):
+            if f"{word} chunk" in prompt:
+                if word == "second" and failure is not None:
+                    raise failure
+                return f"The {word} claim holds."
+        raise AssertionError(f"unexpected prompt: {prompt[:80]}")
+
+    return RuleBackend(rule)
+
+
+THREE_CHUNKS = [chunk(0, "first chunk"), chunk(1, "second chunk"), chunk(2, "third chunk")]
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        TransportError("backend 'gen' call failed after 5 attempts: HTTP 503"),
+        ProtocolError("malformed chat response: 'choices'"),
+        BackendError("backend 'gen' returned an empty completion"),
+    ],
+)
+def test_extract_claims_failed_call_skips_only_that_chunk(failure):
+    warnings: list[str] = []
+    claims = agents_with(generator=three_chunk_generator(failure)).extract_claims(
+        "a1", THREE_CHUNKS, warnings=warnings
+    )
+    assert [(c.id, c.text, c.source_chunk) for c in claims] == [
+        ("a1:c1", "The first claim holds.", ChunkKey("a1", 0)),
+        ("a1:c2", "The third claim holds.", ChunkKey("a1", 2)),
+    ]
+    assert warnings == [f"chunk ('a1', 1): claim extraction failed: {failure}; chunk skipped"]
+
+
+def test_extract_claims_failed_call_raises_without_warning_sink():
+    agents = agents_with(generator=three_chunk_generator(TransportError("gen is down")))
+    with pytest.raises(TransportError, match="gen is down"):
+        agents.extract_claims("a1", THREE_CHUNKS)
+
+
+def test_extract_claims_config_error_propagates_with_warning_sink():
+    agents = agents_with(generator=three_chunk_generator(ConfigError("API key variable is not set")))
+    with pytest.raises(ConfigError, match="API key"):
+        agents.extract_claims("a1", THREE_CHUNKS, warnings=[])
+
+
+def test_extract_claims_raises_when_every_chunk_call_failed():
+    calls = iter([TransportError("first failure"), TransportError("second failure")])
+
+    def rule(prompt: str) -> str:
+        raise next(calls)
+
+    with pytest.raises(TransportError, match="first failure"):
+        agents_with(generator=RuleBackend(rule)).extract_claims(
+            "a1", [chunk(0, "one"), chunk(1, "two")], warnings=[]
+        )
+
+
+class FailingEmbedder:
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def embed(self, texts):
+        raise self.error
+
+
+def test_extract_claims_failed_dedupe_embedding_drops_exact_repeats():
+    gen = QueueBackend(
+        [
+            "Garlic cures infections.\nSleep improves immunity.",
+            "garlic  CURES infections.\nGarlic cures most infections.",
+        ]
+    )
+    agents = agents_with(generator=gen)
+    agents.embedder = FailingEmbedder(ProtocolError("model 'h': non-numeric embedding values"))
+    warnings: list[str] = []
+    claims = agents.extract_claims("a1", [chunk(0, "one"), chunk(1, "two")], warnings=warnings)
+    assert [(c.id, c.text) for c in claims] == [
+        ("a1:c1", "Garlic cures infections."),
+        ("a1:c2", "Sleep improves immunity."),
+        ("a1:c3", "Garlic cures most infections."),
+    ]
+    assert warnings == [
+        "claim dedupe embedding failed: model 'h': non-numeric embedding values; only exact repeats dropped"
+    ]
+
+
+def test_extract_claims_failed_dedupe_embedding_raises_without_warning_sink():
+    agents = agents_with(generator=QueueBackend(["One claim."]))
+    agents.embedder = FailingEmbedder(TransportError("embedder is down"))
+    with pytest.raises(TransportError, match="embedder is down"):
+        agents.extract_claims("a1", [chunk(0, "one")])
+
+
 def test_claim_requires_text():
     with pytest.raises(ValidationError, match="empty text"):
         Claim(id="a1:c1", text="   ", source_chunk=KEY)

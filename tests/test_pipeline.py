@@ -7,10 +7,12 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from claimcheck import cli, pipeline as pipeline_module, service
 from claimcheck.agents import (
     Claim,
     FactCheckAgents,
@@ -19,8 +21,8 @@ from claimcheck.agents import (
     RemoteChatBackend,
     VerdictLabel,
 )
-from claimcheck.config import RefinementConfig
-from claimcheck.corpus import ArticleText, ChunkKey
+from claimcheck.config import RefinementConfig, load_config
+from claimcheck.corpus import ArticleText, ChunkKey, load_article
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
 from claimcheck.lotr import EvidenceBundle, EvidenceHit, MergingRetriever, RetrieverLeg
@@ -57,6 +59,8 @@ def hit(parent: str, seq: int = 0, sim: float = 0.9, **meta) -> EvidenceHit:
 
 class StubRetriever:
     """Returns one canned bundle per retrieve() call, in order."""
+
+    legs = ()  # no embedders of its own to wait on
 
     def __init__(self, bundles):
         self.bundles = list(bundles)
@@ -390,7 +394,8 @@ class ChatSession:
     """A fake ``requests`` session behind a remote chat backend: answers
     each chat-completions post with ``rule(prompt)``, which returns the
     completion text or an HTTP status to fail with, and counts the posts
-    in flight."""
+    in flight.  Token usage is counted as the in-process test backends
+    count it: words of the prompt and of the completion."""
 
     def __init__(self, rule):
         self.rule = rule
@@ -399,17 +404,19 @@ class ChatSession:
         self.posts = 0
 
     def post(self, url, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
         with self.lock:
             self.in_flight += 1
             self.posts += 1
         try:
-            answer = self.rule(json["messages"][0]["content"])
+            answer = self.rule(prompt)
         finally:
             with self.lock:
                 self.in_flight -= 1
         if isinstance(answer, int):
             return FakeResponse(answer, {})
-        return FakeResponse(200, {"choices": [{"message": {"content": answer}}]})
+        usage = {"prompt_tokens": len(prompt.split()), "completion_tokens": len(answer.split())}
+        return FakeResponse(200, {"choices": [{"message": {"content": answer}}], "usage": usage})
 
 
 def remote_grader(session: ChatSession) -> RemoteChatBackend:
@@ -515,6 +522,10 @@ def test_srag_transport_error_fails_claim_after_sibling_grades(tmp_path):
     assert report.token_usage["backend_calls"] == 1 + 2  # extraction, the two sibling grades
 
 
+def no_thread(self):
+    raise AssertionError(f"started thread {self.name!r}")
+
+
 def test_srag_over_in_process_models_runs_in_the_callers_thread(tmp_path, monkeypatch):
     texts = [f"evidence text from {p}" for p in "abcd"]
     legs = []
@@ -541,10 +552,6 @@ def test_srag_over_in_process_models_runs_in_the_callers_thread(tmp_path, monkey
     )
     retriever = MergingRetriever(legs, k=4, min_similarity=-1.0, pool_size=4)
     pipeline = FactCheckPipeline(make_run_config(tmp_path), agents, retriever)
-
-    def no_thread(self):
-        raise AssertionError(f"started thread {self.name!r}")
-
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     entry = pipeline.verify_claim_srag(claim("evidence text from a"))
     assert entry.trace.doc_grades == [[True] * 4]
@@ -619,9 +626,12 @@ def test_check_article_token_usage_matches_sequential_replay(tmp_path):
     gen = srag_generator(claims)
     grader = grader_rejecting("b", "e")
     hits = [hit(p) for p in "abcdefgh"]
-    pipeline, _ = make_pipeline(tmp_path, gen, grader, bundles=[hits], concurrency=6)
-    # six claim threads grading at once, switching often: a lost update
-    # in the shared counters would show as a short count
+    session = ChatSession(lambda prompt: grader.complete(prompt).text)
+    pipeline, _ = make_pipeline(tmp_path, gen, remote_grader(session), bundles=[hits], concurrency=6)
+    # a remote grader puts the claims on six threads, which count their
+    # generations and answer grades while the endpoint's pool counts the
+    # document grades, switching often: a lost update in the shared
+    # counters would show as a short count
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -735,7 +745,10 @@ class NullEmbeddingSession:
         return FakeResponse(200, {"data": rows})
 
 
-def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
+def remote_leg_retriever(bad: str) -> tuple[MergingRetriever, DeterministicEmbedder]:
+    """A one-leg retriever whose embedder answers over HTTP with the local
+    embedder's vectors (``null`` for texts containing ``bad``), and that
+    local embedder."""
     spec = EmbedderSpec(model_id="leg-a", dimension=32, endpoint=DETERMINISTIC_ENDPOINT)
     local = DeterministicEmbedder(spec)
     texts = [f"evidence text from {p}" for p in "ab"]
@@ -743,10 +756,15 @@ def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
     index.upsert((ChunkKey(p, 0), vec, {"text": text}) for p, text, vec in zip("ab", texts, local.embed(texts)))
     remote = RemoteEmbedder(
         replace(spec, endpoint="http://embeddings.invalid/v1"),
-        session=NullEmbeddingSession(local, "explodes"),
+        session=NullEmbeddingSession(local, bad),
         sleep=lambda s: None,
     )
     retriever = MergingRetriever([RetrieverLeg("leg-a", remote, index)], k=2, min_similarity=-1.0, pool_size=2)
+    return retriever, local
+
+
+def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
+    retriever, local = remote_leg_retriever("explodes")
     agents = FactCheckAgents(
         generator=srag_generator(["Good claim stands.", "Bad claim explodes."]),
         grader=RuleBackend(lambda prompt: YES),
@@ -761,6 +779,112 @@ def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
     assert bad.trace.terminal_state == TERMINAL_ERROR
     assert bad.label is VerdictLabel.UNVERIFIABLE
     assert bad.explanation == "Verification failed: model 'leg-a': non-numeric embedding values"
+
+
+def test_check_article_survives_a_malformed_dedupe_embedding(tmp_path):
+    answers = {
+        "Zinc cures colds.": "False. Trials show no cure. Source: the zinc trial summary",
+        "zinc  CURES colds.": "never asked: an exact repeat of the first claim",
+        "Garlic prevents flu.": "Unverifiable. The article cites no evidence.",
+    }
+    spec = EmbedderSpec(model_id="dedupe", dimension=32, endpoint=DETERMINISTIC_ENDPOINT)
+    null_embedder = RemoteEmbedder(
+        replace(spec, endpoint="http://embeddings.invalid/v1"),
+        session=NullEmbeddingSession(DeterministicEmbedder(spec), ""),  # every text answers null
+        sleep=lambda s: None,
+    )
+    agents = FactCheckAgents(
+        generator=scripted_generator(answers),
+        grader=QueueBackend([]),
+        rewriter=QueueBackend([]),
+        embedder=null_embedder,
+    )
+    report = FactCheckPipeline(make_run_config(tmp_path), agents, None).check_article(ARTICLE, "baseline")
+    assert [(e.claim.id, e.claim.text) for e in report.entries] == [
+        ("art:c1", "Zinc cures colds."),
+        ("art:c2", "Garlic prevents flu."),
+    ]
+    assert [e.label for e in report.entries] == [VerdictLabel.FALSE, VerdictLabel.UNVERIFIABLE]
+    assert report.warnings == [
+        "claim dedupe embedding failed: model 'dedupe': non-numeric embedding values; only exact repeats dropped"
+    ]
+
+
+# -- where an article's claims run ---------------------------------------------
+
+
+def test_check_article_over_in_process_models_starts_no_thread(bundle, monkeypatch):
+    assert cli.main(["--config", str(bundle / "config.yaml"), "build-index"]) == 0
+    pipeline = service.build_pipeline(load_config(bundle / "config.yaml"), "lotr_srag")
+    assert pipeline.config.concurrency > 1
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    report = pipeline.check_article(load_article(bundle / "immune-boosters.md"), "lotr_srag")
+    # entries in claim order, a rewritten claim under its original's id
+    ids = [re.sub(r"\.r\d+$", "", e.claim.id) for e in report.entries]
+    assert len(ids) > 1
+    assert ids == [f"{report.article_id}:c{i}" for i in range(1, len(ids) + 1)]
+    assert render_report(report).encode("utf-8") == (bundle / "golden" / "report_lotr_srag.json").read_bytes()
+
+
+def test_check_article_overlaps_claims_on_a_remote_grader(tmp_path):
+    # each claim's answer grade waits until the other's is in flight too;
+    # claims verified one after another break the barrier
+    barrier = threading.Barrier(2, timeout=10)
+
+    def rule(prompt: str) -> str:
+        if doc_parent(prompt) is None:
+            barrier.wait()
+        return YES
+
+    pipeline, _ = make_pipeline(
+        tmp_path,
+        srag_generator(["Zinc cures colds.", "Garlic prevents flu."]),
+        remote_grader(ChatSession(rule)),
+        bundles=[[hit("a")], [hit("a")]],
+        concurrency=2,
+    )
+    report = pipeline.check_article(ARTICLE, "lotr_srag")
+    assert [e.claim.id for e in report.entries] == ["art:c1", "art:c2"]
+    assert [e.trace.answer_grades for e in report.entries] == [[True], [True]]
+
+
+def test_check_article_one_claim_on_remote_models_builds_no_pool(tmp_path, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"built a claim pool of {max_workers}")
+
+    monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", no_pool)
+    pipeline, _ = make_pipeline(
+        tmp_path,
+        srag_generator(["Zinc cures colds."]),
+        remote_grader(ChatSession(lambda prompt: YES)),
+        bundles=[[hit("a")]],
+        concurrency=4,
+    )
+    [entry] = pipeline.check_article(ARTICLE, "lotr_srag").entries
+    assert entry.trace.terminal_state == TERMINAL_DONE
+
+
+def test_check_article_one_remote_leg_uses_the_claim_pool(tmp_path, monkeypatch):
+    pools: list[int] = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", RecordingPool)
+    retriever, local = remote_leg_retriever("never in any text")
+    agents = FactCheckAgents(
+        generator=srag_generator(["Zinc cures colds.", "Garlic prevents flu.", "Water helps."]),
+        grader=RuleBackend(lambda prompt: YES),
+        rewriter=QueueBackend([]),
+        embedder=local,
+    )
+    pipeline = FactCheckPipeline(make_run_config(tmp_path, concurrency=2), agents, retriever)
+    report = pipeline.check_article(ARTICLE, "lotr_srag")
+    assert pools == [2]
+    assert [e.claim.id for e in report.entries] == ["art:c1", "art:c2", "art:c3"]
+    assert all(e.trace.terminal_state == TERMINAL_DONE for e in report.entries)
 
 
 def test_check_article_extraction_warnings_surface(tmp_path):
