@@ -29,7 +29,7 @@ from .evaluation import (
     semantic_similarity,
     wilcoxon_signed_rank,
 )
-from .lotr import EvidenceBundle, EvidenceHit, MergingRetriever, RetrieverLeg
+from .lotr import EvidenceBundle, MergingRetriever, RetrieverLeg
 from .pipeline import FactCheckEntry, FactCheckPipeline, Report, render_report
 from .vecindex import VectorIndex
 
@@ -46,7 +46,6 @@ __all__ = [
     "CorpusRecord",
     "DegenerateSampleError",
     "EvidenceBundle",
-    "EvidenceHit",
     "ExtractionError",
     "FactCheckAgents",
     "FactCheckEntry",

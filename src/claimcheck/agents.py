@@ -25,7 +25,6 @@ from .errors import (
     BackendError,
     ClaimcheckError,
     ConfigError,
-    ExtractionError,
     GradingError,
     ProtocolError,
     RewriteError,
@@ -425,21 +424,20 @@ class FactCheckAgents:
         self,
         article_id: str,
         chunks: Sequence[Chunk],
-        warnings: list[str] | None = None,
+        warnings: list[str],
     ) -> list[Claim]:
         """Per-chunk extraction followed by cross-chunk near-duplicate removal.
 
-        A chunk whose listing stays unparseable after one stricter retry
-        raises ExtractionError; when a ``warnings`` list is supplied the
-        chunk is skipped with a note instead.  So is a chunk whose
-        generator call fails with a transport, protocol or backend error,
-        unless every chunk's call failed: then the first failure is
-        raised, since no part of the article was read.  Duplicates
+        A chunk whose generator call fails with a transport, protocol or
+        backend error, or whose listing stays unparseable after one
+        stricter retry, is skipped with a note appended to ``warnings``.
+        If every chunk's call failed, the first failure is raised
+        instead, since no part of the article was read.  Duplicates
         (embedding cosine >= the threshold) keep the earliest chunk's
-        copy; if the dedupe embedding fails and ``warnings`` is supplied,
-        only exact repeats (case-folded, whitespace collapsed) are dropped,
-        with a note.  Any other error, and every error without
-        ``warnings``, is raised.
+        copy; if the dedupe embedding fails with a transport or protocol
+        error, only exact repeats (case-folded, whitespace collapsed) are
+        dropped, with a note.  Any other error, ``ConfigError`` included,
+        is raised.
         """
         found: list[tuple[str, ChunkKey]] = []
         failures: list[ClaimcheckError] = []
@@ -447,16 +445,13 @@ class FactCheckAgents:
             try:
                 lines = self._list_claims(chunk)
             except (TransportError, ProtocolError, BackendError) as exc:
-                if warnings is None:
-                    raise
                 failures.append(exc)
                 warnings.append(f"chunk {tuple(chunk.key)}: claim extraction failed: {exc}; chunk skipped")
                 continue
             if lines is None:
-                message = f"chunk {tuple(chunk.key)}: claim listing unparseable after retry"
-                if warnings is None:
-                    raise ExtractionError(message)
-                warnings.append(message + "; chunk skipped")
+                warnings.append(
+                    f"chunk {tuple(chunk.key)}: claim listing unparseable after retry; chunk skipped"
+                )
                 continue
             found.extend((line, chunk.key) for line in lines)
         if failures and len(failures) == len(chunks):
@@ -467,8 +462,6 @@ class FactCheckAgents:
         try:
             vectors = self.embedder.embed([text for text, _ in found])
         except (TransportError, ProtocolError) as exc:
-            if warnings is None:
-                raise
             warnings.append(f"claim dedupe embedding failed: {exc}; only exact repeats dropped")
             kept = _dedupe_exact(found)
         else:

@@ -7,7 +7,10 @@ report files against ground truth (or compares precomputed scores).
 
 Exit codes: 0 on success, 1 for operational failures (transport,
 backends, corrupt indexes), 2 for configuration and validation errors,
-including strict-mode rejections.
+including strict-mode rejections.  ``check`` writes its report even when
+part of the article could not be read (a skipped chunk, or claim dedupe
+reduced to exact repeats); it then prints each warning to stderr and
+exits 1.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def _cmd_check(args, config: RunConfig) -> int:
         sys.stdout.write(rendered)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OPERATIONAL if report.warnings else EXIT_OK
 
 
 def _load_report_dicts(patterns: list[str]) -> list[dict]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, TransportError, ValidationError
+from .errors import ConfigError, ProtocolError, ValidationError
 from .transport import JsonEndpoint, run_all
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
@@ -153,10 +153,7 @@ class RemoteEmbedder:
     def _post_batch(self, texts: list[str], offset: int, out: np.ndarray) -> None:
         """Embed the batch of ``texts`` starting at ``offset`` into the same rows of ``out``."""
         batch = texts[offset : offset + MAX_BATCH]
-        try:
-            payload = self.endpoint.post({"model": self.spec.model_id, "input": batch})
-        except TransportError as exc:
-            raise TransportError(str(exc), failed_indices=list(range(offset, offset + len(batch)))) from exc
+        payload = self.endpoint.post({"model": self.spec.model_id, "input": batch})
         try:
             rows = sorted(payload["data"], key=lambda d: d["index"])
             vectors = np.array([row["embedding"] for row in rows])

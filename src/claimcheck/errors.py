@@ -21,15 +21,7 @@ class ValidationError(ClaimcheckError):
 
 
 class TransportError(ClaimcheckError):
-    """A remote call kept failing after bounded retries.
-
-    ``failed_indices`` carries the positions of the inputs that were in
-    flight so a caller can resume a partially processed batch.
-    """
-
-    def __init__(self, message: str, failed_indices: list[int] | None = None):
-        super().__init__(message)
-        self.failed_indices = list(failed_indices or [])
+    """A remote call kept failing after bounded retries."""
 
 
 class ProtocolError(ClaimcheckError):

@@ -4,13 +4,15 @@ A claim is embedded independently by each configured model, each index
 answers with a diversity-selected hit list, and the lists are merged by
 round-robin interleaving, deduplicated on chunk key, then reordered so
 the strongest evidence sits at both ends of the context rather than in
-its middle, where generation models tend to lose it.
+its middle, where generation models tend to lose it.  The result is an
+:class:`EvidenceBundle`: the indexes' own :class:`~.vecindex.Hit`
+objects in context order, plus a warning for each leg that was down.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .corpus import ChunkKey
@@ -25,30 +27,17 @@ REORDER_MODES = ("ends", "none")
 
 
 @dataclass(frozen=True)
-class EvidenceHit:
-    """A retrieved chunk annotated with where it came from."""
-
-    chunk_key: ChunkKey
-    similarity: float
-    retriever_id: str
-    source_rank: int
-    metadata: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class EvidenceBundle:
-    """Ordered evidence for one claim plus retrieval provenance."""
+    """Evidence for one claim: merged, deduplicated and reordered index
+    hits, and one warning per retriever leg that was down."""
 
-    hits: tuple[EvidenceHit, ...]
-    provenance: dict
-
-    def __len__(self) -> int:
-        return len(self.hits)
+    hits: tuple[Hit, ...]
+    warnings: tuple[str, ...] = ()
 
 
-def merge_interleave(hit_lists: Sequence[Sequence[EvidenceHit]]) -> list[EvidenceHit]:
+def merge_interleave(hit_lists: Sequence[Sequence[Hit]]) -> list[Hit]:
     """Round-robin merge preserving each list's internal order."""
-    merged: list[EvidenceHit] = []
+    merged: list[Hit] = []
     width = max((len(lst) for lst in hit_lists), default=0)
     for rank in range(width):
         for lst in hit_lists:
@@ -57,7 +46,7 @@ def merge_interleave(hit_lists: Sequence[Sequence[EvidenceHit]]) -> list[Evidenc
     return merged
 
 
-def dedupe(hits: Sequence[EvidenceHit]) -> list[EvidenceHit]:
+def dedupe(hits: Sequence[Hit]) -> list[Hit]:
     """Drop repeated chunk keys, keeping the first occurrence.
 
     The survivor is annotated with the maximum similarity seen across
@@ -65,7 +54,7 @@ def dedupe(hits: Sequence[EvidenceHit]) -> list[EvidenceHit]:
     embedding spaces are not otherwise comparable).  Idempotent.
     """
     best: dict[ChunkKey, float] = {}
-    order: list[EvidenceHit] = []
+    order: list[Hit] = []
     for hit in hits:
         if hit.chunk_key not in best:
             best[hit.chunk_key] = hit.similarity
@@ -78,7 +67,7 @@ def dedupe(hits: Sequence[EvidenceHit]) -> list[EvidenceHit]:
     ]
 
 
-def long_context_reorder(hits: Sequence[EvidenceHit], mode: str = "ends") -> list[EvidenceHit]:
+def long_context_reorder(hits: Sequence[Hit], mode: str = "ends") -> list[Hit]:
     """Place the most relevant hits at the edges of the context.
 
     ``ends`` sends input ranks 1,3,5,... to the front and 2,4,6,... to
@@ -126,24 +115,14 @@ class MergingRetriever:
         self.pool_size = int(pool_size)
         self.reorder = reorder
 
-    def _query_leg(self, leg: RetrieverLeg, claim_text: str) -> list[EvidenceHit]:
-        hits: list[Hit] = leg.index.mmr_select(
+    def _query_leg(self, leg: RetrieverLeg, claim_text: str) -> list[Hit]:
+        return leg.index.mmr_select(
             leg.embedder.embed([claim_text])[0],
             k=self.k,
             pool_size=self.pool_size,
             lambda_=self.lambda_,
             min_similarity=self.min_similarity,
         )
-        return [
-            EvidenceHit(
-                chunk_key=h.chunk_key,
-                similarity=h.similarity,
-                retriever_id=leg.retriever_id,
-                source_rank=rank,
-                metadata=h.metadata,
-            )
-            for rank, h in enumerate(hits)
-        ]
 
     def retrieve(self, claim_text: str) -> EvidenceBundle:
         """Evidence for one claim; degrades to a single leg if one embedder is down.
@@ -153,7 +132,7 @@ class MergingRetriever:
         caller's thread.
         """
 
-        def query(leg: RetrieverLeg) -> list[EvidenceHit] | TransportError:
+        def query(leg: RetrieverLeg) -> list[Hit] | TransportError:
             try:
                 return self._query_leg(leg, claim_text)
             except TransportError as exc:
@@ -172,15 +151,5 @@ class MergingRetriever:
         merged = merge_interleave(alive)
         unique = dedupe(merged)
         ordered = long_context_reorder(unique, self.reorder)
-        warnings = [f"retriever {rid!r} unavailable, degraded to remaining legs" for rid, _ in failures]
-        provenance = {
-            "retrievers": [leg.retriever_id for leg in self.legs],
-            "k": self.k,
-            "lambda": self.lambda_,
-            "min_similarity": self.min_similarity,
-            "pool_size": self.pool_size,
-            "reorder": self.reorder,
-            "degraded": [rid for rid, _ in failures],
-            "warnings": warnings,
-        }
-        return EvidenceBundle(hits=tuple(ordered), provenance=provenance)
+        warnings = tuple(f"retriever {rid!r} unavailable, degraded to remaining legs" for rid, _ in failures)
+        return EvidenceBundle(hits=tuple(ordered), warnings=warnings)

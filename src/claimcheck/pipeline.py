@@ -30,8 +30,9 @@ from .agents import Claim, FactCheckAgents, ParsedVerdict, RawAnswer, VerdictLab
 from .config import MODES, RunConfig
 from .corpus import ArticleText, ChunkKey, chunk_text
 from .errors import ClaimcheckError, ConfigError, GradingError, ValidationError
-from .lotr import EvidenceBundle, EvidenceHit, MergingRetriever
+from .lotr import EvidenceBundle, MergingRetriever
 from .transport import remote_endpoint, run_all
+from .vecindex import Hit
 
 logger = logging.getLogger(__name__)
 
@@ -115,11 +116,11 @@ class _CountingBackend:
         return answer
 
 
-def _hit_text(hit: EvidenceHit) -> str:
+def _hit_text(hit: Hit) -> str:
     return str(hit.metadata.get("text", ""))
 
 
-def _source_from_hit(hit: EvidenceHit) -> Source:
+def _source_from_hit(hit: Hit) -> Source:
     meta = hit.metadata
     return Source(
         title=str(meta.get("title", "")),
@@ -128,7 +129,7 @@ def _source_from_hit(hit: EvidenceHit) -> Source:
     )
 
 
-def _cited_matches_hit(cited: str, hit: EvidenceHit) -> bool:
+def _cited_matches_hit(cited: str, hit: Hit) -> bool:
     c = cited.casefold()
     title = str(hit.metadata.get("title", "")).casefold()
     if title and (title in c or c in title):
@@ -170,7 +171,7 @@ class FactCheckPipeline:
         self,
         claim: Claim,
         parsed: ParsedVerdict,
-        hits: tuple[EvidenceHit, ...],
+        hits: tuple[Hit, ...],
         trace: SragTrace,
         baseline: bool = False,
     ) -> FactCheckEntry:
@@ -216,7 +217,7 @@ class FactCheckPipeline:
         )
 
     def _unverifiable_entry(
-        self, claim: Claim, reason: str, trace: SragTrace, hits: tuple[EvidenceHit, ...] = ()
+        self, claim: Claim, reason: str, trace: SragTrace, hits: tuple[Hit, ...] = ()
     ) -> FactCheckEntry:
         return FactCheckEntry(
             claim=claim,
@@ -237,7 +238,7 @@ class FactCheckPipeline:
             raise ConfigError("retrieval mode requested but no retriever is configured")
         bundle = self.retriever.retrieve(claim.text)
         trace.retrieval_rounds += 1
-        trace.notes.extend(bundle.provenance.get("warnings", ()))
+        trace.notes.extend(bundle.warnings)
         return bundle
 
     def verify_claim_lotr(self, claim: Claim) -> FactCheckEntry:
@@ -253,7 +254,7 @@ class FactCheckPipeline:
         return self._entry_from_answer(claim, parse_verdict(answer.text), bundle.hits, trace)
 
     def _grade_documents(
-        self, claim: Claim, hits: tuple[EvidenceHit, ...], trace: SragTrace
+        self, claim: Claim, hits: tuple[Hit, ...], trace: SragTrace
     ) -> list[bool]:
         """Grade one round's documents; grades and notes in hit order.
 
@@ -265,7 +266,7 @@ class FactCheckPipeline:
         sibling grade has finished, so no grading task outlives the call.
         """
 
-        def grade(hit: EvidenceHit) -> tuple[bool, str | None]:
+        def grade(hit: Hit) -> tuple[bool, str | None]:
             try:
                 return self.agents.grade_document(claim, _hit_text(hit)), None
             except GradingError as exc:
@@ -285,7 +286,7 @@ class FactCheckPipeline:
         trace = SragTrace()
         current = claim
         last_parsed: ParsedVerdict | None = None
-        last_kept: tuple[EvidenceHit, ...] = ()
+        last_kept: tuple[Hit, ...] = ()
         while True:
             bundle = self._retrieve(current, trace)
             grades = self._grade_documents(current, bundle.hits, trace)

@@ -41,12 +41,13 @@ from claimcheck.evaluation import (
     wilcoxon_signed_rank,
 )
 from claimcheck.kernels import mmr_greedy, topk_scan
-from claimcheck.lotr import EvidenceBundle, EvidenceHit, dedupe, long_context_reorder
+from claimcheck.lotr import EvidenceBundle, dedupe, long_context_reorder
 from claimcheck.pipeline import (
     TERMINAL_DONE,
     TERMINAL_EXHAUSTED,
     FactCheckPipeline,
 )
+from claimcheck.vecindex import Hit
 from conftest import QueueBackend, make_run_config
 
 RNG_SEED = 20260814
@@ -174,14 +175,8 @@ def test_topk_scan_matches_oracle():
 # -- 3. evidence list handling in bulk -----------------------------------------
 
 
-def evidence_hit(parent: str, seq: int, sim: float) -> EvidenceHit:
-    return EvidenceHit(
-        chunk_key=ChunkKey(parent, seq),
-        similarity=sim,
-        retriever_id="r",
-        source_rank=0,
-        metadata={},
-    )
+def evidence_hit(parent: str, seq: int, sim: float) -> Hit:
+    return Hit(chunk_key=ChunkKey(parent, seq), similarity=sim, metadata={})
 
 
 def test_dedupe_and_reorder_bulk_properties():
@@ -329,19 +324,14 @@ class RepeatRetriever:
 
     def retrieve(self, text: str) -> EvidenceBundle:
         self.calls += 1
-        return EvidenceBundle(
-            hits=self.hits,
-            provenance={"retrievers": ["r"], "degraded": [], "warnings": [], "reorder": "none"},
-        )
+        return EvidenceBundle(hits=self.hits)
 
 
-def refinement_hits(docs: int) -> list[EvidenceHit]:
+def refinement_hits(docs: int) -> list[Hit]:
     return [
-        EvidenceHit(
+        Hit(
             chunk_key=ChunkKey(f"d{i}", 0),
             similarity=0.9 - 0.01 * i,
-            retriever_id="r",
-            source_rank=i,
             metadata={
                 "text": f"evidence body {i}",
                 "title": f"Study D{i}",

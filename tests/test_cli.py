@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import cli
+from claimcheck import cli, corpus, prompts
+from claimcheck.agents import prompt_fingerprint
+from claimcheck.config import load_config
 from conftest import RuleBackend
 
 
@@ -233,6 +235,41 @@ def test_check_unknown_fingerprint_is_operational(bundle, capsys):
     )
     assert code == 1
     assert "no response for fingerprint" in capsys.readouterr().err
+
+
+def test_check_writes_a_partial_report_and_exits_1_when_a_chunk_was_skipped(bundle, capsys):
+    build_index(bundle)
+    config = load_config(bundle / "config.yaml")
+    article = corpus.load_article(bundle / "immune-boosters.md")
+    chunks = corpus.chunk_text(
+        article.id, article.body, config.chunking.article_chunk_size, config.chunking.article_overlap
+    )
+    assert [tuple(c.key) for c in chunks] == [("immune-boosters", 0), ("immune-boosters", 1)]
+    # drop the scripted answer to the second chunk's claim-listing prompt
+    missing = prompt_fingerprint(prompts.EXTRACT_CLAIMS.render(chunk=chunks[1].text))
+    responses = bundle / "mock_responses.jsonl"
+    lines = responses.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["fingerprint"] != missing]
+    assert len(kept) == len(lines) - 1
+    responses.write_text("".join(kept), encoding="utf-8")
+
+    out_path = bundle / "out" / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check",
+        "--article", str(bundle / "immune-boosters.md"),
+        "--mode", "lotr-srag",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"report written to {out_path}" in captured.out
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["entries"]  # the first chunk's claims were still checked
+    assert len(report["warnings"]) == 1
+    warning = report["warnings"][0]
+    assert warning.startswith("chunk ('immune-boosters', 1): claim extraction failed:")
+    assert f"warning: {warning}" in captured.err
 
 
 def test_check_corrupt_mock_fixtures(bundle, capsys):

@@ -24,7 +24,6 @@ from claimcheck.embedding import (
 )
 from claimcheck.errors import ConfigError, TransportError
 from claimcheck.lotr import (
-    EvidenceHit,
     MergingRetriever,
     RetrieverLeg,
     dedupe,
@@ -32,19 +31,13 @@ from claimcheck.lotr import (
     merge_interleave,
 )
 from claimcheck.transport import run_all
-from claimcheck.vecindex import VectorIndex
+from claimcheck.vecindex import Hit, VectorIndex
 from conftest import FakeResponse, RecordingEmbedder
 
 
-def hit(name: str, sim: float = 0.5, retriever: str = "r1", rank: int = 0) -> EvidenceHit:
+def hit(name: str, sim: float = 0.5, **meta) -> Hit:
     parent, _, seq = name.partition(":")
-    return EvidenceHit(
-        chunk_key=ChunkKey(parent, int(seq or 0)),
-        similarity=sim,
-        retriever_id=retriever,
-        source_rank=rank,
-        metadata={},
-    )
+    return Hit(chunk_key=ChunkKey(parent, int(seq or 0)), similarity=sim, metadata=meta)
 
 
 def names(hits) -> list[str]:
@@ -77,15 +70,15 @@ def test_interleave_empty_inputs():
 
 def test_dedupe_keeps_first_occurrence_with_max_similarity():
     hits = [
-        hit("x:1", sim=0.7, retriever="r1"),
-        hit("y:1", sim=0.6, retriever="r2"),
-        hit("x:1", sim=0.9, retriever="r2"),
-        hit("x:1", sim=0.5, retriever="r1"),
+        hit("x:1", sim=0.7, occurrence=1),
+        hit("y:1", sim=0.6, occurrence=2),
+        hit("x:1", sim=0.9, occurrence=3),
+        hit("x:1", sim=0.5, occurrence=4),
     ]
     result = dedupe(hits)
     assert [tuple(h.chunk_key) for h in result] == [("x", 1), ("y", 1)]
     assert result[0].similarity == 0.9  # annotated with the best duplicate
-    assert result[0].retriever_id == "r1"  # but it is still the first occurrence
+    assert result[0].metadata == {"occurrence": 1}  # but it is still the first occurrence
     assert result[1].similarity == 0.6
 
 
@@ -180,19 +173,27 @@ def test_retrieve_merges_and_dedupes_across_legs():
     bundle = make_retriever().retrieve("zinc lozenges for cold symptoms")
     keys = [h.chunk_key for h in bundle.hits]
     assert len(keys) == len(set(keys))  # same chunk from both legs appears once
-    assert {h.retriever_id for h in bundle.hits} <= {"m-a", "m-b"}
     assert bundle.hits[0].chunk_key.parent_id == "zinc"
-    assert bundle.provenance["retrievers"] == ["m-a", "m-b"]
-    assert bundle.provenance["degraded"] == []
-    assert bundle.provenance["warnings"] == []
-    assert bundle.provenance["reorder"] == "none"
+    assert bundle.warnings == ()
 
 
-def test_retrieve_annotates_rank_and_leg():
-    bundle = make_retriever().retrieve("vitamin d for infection prevention")
-    first_leg = [h for h in bundle.hits if h.retriever_id == "m-a"]
-    # source_rank is the within-leg rank, so present ranks are a prefix
-    assert sorted(h.source_rank for h in first_leg) == list(range(len(first_leg)))
+def leg_hits(retriever: MergingRetriever, leg: RetrieverLeg, text: str) -> list[Hit]:
+    """What ``leg``'s index alone answers for ``text`` under the retriever's settings."""
+    return leg.index.mmr_select(
+        leg.embedder.embed([text])[0],
+        k=retriever.k,
+        pool_size=retriever.pool_size,
+        lambda_=retriever.lambda_,
+        min_similarity=retriever.min_similarity,
+    )
+
+
+def test_one_leg_without_reorder_returns_the_index_hits_as_they_are():
+    leg = build_leg("m-a", 1, TEXTS)
+    retriever = MergingRetriever([leg], k=3, lambda_=0.5, min_similarity=-1.0, pool_size=4, reorder="none")
+    bundle = retriever.retrieve("vitamin d for infection prevention")
+    assert bundle.hits == tuple(leg_hits(retriever, leg, "vitamin d for infection prevention"))
+    assert bundle.warnings == ()
 
 
 def test_retrieve_applies_reorder():
@@ -215,10 +216,11 @@ def test_retrieve_degrades_when_one_leg_is_down():
     retriever = MergingRetriever(legs, k=3, min_similarity=-1.0, pool_size=4)
     bundle = retriever.retrieve("zinc lozenges")
     assert bundle.hits  # survived on the healthy leg
-    assert all(h.retriever_id == "m-b" for h in bundle.hits)
-    assert bundle.provenance["degraded"] == ["dead"]
-    assert "degraded" in bundle.provenance["warnings"][0]
-    assert "dead" in bundle.provenance["warnings"][0]
+    healthy = leg_hits(retriever, legs[1], "zinc lozenges")
+    assert [h.chunk_key for h in bundle.hits] == [h.chunk_key for h in long_context_reorder(healthy)]
+    assert len(bundle.warnings) == 1
+    assert "degraded" in bundle.warnings[0]
+    assert "dead" in bundle.warnings[0]
 
 
 def test_retrieve_fails_when_all_legs_are_down():

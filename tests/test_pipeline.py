@@ -25,7 +25,7 @@ from claimcheck.config import RefinementConfig, load_config
 from claimcheck.corpus import ArticleText, ChunkKey, load_article
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
-from claimcheck.lotr import EvidenceBundle, EvidenceHit, MergingRetriever, RetrieverLeg
+from claimcheck.lotr import EvidenceBundle, MergingRetriever, RetrieverLeg
 from claimcheck.pipeline import (
     TERMINAL_DONE,
     TERMINAL_ERROR,
@@ -36,25 +36,19 @@ from claimcheck.pipeline import (
     report_to_dict,
 )
 from claimcheck.prompts import SCORE_RETRY_SUFFIX
-from claimcheck.vecindex import VectorIndex
+from claimcheck.vecindex import Hit, VectorIndex
 from conftest import FakeResponse, QueueBackend, RecordingEmbedder, RuleBackend, make_run_config
 
 YES = '{"score": "yes"}'
 NO = '{"score": "no"}'
 
 
-def hit(parent: str, seq: int = 0, sim: float = 0.9, **meta) -> EvidenceHit:
+def hit(parent: str, seq: int = 0, sim: float = 0.9, **meta) -> Hit:
     meta.setdefault("text", f"evidence text from {parent}")
     meta.setdefault("title", f"Study {parent.upper()}")
     meta.setdefault("authors", f"A. {parent.title()}")
     meta.setdefault("published_date", "2021-01-01")
-    return EvidenceHit(
-        chunk_key=ChunkKey(parent, seq),
-        similarity=sim,
-        retriever_id="leg-a",
-        source_rank=0,
-        metadata=meta,
-    )
+    return Hit(chunk_key=ChunkKey(parent, seq), similarity=sim, metadata=meta)
 
 
 class StubRetriever:
@@ -70,10 +64,7 @@ class StubRetriever:
         self.queries.append(text)
         hits = self.bundles.pop(0) if self.bundles else self.bundles_last
         self.bundles_last = hits
-        return EvidenceBundle(
-            hits=tuple(hits),
-            provenance={"retrievers": ["leg-a"], "degraded": [], "warnings": [], "reorder": "none"},
-        )
+        return EvidenceBundle(hits=tuple(hits))
 
 
 def make_pipeline(
