@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 
 from . import prompts
 from .corpus import Chunk, ChunkKey
-from .embedding import cosine_similarity
+from .embedding import cosine_similarity, memoize_remote
 from .errors import (
     BackendError,
     ClaimcheckError,
@@ -109,7 +109,9 @@ class RemoteChatBackend:
         try:
             text = payload["choices"][0]["message"]["content"]
             usage = payload.get("usage") or {}
-        except (KeyError, IndexError, TypeError) as exc:
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed chat response: {exc}") from exc
         if not isinstance(text, str) or not text.strip():
             raise BackendError(f"backend {self.config.model_id!r} returned an empty completion")
@@ -117,8 +119,8 @@ class RemoteChatBackend:
             text=text,
             prompt_fingerprint=prompt_fingerprint(prompt),
             model_id=self.config.model_id,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
         )
 
 
@@ -404,7 +406,11 @@ def _dedupe_exact(found: list[tuple[str, ChunkKey]]) -> list[tuple[str, ChunkKey
 
 
 class FactCheckAgents:
-    """The generator/grader/rewriter trio plus claim extraction."""
+    """The generator/grader/rewriter trio plus claim extraction.
+
+    A dedupe embedder that waits on an HTTP endpoint is put behind an
+    :class:`~.embedding.EmbeddingMemo`; one that already is keeps its memo.
+    """
 
     def __init__(
         self,
@@ -416,7 +422,7 @@ class FactCheckAgents:
         self.generator = generator
         self.grader = grader
         self.rewriter = rewriter
-        self.embedder = embedder
+        self.embedder = memoize_remote(embedder)
 
     # -- extraction ----------------------------------------------------
 

@@ -5,7 +5,9 @@ common hosted-embeddings wire format, and a fully deterministic local
 embedder used for offline runs and tests.  The deterministic embedder
 hashes whitespace tokens into pseudo-random directions and sums them, so
 texts sharing vocabulary land near each other while remaining a pure
-function of (text, dimension, seed).
+function of (text, dimension, seed).  Checking puts each remote embedder
+behind an :class:`EmbeddingMemo`, so a recurring claim text is posted
+once per model.
 """
 
 from __future__ import annotations
@@ -13,15 +15,19 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, ValidationError
-from .transport import JsonEndpoint, run_all
+from .transport import JsonEndpoint, remote_endpoint, run_all
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
+# about 12 MiB of rows per memo at 1 536 dimensions
+EMBEDDING_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -155,12 +161,17 @@ class RemoteEmbedder:
         batch = texts[offset : offset + MAX_BATCH]
         payload = self.endpoint.post({"model": self.spec.model_id, "input": batch})
         try:
-            rows = sorted(payload["data"], key=lambda d: d["index"])
-            vectors = np.array([row["embedding"] for row in rows])
+            indices = [row["index"] for row in payload["data"]]
+            vectors = np.array([row["embedding"] for row in payload["data"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(batch):
             raise ProtocolError(f"sent {len(batch)} texts, received {len(vectors)} embeddings")
+        # each row names its text: exactly the ints 0..n-1, once each
+        if any(type(i) is not int for i in indices) or sorted(indices) != list(range(len(batch))):
+            raise ProtocolError(
+                f"model {self.spec.model_id!r}: embedding indices are not 0..{len(batch) - 1} once each"
+            )
         # JSON numbers only: a string, boolean or null gives another dtype kind
         if vectors.dtype.kind not in "fi":
             raise ProtocolError(f"model {self.spec.model_id!r}: non-numeric embedding values")
@@ -169,7 +180,7 @@ class RemoteEmbedder:
                 f"model {self.spec.model_id!r}: expected dimension "
                 f"{self.spec.dimension}, received shape {vectors.shape[1:]}"
             )
-        out[offset : offset + len(batch)] = vectors
+        out[offset + np.array(indices)] = vectors
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts`` in batches of at most 64, posted concurrently.
@@ -180,7 +191,8 @@ class RemoteEmbedder:
         into one float64 matrix of shape ``(len(texts), dimension)``, row
         i being the vector of ``texts[i]``.  When batches fail, the
         earliest one's error is raised once every batch has finished.  A
-        non-numeric, misshapen or non-finite embedding is a
+        non-numeric, misshapen or non-finite embedding, and a batch whose
+        ``index`` values are not the ints 0..n-1 once each, is a
         :class:`ProtocolError`.
         """
         _check_texts(texts)
@@ -196,6 +208,59 @@ class RemoteEmbedder:
                 f"model {self.spec.model_id!r}: non-finite embedding for text {int(bad.argmax())}"
             )
         return out
+
+
+class EmbeddingMemo:
+    """Reuses a remote embedder's vectors for texts it has embedded before.
+
+    Rows are kept by text in a least-recently-used map of at most
+    ``EMBEDDING_MEMO_ENTRIES`` entries.  ``embed`` copies kept rows out
+    and posts only the distinct texts it does not hold, in one call to
+    the inner embedder; a row is kept only once that call has returned
+    it, so a failed call is asked again the next time.  Kept rows are
+    private copies, so no caller's matrix shares memory with the memo.
+    ``endpoint`` and ``spec`` are the inner embedder's.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.spec = inner.spec
+        self.endpoint = remote_endpoint(inner)
+        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """The inner embedder's ``(len(texts), dimension)`` float64 matrix."""
+        _check_texts(texts)
+        out = np.empty((len(texts), self.spec.dimension), np.float64)
+        missing: dict[str, list[int]] = {}
+        with self._lock:
+            for i, text in enumerate(texts):
+                row = self._rows.get(text)
+                if row is None:
+                    missing.setdefault(text, []).append(i)
+                else:
+                    self._rows.move_to_end(text)
+                    out[i] = row
+        if not missing:
+            return out
+        fresh = self.inner.embed(list(missing))
+        with self._lock:
+            for (text, positions), vector in zip(missing.items(), fresh):
+                out[positions] = vector
+                self._rows[text] = vector.copy()
+                self._rows.move_to_end(text)
+                if len(self._rows) > EMBEDDING_MEMO_ENTRIES:
+                    self._rows.popitem(last=False)
+        return out
+
+
+def memoize_remote(embedder):
+    """``embedder`` behind an :class:`EmbeddingMemo` when it waits on an
+    HTTP endpoint; an in-process embedder, or a memo, as it is."""
+    if isinstance(embedder, EmbeddingMemo) or remote_endpoint(embedder) is None:
+        return embedder
+    return EmbeddingMemo(embedder)
 
 
 def _check_texts(texts: list[str]) -> None:

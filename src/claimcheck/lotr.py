@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .corpus import ChunkKey
+from .embedding import memoize_remote
 from .errors import ConfigError, TransportError
 from .transport import remote_endpoint, run_all
 from .vecindex import DEFAULT_K, DEFAULT_LAMBDA, DEFAULT_POOL_SIZE, Hit, VectorIndex
@@ -93,7 +94,12 @@ class RetrieverLeg:
 
 
 class MergingRetriever:
-    """Dual-space retrieval with interleave, dedupe, and ends reordering."""
+    """Dual-space retrieval with interleave, dedupe, and ends reordering.
+
+    A leg whose embedder waits on an HTTP endpoint queries through an
+    :class:`~.embedding.EmbeddingMemo`, so a recurring claim text is
+    posted once per model.
+    """
 
     def __init__(
         self,
@@ -108,7 +114,7 @@ class MergingRetriever:
             raise ConfigError("retriever needs at least one leg")
         if reorder not in REORDER_MODES:
             raise ConfigError(f"unknown reorder mode {reorder!r}, expected one of {REORDER_MODES}")
-        self.legs = list(legs)
+        self.legs = [replace(leg, embedder=memoize_remote(leg.embedder)) for leg in legs]
         self.k = int(k)
         self.lambda_ = float(lambda_)
         self.min_similarity = float(min_similarity)

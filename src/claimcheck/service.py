@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 from .agents import FactCheckAgents, LlmBackend, build_backend
 from .config import RunConfig
 from .corpus import Chunk
-from .embedding import build_embedder
+from .embedding import build_embedder, memoize_remote
 from .errors import ConfigError
 from .lotr import MergingRetriever, RetrieverLeg
 from .pipeline import FactCheckPipeline
@@ -93,7 +93,11 @@ def build_agents(config: RunConfig, embedders: list, **backends: LlmBackend) -> 
 
 
 def build_pipeline(config: RunConfig, mode: str) -> FactCheckPipeline:
-    """A pipeline for ``mode``; only the retrieval modes load indexes."""
-    embedders = build_embedders(config)
+    """A pipeline for ``mode``; only the retrieval modes load indexes.
+
+    Claim dedupe and the first leg share one embedding memo, so a
+    first-round query reuses the claim's dedupe vector.
+    """
+    embedders = [memoize_remote(embedder) for embedder in build_embedders(config)]
     retriever = None if mode == "baseline" else build_retriever(config, embedders, load_indexes(config))
     return FactCheckPipeline(config, build_agents(config, embedders), retriever)

@@ -152,6 +152,29 @@ class RuleBackend:
         )
 
 
+class EmbeddingSession:
+    """A fake ``requests`` session serving the deterministic embedder's
+    vectors for ``spec`` over HTTP.  Every post waits at ``barrier``, when
+    there is one, and notes its input texts and the thread it runs on."""
+
+    def __init__(self, spec: EmbedderSpec, barrier: threading.Barrier | None = None):
+        self.local = DeterministicEmbedder(spec)
+        self.barrier = barrier
+        self.inputs: list[list[str]] = []
+        self.threads: list[int] = []
+        self._lock = threading.Lock()
+
+    def post(self, url, json, headers, timeout):
+        with self._lock:
+            self.inputs.append(list(json["input"]))
+            self.threads.append(threading.get_ident())
+        if self.barrier is not None:
+            self.barrier.wait()
+        vectors = self.local.embed(json["input"])
+        rows = [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]
+        return FakeResponse(200, {"data": rows})
+
+
 class RecordingEmbedder(DeterministicEmbedder):
     """The deterministic embedder, noting the thread each call runs on."""
 

@@ -24,8 +24,14 @@ from claimcheck.agents import (
     parse_verdict,
     prompt_fingerprint,
 )
-from claimcheck.corpus import Chunk, ChunkKey
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.corpus import ArticleText, Chunk, ChunkKey
+from claimcheck.embedding import (
+    DETERMINISTIC_ENDPOINT,
+    DeterministicEmbedder,
+    EmbedderSpec,
+    EmbeddingMemo,
+    RemoteEmbedder,
+)
 from claimcheck.errors import (
     BackendError,
     ConfigError,
@@ -35,7 +41,8 @@ from claimcheck.errors import (
     TransportError,
     ValidationError,
 )
-from conftest import FakeResponse, QueueBackend, RuleBackend
+from claimcheck.pipeline import FactCheckPipeline
+from conftest import EmbeddingSession, FakeResponse, QueueBackend, RuleBackend, make_run_config
 
 KEY = ChunkKey("a1", 0)
 
@@ -246,6 +253,19 @@ def test_remote_chat_gives_up_after_max_attempts(http_stub):
 
 def test_remote_chat_malformed_response_is_not_retried(http_stub):
     http_stub.responses.append((200, {"choices": []}))
+    backend = RemoteChatBackend(chat_config(http_stub.url), base_delay=0.001)
+    with pytest.raises(ProtocolError, match="malformed chat response"):
+        backend.complete("p")
+    assert len(http_stub.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [{"prompt_tokens": None}, [1], {"prompt_tokens": "12a"}, {"completion_tokens": 1e999}],
+    ids=["null-tokens", "usage-list", "text-tokens", "infinite-tokens"],
+)
+def test_remote_chat_malformed_usage_is_a_protocol_error(http_stub, usage):
+    http_stub.responses.append((200, {**chat_payload("yes"), "usage": usage}))
     backend = RemoteChatBackend(chat_config(http_stub.url), base_delay=0.001)
     with pytest.raises(ProtocolError, match="malformed chat response"):
         backend.complete("p")
@@ -631,6 +651,31 @@ def test_extract_claims_failed_dedupe_embedding_drops_exact_repeats():
     assert warnings == [
         "claim dedupe embedding failed: model 'h': non-numeric embedding values; only exact repeats dropped"
     ]
+
+
+def test_agents_keep_one_dedupe_memo_across_pipelines(tmp_path):
+    spec = EmbedderSpec(model_id="h", dimension=32, endpoint="http://embeddings.invalid/v1", seed=7)
+    session = EmbeddingSession(spec)
+    remote = RemoteEmbedder(spec, session=session, sleep=lambda s: None)
+
+    def rule(prompt: str) -> str:
+        if prompt.startswith("You are a careful reader"):
+            return "Zinc cures colds.\nGarlic prevents flu."
+        return "Unverifiable. The article cites no evidence."
+
+    agents = FactCheckAgents(
+        generator=RuleBackend(rule), grader=QueueBackend([]), rewriter=QueueBackend([]), embedder=remote
+    )
+    assert isinstance(agents.embedder, EmbeddingMemo) and agents.embedder.inner is remote
+    assert type(agents_with().embedder) is DeterministicEmbedder  # in-process: not wrapped
+    # every pipeline rebuilds the agents around its usage counter, and keeps the memo
+    pipelines = [FactCheckPipeline(make_run_config(tmp_path), agents, None) for _ in range(2)]
+    assert all(pipeline.agents.embedder is agents.embedder for pipeline in pipelines)
+    article = ArticleText(id="art", body="Zinc cures colds. Garlic prevents flu.")
+    reports = [pipeline.check_article(article, "baseline") for pipeline in pipelines]
+    claims = ["Zinc cures colds.", "Garlic prevents flu."]
+    assert [[e.claim.text for e in report.entries] for report in reports] == [claims, claims]
+    assert session.inputs == [claims]
 
 
 def test_claim_requires_text():

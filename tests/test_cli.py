@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import cli, corpus, prompts
+from claimcheck import cli, corpus, embedding, prompts
 from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
+from claimcheck.embedding import DeterministicEmbedder
 from conftest import RuleBackend
 
 
@@ -270,6 +271,66 @@ def test_check_writes_a_partial_report_and_exits_1_when_a_chunk_was_skipped(bund
     warning = report["warnings"][0]
     assert warning.startswith("chunk ('immune-boosters', 1): claim extraction failed:")
     assert f"warning: {warning}" in captured.err
+
+
+def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
+    bundle, http_stub, monkeypatch, capsys
+):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(
+        text.replace("endpoint: deterministic-test", f"endpoint: {http_stub.url}"), encoding="utf-8"
+    )
+    # the stub serves each model's deterministic vectors, so retrieval and
+    # the scripted answers are those of the offline run
+    local = {spec.model_id: DeterministicEmbedder(spec) for spec in load_config(config).embedders}
+
+    def answer(body):
+        vectors = local[body["model"]].embed(body["input"])
+        return 200, {"data": [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]}
+
+    http_stub.default = answer
+    memos: list = []
+    make_memo = embedding.EmbeddingMemo.__init__
+
+    def spy(memo, inner):
+        memos.append(memo)
+        make_memo(memo, inner)
+
+    monkeypatch.setattr(embedding.EmbeddingMemo, "__init__", spy)
+    build_index(bundle)
+    assert memos == []  # build-index embeds unique chunks and fills no memo
+    http_stub.requests.clear()
+    out_path = bundle / "report.json"
+    code = run(
+        "--config", str(config),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag",
+        "--out", str(out_path),
+    )
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    golden = json.loads((bundle / "golden" / "report_lotr_srag.json").read_text(encoding="utf-8"))
+    for spec in report["config"]["embedders"]:
+        assert spec.pop("endpoint") == http_stub.url
+    for spec in golden["config"]["embedders"]:
+        spec.pop("endpoint")
+    assert report == golden
+
+    posted: dict[str, list[list[str]]] = {model: [] for model in local}
+    for _, _, body in http_stub.requests:
+        posted[body["model"]].append(body["input"])
+    for model, inputs in posted.items():
+        texts = sum(inputs, [])
+        assert len(texts) == len(set(texts)), f"{model} was posted a text twice"
+    # extraction's dedupe post comes first; leg 0's first-round queries
+    # reuse its vectors, so no later post to that model repeats one of its texts
+    [dedupe, *later] = posted["hash-256"]
+    first_round = {e["claim"]["text"] for e in report["entries"] if e["claim"]["rewritten_from"] is None}
+    assert first_round <= set(dedupe)
+    assert set(dedupe).isdisjoint(sum(later, []))
+    assert first_round <= set(sum(posted["hash-384"], []))
+    assert len(memos) == 2  # one per model: claim dedupe shares the first leg's
 
 
 def test_check_corrupt_mock_fixtures(bundle, capsys):

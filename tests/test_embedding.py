@@ -1,7 +1,9 @@
-"""Deterministic embedder properties and the remote client contract."""
+"""Deterministic embedder properties, the remote client contract and the
+embedding memo."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,16 +16,18 @@ from claimcheck.embedding import (
     MAX_BATCH,
     DeterministicEmbedder,
     EmbedderSpec,
+    EmbeddingMemo,
     RemoteEmbedder,
     build_embedder,
     checked_norm,
     cosine_similarity,
     deterministic_test_embedder,
+    memoize_remote,
     unit_normalize,
 )
 from claimcheck.errors import ConfigError, ProtocolError, TransportError, ValidationError
 from claimcheck.transport import MAX_ATTEMPTS
-from conftest import FakeResponse
+from conftest import EmbeddingSession, FakeResponse
 
 
 def spec(**overrides) -> EmbedderSpec:
@@ -313,6 +317,30 @@ def test_remote_embed_count_mismatch(http_stub):
         remote(http_stub).embed(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[0, 0], [0, 5], [str(i) for i in range(12)], [1.0, 0], [True, 0]],
+    ids=["duplicate", "gap", "12-strings", "float", "bool"],
+)
+def test_remote_embed_rejects_indices_other_than_0_to_n(http_stub, indices):
+    # as text, "10" and "11" sort before "2": sorting string indices would
+    # hand text 10's vector to text 2
+    rows = [{"index": index, "embedding": [float(i)] * 4} for i, index in enumerate(indices)]
+    http_stub.responses = [(200, {"data": rows})]
+    texts = [f"t{i}" for i in range(len(indices))]
+    with pytest.raises(ProtocolError, match="indices are not 0"):
+        remote(http_stub).embed(texts)
+    assert len(http_stub.requests) == 1  # not retried
+
+
+def test_remote_embed_places_rows_by_index(http_stub):
+    order = [10, 2, 11, 0, 1, 3, 4, 5, 6, 7, 8, 9]
+    rows = [{"index": i, "embedding": [float(i)] * 4} for i in order]
+    http_stub.responses = [(200, {"data": rows})]
+    vectors = remote(http_stub).embed([f"t{i}" for i in range(12)])
+    assert vectors[:, 0].tolist() == [float(i) for i in range(12)]
+
+
 def test_remote_embed_dimension_mismatch(http_stub):
     http_stub.responses = [(200, {"data": [{"index": 0, "embedding": [1.0, 2.0]}]})]
     with pytest.raises(ProtocolError, match="expected dimension 4"):
@@ -366,3 +394,135 @@ def test_remote_embed_api_key(http_stub, monkeypatch):
     client.embed(["a"])
     _, headers, _ = http_stub.requests[0]
     assert headers["Authorization"] == "Bearer s3cret"
+
+
+# -- embedding memo -----------------------------------------------------------
+
+
+class FlakySession(EmbeddingSession):
+    """:class:`EmbeddingSession` at dimension 4; while ``failure`` is set,
+    every post answers with it: ``"null"`` gives a malformed embedding, a
+    number that HTTP status."""
+
+    def __init__(self):
+        super().__init__(spec(dimension=4))
+        self.failure: str | int | None = None
+
+    def post(self, url, json, headers, timeout):
+        if self.failure is None:
+            return super().post(url, json, headers, timeout)
+        self.inputs.append(list(json["input"]))
+        if self.failure == "null":
+            rows = [{"index": i, "embedding": None} for i in range(len(json["input"]))]
+            return FakeResponse(200, {"data": rows})
+        return FakeResponse(self.failure, {})
+
+
+def memo_over(session: EmbeddingSession) -> EmbeddingMemo:
+    return EmbeddingMemo(
+        RemoteEmbedder(
+            spec(endpoint="http://embeddings.invalid/v1", dimension=4),
+            session=session,
+            base_delay=0.001,
+            sleep=lambda s: None,
+        )
+    )
+
+
+def test_embedding_memo_hit_posts_nothing():
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    first = memo.embed(["zinc cures colds", "garlic prevents flu"])
+    again = memo.embed(["garlic prevents flu", "zinc cures colds"])
+    assert session.inputs == [["zinc cures colds", "garlic prevents flu"]]
+    assert np.array_equal(again, first[::-1])
+    assert again.dtype == np.float64 and again.flags.c_contiguous
+
+
+def test_embedding_memo_posts_only_the_distinct_missing_texts_in_input_order():
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    memo.embed(["a", "b"])
+    texts = ["c", "a", "d", "c", "b", "d"]
+    vectors = memo.embed(texts)
+    assert session.inputs == [["a", "b"], ["c", "d"]]
+    assert np.array_equal(vectors, session.local.embed(texts))
+    assert memo.embed([]).shape == (0, 4)
+    assert len(session.inputs) == 2
+
+
+@pytest.mark.parametrize("failure,error", [(500, TransportError), ("null", ProtocolError)])
+def test_embedding_memo_keeps_nothing_from_a_failed_call(failure, error):
+    session = FlakySession()
+    memo = memo_over(session)
+    memo.embed(["a"])
+    session.failure = failure
+    with pytest.raises(error):
+        memo.embed(["a", "b"])
+    posted = len(session.inputs)
+    assert session.inputs[-1] == ["b"]
+    session.failure = None
+    assert np.array_equal(memo.embed(["b", "a"]), session.local.embed(["b", "a"]))
+    assert memo.embed(["b"]).shape == (1, 4)
+    assert session.inputs[posted:] == [["b"]]
+
+
+def test_embedding_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr("claimcheck.embedding.EMBEDDING_MEMO_ENTRIES", 2)
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    for text in ("a", "b", "a", "c", "a", "b"):
+        memo.embed([text])
+    # "a" was used again before "c" arrived, so "b" was the one evicted
+    assert session.inputs == [["a"], ["b"], ["c"], ["b"]]
+
+
+def test_embedding_memo_answers_do_not_share_memory():
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    expected = session.local.embed(["a"])
+    memo.embed(["a"])[:] = 0.0  # the answer to a miss
+    memo.embed(["a"])[:] = 0.0  # the answer to a hit
+    assert np.array_equal(memo.embed(["a"]), expected)
+    assert len(session.inputs) == 1
+
+
+def test_memoize_remote_wraps_only_remote_embedders_and_only_once():
+    local = DeterministicEmbedder(spec())
+    assert memoize_remote(local) is local
+    remote_embedder = RemoteEmbedder(spec(endpoint="http://embeddings.invalid/v1"))
+    memo = memoize_remote(remote_embedder)
+    assert isinstance(memo, EmbeddingMemo) and memo.inner is remote_embedder
+    assert memo.endpoint is remote_embedder.endpoint and memo.spec is remote_embedder.spec
+    assert memoize_remote(memo) is memo
+
+
+def test_embedding_memo_stays_consistent_under_threads(monkeypatch):
+    monkeypatch.setattr("claimcheck.embedding.EMBEDDING_MEMO_ENTRIES", 3)
+    pool = [f"text {i}" for i in range(6)]
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    expected = {text: session.local.embed([text])[0] for text in pool}
+    wrong: list[str] = []
+
+    def call(offset: int) -> None:
+        for n in range(200):
+            texts = [pool[(offset + n * (offset + 1) + k) % len(pool)] for k in range(2)]
+            for text, vector in zip(texts, memo.embed(texts)):
+                if not np.array_equal(vector, expected[text]):
+                    wrong.append(text)
+
+    # more threads than cores, switching often, with evictions: a race on
+    # the map would show as a crossed row, an exception or a long map
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as callers:
+            futures = [callers.submit(call, i) for i in range(8)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(memo._rows) <= 3
+    assert len(session.inputs) < 8 * 200

@@ -20,6 +20,7 @@ from claimcheck.embedding import (
     MAX_BATCH,
     DeterministicEmbedder,
     EmbedderSpec,
+    EmbeddingMemo,
     RemoteEmbedder,
 )
 from claimcheck.errors import ConfigError, TransportError
@@ -32,7 +33,7 @@ from claimcheck.lotr import (
 )
 from claimcheck.transport import run_all
 from claimcheck.vecindex import Hit, VectorIndex
-from conftest import FakeResponse, RecordingEmbedder
+from conftest import EmbeddingSession, RecordingEmbedder
 
 
 def hit(name: str, sim: float = 0.5, **meta) -> Hit:
@@ -258,25 +259,6 @@ def test_retrieve_runs_in_process_legs_in_the_callers_thread(monkeypatch):
     assert [leg.embedder.threads for leg in legs] == [[threading.get_ident()]] * 2
 
 
-class EmbeddingSession:
-    """A fake ``requests`` session serving the deterministic embedder's
-    vectors over HTTP.  Every post waits at ``barrier``, when there is one,
-    and notes the thread it runs on."""
-
-    def __init__(self, spec: EmbedderSpec, barrier: threading.Barrier | None = None):
-        self.local = DeterministicEmbedder(spec)
-        self.barrier = barrier
-        self.threads: list[int] = []
-
-    def post(self, url, json, headers, timeout):
-        self.threads.append(threading.get_ident())
-        if self.barrier is not None:
-            self.barrier.wait()
-        vectors = self.local.embed(json["input"])
-        rows = [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]
-        return FakeResponse(200, {"data": rows})
-
-
 def remote_leg(model_id: str, seed: int, barrier=None, **transport) -> tuple[RetrieverLeg, EmbeddingSession]:
     """``build_leg``'s leg with its embedder behind HTTP."""
     leg = build_leg(model_id, seed, TEXTS)
@@ -351,3 +333,19 @@ def test_repeated_set_ups_do_not_accumulate_pool_threads():
     while threading.active_count() > before + 2 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= before + 2
+
+
+def test_retriever_puts_only_remote_leg_embedders_behind_a_memo():
+    local = build_leg("m-a", 1, TEXTS)
+    remote, session = remote_leg("m-b", 2)
+    retriever = MergingRetriever([local, remote], k=3, min_similarity=-1.0, pool_size=4, reorder="none")
+    in_process, memoized = retriever.legs
+    assert in_process.embedder is local.embedder
+    assert isinstance(memoized.embedder, EmbeddingMemo) and memoized.embedder.inner is remote.embedder
+    first = retriever.retrieve("zinc lozenges for cold symptoms")
+    assert first == make_retriever().retrieve("zinc lozenges for cold symptoms")
+    assert retriever.retrieve("zinc lozenges for cold symptoms") == first
+    assert session.inputs == [["zinc lozenges for cold symptoms"]]
+    # a retriever over legs that already query through a memo keeps it
+    again = MergingRetriever(retriever.legs, k=3, min_similarity=-1.0, pool_size=4, reorder="none")
+    assert again.legs[1].embedder is memoized.embedder

@@ -384,9 +384,10 @@ def doc_parent(prompt: str) -> str | None:
 class ChatSession:
     """A fake ``requests`` session behind a remote chat backend: answers
     each chat-completions post with ``rule(prompt)``, which returns the
-    completion text or an HTTP status to fail with, and counts the posts
-    in flight.  Token usage is counted as the in-process test backends
-    count it: words of the prompt and of the completion."""
+    completion text, a (text, usage) pair or an HTTP status to fail with,
+    and counts the posts in flight.  Token usage, unless given, is counted
+    as the in-process test backends count it: words of the prompt and of
+    the completion."""
 
     def __init__(self, rule):
         self.rule = rule
@@ -406,7 +407,10 @@ class ChatSession:
                 self.in_flight -= 1
         if isinstance(answer, int):
             return FakeResponse(answer, {})
-        usage = {"prompt_tokens": len(prompt.split()), "completion_tokens": len(answer.split())}
+        if isinstance(answer, tuple):
+            answer, usage = answer
+        else:
+            usage = {"prompt_tokens": len(prompt.split()), "completion_tokens": len(answer.split())}
         return FakeResponse(200, {"choices": [{"message": {"content": answer}}], "usage": usage})
 
 
@@ -718,6 +722,29 @@ def test_check_article_one_failing_claim_does_not_abort(tmp_path):
     assert failed.trace.terminal_state == TERMINAL_ERROR
     assert failed.explanation.startswith("Verification failed:")
     assert any("claim failed" in n for n in failed.trace.notes)
+
+
+@pytest.mark.parametrize("usage", [{"prompt_tokens": None}, [1], {"prompt_tokens": "12a"}])
+def test_check_article_malformed_grader_usage_fails_only_that_claim(tmp_path, usage):
+    def rule(prompt: str):
+        if doc_parent(prompt) is None and "Bad claim explodes." in prompt:
+            return YES, usage  # the answer grade of the second claim
+        return YES
+
+    pipeline, _ = make_pipeline(
+        tmp_path,
+        srag_generator(["Good claim stands.", "Bad claim explodes."]),
+        remote_grader(ChatSession(rule)),
+        bundles=[[hit("a")], [hit("a")]],
+        concurrency=1,
+    )
+    report = pipeline.check_article(ARTICLE, "lotr_srag")
+    good, bad = report.entries
+    assert good.trace.terminal_state == TERMINAL_DONE
+    assert good.label is VerdictLabel.TRUE
+    assert bad.trace.terminal_state == TERMINAL_ERROR
+    assert bad.label is VerdictLabel.UNVERIFIABLE
+    assert bad.explanation.startswith("Verification failed: malformed chat response:")
 
 
 class NullEmbeddingSession:
