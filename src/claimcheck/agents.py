@@ -8,15 +8,17 @@ pipeline runs reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import re
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from . import prompts
 from .corpus import Chunk, ChunkKey
@@ -164,9 +166,6 @@ class ScriptedBackend:
                     + "\n"
                 )
 
-    def register(self, prompt: str, response: str) -> None:
-        self._responses[prompt_fingerprint(prompt)] = response
-
     def complete(self, prompt: str) -> RawAnswer:
         fingerprint = prompt_fingerprint(prompt)
         if fingerprint not in self._responses:
@@ -219,6 +218,43 @@ class GradeMemo:
                 if len(self._answers) > GRADE_MEMO_ENTRIES:
                     self._answers.popitem(last=False)
         return answer
+
+
+# the usage totals of the count_usage() block in progress; None outside one
+_usage: contextvars.ContextVar[dict[str, int] | None] = contextvars.ContextVar(
+    "claimcheck_usage", default=None
+)
+_usage_lock = threading.Lock()
+
+
+@contextmanager
+def count_usage() -> Iterator[dict[str, int]]:
+    """Totals of the completions :class:`FactCheckAgents` makes in the block.
+
+    Yields a dict of ``backend_calls``, ``prompt_tokens`` and
+    ``completion_tokens`` that every completion made in this context, or
+    in a thread running a copy of it, adds to until the block exits.  A
+    completion that raises adds nothing.  Each block counts its own calls
+    alone, so checks that run at the same time never see each other's.
+    """
+    totals = {"backend_calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
+    token = _usage.set(totals)
+    try:
+        yield totals
+    finally:
+        _usage.reset(token)
+
+
+def _complete(backend: LlmBackend, prompt: str) -> RawAnswer:
+    """``backend.complete(prompt)``, added to the open :func:`count_usage` totals."""
+    answer = backend.complete(prompt)
+    totals = _usage.get()
+    if totals is not None:
+        with _usage_lock:
+            totals["backend_calls"] += 1
+            totals["prompt_tokens"] += answer.prompt_tokens
+            totals["completion_tokens"] += answer.completion_tokens
+    return answer
 
 
 def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = None) -> LlmBackend:
@@ -408,8 +444,10 @@ def _dedupe_exact(found: list[tuple[str, ChunkKey]]) -> list[tuple[str, ChunkKey
 class FactCheckAgents:
     """The generator/grader/rewriter trio plus claim extraction.
 
-    A dedupe embedder that waits on an HTTP endpoint is put behind an
-    :class:`~.embedding.EmbeddingMemo`; one that already is keeps its memo.
+    Every completion is added to the totals of the :func:`count_usage`
+    block it runs in, if any.  A dedupe embedder that waits on an HTTP
+    endpoint is put behind an :class:`~.embedding.EmbeddingMemo`; one
+    that already is keeps its memo.
     """
 
     def __init__(
@@ -481,10 +519,10 @@ class FactCheckAgents:
         """The chunk's claim listing, asked once more with a stricter
         prompt if unparseable; None if it stays unparseable."""
         prompt = prompts.EXTRACT_CLAIMS.render(chunk=chunk.text)
-        lines = parse_listed_lines(self.generator.complete(prompt).text)
+        lines = parse_listed_lines(_complete(self.generator, prompt).text)
         if lines is None:
             retry = prompt + prompts.CLAIMS_RETRY_SUFFIX
-            lines = parse_listed_lines(self.generator.complete(retry).text)
+            lines = parse_listed_lines(_complete(self.generator, retry).text)
         return lines
 
     # -- generation ----------------------------------------------------
@@ -502,18 +540,18 @@ class FactCheckAgents:
 
     def generate_answer(self, claim: Claim, context: str) -> RawAnswer:
         prompt = prompts.GENERATE_ANSWER.render(question=claim.text, context=context)
-        return self.generator.complete(prompt)
+        return _complete(self.generator, prompt)
 
     def baseline_answer(self, claim: Claim, article_body: str) -> RawAnswer:
         prompt = prompts.BASELINE_CHECK.render(question=claim.text, context=article_body)
-        return self.generator.complete(prompt)
+        return _complete(self.generator, prompt)
 
     # -- grading -------------------------------------------------------
 
     def _graded_score(self, prompt: str, what: str) -> bool:
-        verdict = parse_score(self.grader.complete(prompt).text)
+        verdict = parse_score(_complete(self.grader, prompt).text)
         if verdict is None:
-            verdict = parse_score(self.grader.complete(prompt + prompts.SCORE_RETRY_SUFFIX).text)
+            verdict = parse_score(_complete(self.grader, prompt + prompts.SCORE_RETRY_SUFFIX).text)
         if verdict is None:
             raise GradingError(f"{what}: grader output unparseable after reformat retry")
         return verdict
@@ -531,7 +569,7 @@ class FactCheckAgents:
     def rewrite_claim(self, claim: Claim, rewrite_number: int) -> Claim:
         """A retrieval-optimized restatement linked back to its original."""
         prompt = prompts.REWRITE_CLAIM.render(question=claim.text)
-        text = self.rewriter.complete(prompt).text.strip()
+        text = _complete(self.rewriter, prompt).text.strip()
         text = " ".join(text.split())
         if not text:
             raise RewriteError(f"rewriter returned an empty rewrite for {claim.id!r}")

@@ -48,24 +48,11 @@ def merge_interleave(hit_lists: Sequence[Sequence[Hit]]) -> list[Hit]:
 
 
 def dedupe(hits: Sequence[Hit]) -> list[Hit]:
-    """Drop repeated chunk keys, keeping the first occurrence.
-
-    The survivor is annotated with the maximum similarity seen across
-    its duplicates (a display value; similarities from different
-    embedding spaces are not otherwise comparable).  Idempotent.
-    """
-    best: dict[ChunkKey, float] = {}
-    order: list[Hit] = []
+    """Drop repeated chunk keys, keeping the first occurrence.  Idempotent."""
+    first: dict[ChunkKey, Hit] = {}
     for hit in hits:
-        if hit.chunk_key not in best:
-            best[hit.chunk_key] = hit.similarity
-            order.append(hit)
-        elif hit.similarity > best[hit.chunk_key]:
-            best[hit.chunk_key] = hit.similarity
-    return [
-        hit if hit.similarity == best[hit.chunk_key] else replace(hit, similarity=best[hit.chunk_key])
-        for hit in order
-    ]
+        first.setdefault(hit.chunk_key, hit)
+    return list(first.values())
 
 
 def long_context_reorder(hits: Sequence[Hit], mode: str = "ends") -> list[Hit]:

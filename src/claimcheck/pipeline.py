@@ -19,14 +19,14 @@ article.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .agents import Claim, FactCheckAgents, ParsedVerdict, RawAnswer, VerdictLabel, parse_verdict
+from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, parse_verdict
 from .config import MODES, RunConfig
 from .corpus import ArticleText, ChunkKey, chunk_text
 from .errors import ClaimcheckError, ConfigError, GradingError, ValidationError
@@ -84,38 +84,6 @@ class Report:
     timing_seconds: float | None = None  # kept out of the canonical JSON
 
 
-class _UsageCounter:
-    """Thread-safe running totals of backend calls and tokens."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._totals = {"backend_calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
-
-    def add(self, answer: RawAnswer) -> None:
-        with self._lock:
-            self._totals["backend_calls"] += 1
-            self._totals["prompt_tokens"] += answer.prompt_tokens
-            self._totals["completion_tokens"] += answer.completion_tokens
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._totals)
-
-
-class _CountingBackend:
-    """Records every completion of ``inner`` in a shared usage counter."""
-
-    def __init__(self, inner, usage: _UsageCounter):
-        self.inner = inner
-        self.usage = usage
-        self.endpoint = remote_endpoint(inner)
-
-    def complete(self, prompt: str) -> RawAnswer:
-        answer = self.inner.complete(prompt)
-        self.usage.add(answer)
-        return answer
-
-
 def _hit_text(hit: Hit) -> str:
     return str(hit.metadata.get("text", ""))
 
@@ -151,19 +119,13 @@ class FactCheckPipeline:
         retriever: MergingRetriever | None,
     ):
         self.config = config
+        self.agents = agents
         self.retriever = retriever
         models = [agents.generator, agents.grader, agents.rewriter, agents.embedder]
         if retriever is not None:
             models.extend(leg.embedder for leg in retriever.legs)
         # claims overlap only where some call waits on an HTTP endpoint
         self._any_remote = any(remote_endpoint(model) is not None for model in models)
-        self._usage = _UsageCounter()
-        self.agents = FactCheckAgents(
-            generator=_CountingBackend(agents.generator, self._usage),
-            grader=_CountingBackend(agents.grader, self._usage),
-            rewriter=_CountingBackend(agents.rewriter, self._usage),
-            embedder=agents.embedder,
-        )
 
     # -- per-claim flows -------------------------------------------------
 
@@ -359,15 +321,13 @@ class FactCheckPipeline:
         one after another in the caller's thread; so is an article whose
         pool would have one worker.
 
-        ``token_usage`` counts the backend calls made during this call, so
-        a pipeline reused across articles reports each article's own usage.
-        Calls made by another check on the same pipeline while this one
-        runs are counted here as well.
+        ``token_usage`` counts the backend calls this call makes, in its
+        own context: checks that share the pipeline, one after another or
+        at the same time, each report their own calls.
         """
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         start = time.perf_counter()
-        before = self._usage.snapshot()
         warnings: list[str] = []
         chunks = chunk_text(
             article.id,
@@ -375,15 +335,21 @@ class FactCheckPipeline:
             self.config.chunking.article_chunk_size,
             self.config.chunking.article_overlap,
         )
-        claims = self.agents.extract_claims(article.id, chunks, warnings=warnings)
-        workers = min(self.config.concurrency, len(claims))
-        if self._any_remote and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                entries = list(pool.map(lambda c: self._verify_safely(c, article, mode), claims))
-        else:
-            entries = [self._verify_safely(c, article, mode) for c in claims]
-        after = self._usage.snapshot()
-        token_usage = {key: after[key] - before[key] for key in after}
+        with count_usage() as token_usage:
+            claims = self.agents.extract_claims(article.id, chunks, warnings=warnings)
+            workers = min(self.config.concurrency, len(claims))
+            if self._any_remote and workers > 1:
+                # each claim runs in its own copy of this context, which
+                # carries the usage totals into the pool's threads; one
+                # Context cannot be entered by two threads at once
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(contextvars.copy_context().run, self._verify_safely, c, article, mode)
+                        for c in claims
+                    ]
+                entries = [future.result() for future in futures]
+            else:
+                entries = [self._verify_safely(c, article, mode) for c in claims]
         return Report(
             article_id=article.id,
             mode=mode,

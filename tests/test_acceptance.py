@@ -202,8 +202,7 @@ def test_dedupe_and_reorder_bulk_properties():
         assert len(keys) == len(set(keys))
         assert set(keys) == {h.chunk_key for h in hits}
         for kept in once:
-            duplicates = [h for h in hits if h.chunk_key == kept.chunk_key]
-            assert kept.similarity == max(h.similarity for h in duplicates)
+            assert kept is next(h for h in hits if h.chunk_key == kept.chunk_key)  # first occurrence
         reordered = long_context_reorder(once)
         assert sorted(h.chunk_key for h in reordered) == sorted(keys)  # permutation
         if len(once) >= 2:

@@ -20,6 +20,7 @@ from claimcheck.agents import (
     ScriptedBackend,
     VerdictLabel,
     build_backend,
+    count_usage,
     parse_score,
     parse_verdict,
     prompt_fingerprint,
@@ -158,9 +159,8 @@ def test_parse_score(text, expected):
 # -- ScriptedBackend ----------------------------------------------------------
 
 
-def test_scripted_register_and_complete():
-    backend = ScriptedBackend(model_id="m")
-    backend.register("hello", "world and more")
+def test_scripted_complete_replays_by_fingerprint():
+    backend = ScriptedBackend({prompt_fingerprint("hello"): "world and more"}, model_id="m")
     answer = backend.complete("hello")
     assert answer.text == "world and more"
     assert answer.model_id == "m"
@@ -182,9 +182,7 @@ def test_scripted_empty_completion():
 
 
 def test_scripted_save_round_trip(tmp_path):
-    backend = ScriptedBackend()
-    backend.register("p1", "r1")
-    backend.register("p2", "r2")
+    backend = ScriptedBackend({prompt_fingerprint("p1"): "r1", prompt_fingerprint("p2"): "r2"})
     path = tmp_path / "mock.jsonl"
     backend.save(path)
     reloaded = ScriptedBackend.from_file(path)
@@ -490,6 +488,35 @@ def test_grade_memo_stays_consistent_under_threads(monkeypatch):
     assert len(memo._answers) <= 3
     assert set(session.posts) == set(pool)
     assert len(session.posts) < 8 * 300
+
+
+# -- usage counting -----------------------------------------------------------
+
+
+def test_count_usage_totals_the_completions_of_its_own_block():
+    def grade(prompt: str) -> str:
+        if "doc b" in prompt:
+            raise BackendError("grader down")
+        return YES
+
+    memo = GradeMemo(RuleBackend(grade))
+    agents = agents_with(grader=memo)
+    with count_usage() as usage:
+        assert agents.grade_document(claim(), "doc a") is True
+        with pytest.raises(BackendError):
+            agents.grade_document(claim(), "doc b")  # a call that raises adds nothing
+        assert agents.grade_document(claim(), "doc a") is True  # a memo hit counts
+    answer = memo.complete(prompts.GRADE_DOCUMENT.render(document="doc a", question=claim().text))
+    assert usage == {
+        "backend_calls": 2,
+        "prompt_tokens": 2 * answer.prompt_tokens,
+        "completion_tokens": 2 * answer.completion_tokens,
+    }
+    with count_usage() as later:
+        agents.grade_answer(claim(), "True.")
+    agents.grade_answer(claim(), "True.")  # outside every block: counted nowhere
+    assert later["backend_calls"] == 1
+    assert usage["backend_calls"] == 2
 
 
 # -- claim extraction ---------------------------------------------------------

@@ -69,7 +69,7 @@ def test_interleave_empty_inputs():
 # -- dedupe -------------------------------------------------------------------
 
 
-def test_dedupe_keeps_first_occurrence_with_max_similarity():
+def test_dedupe_keeps_first_occurrence():
     hits = [
         hit("x:1", sim=0.7, occurrence=1),
         hit("y:1", sim=0.6, occurrence=2),
@@ -78,9 +78,8 @@ def test_dedupe_keeps_first_occurrence_with_max_similarity():
     ]
     result = dedupe(hits)
     assert [tuple(h.chunk_key) for h in result] == [("x", 1), ("y", 1)]
-    assert result[0].similarity == 0.9  # annotated with the best duplicate
-    assert result[0].metadata == {"occurrence": 1}  # but it is still the first occurrence
-    assert result[1].similarity == 0.6
+    assert result[0] is hits[0]  # the first occurrence, unchanged
+    assert result[1] is hits[1]
 
 
 def test_dedupe_is_idempotent():

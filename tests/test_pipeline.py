@@ -662,6 +662,55 @@ def test_check_article_token_usage_is_per_article_on_a_reused_pipeline(tmp_path)
     assert render_report(second_report) == render_report(fresh_report)
 
 
+def test_check_article_counts_each_articles_usage_while_articles_overlap(tmp_path):
+    listed = ["Sleep improves memory.", "Sugar causes hyperactivity.", "Salt raises blood pressure."]
+    second = ArticleText(id="art2", body=" ".join(listed))
+    claims = {ARTICLE.id: ["Zinc cures colds.", "Garlic prevents flu."], second.id: listed}
+
+    def build(barrier: threading.Barrier | None = None) -> FactCheckPipeline:
+        def generate(prompt: str) -> str:
+            if prompt.startswith("You are a careful reader"):
+                if barrier is not None:
+                    barrier.wait()  # both articles are in flight before either extraction returns
+                return "\n".join(claims[ARTICLE.id if "Zinc cures colds." in prompt else second.id])
+            return "True. Fine. Source: Study A"
+
+        grader = grader_rejecting("b")
+        pipeline, _ = make_pipeline(
+            tmp_path,
+            RuleBackend(generate),
+            remote_grader(ChatSession(lambda prompt: grader.complete(prompt).text)),
+            bundles=[[hit("a"), hit("b"), hit("c")]] * 5,
+            concurrency=2,
+        )
+        return pipeline
+
+    shared = build(threading.Barrier(2, timeout=10))
+    with ThreadPoolExecutor(max_workers=2) as callers:
+        reports = list(callers.map(lambda article: shared.check_article(article, "lotr_srag"), (ARTICLE, second)))
+    for article, report in zip((ARTICLE, second), reports):
+        alone = build().check_article(article, "lotr_srag")
+        # 1 extraction; per claim 3 document grades, 1 generation, 1 answer grade
+        assert report.token_usage["backend_calls"] == 1 + len(claims[article.id]) * 5
+        assert report.token_usage == alone.token_usage
+        assert render_report(report) == render_report(alone)
+
+
+def test_pipeline_keeps_its_agents_and_counts_nothing_outside_a_check(tmp_path):
+    agents = FactCheckAgents(
+        generator=QueueBackend(["NONE"]),
+        grader=grader_rejecting("b"),
+        rewriter=QueueBackend([]),
+        embedder=DeterministicEmbedder(EmbedderSpec(model_id="h", dimension=32, endpoint=DETERMINISTIC_ENDPOINT)),
+    )
+    pipeline = FactCheckPipeline(make_run_config(tmp_path), agents, StubRetriever([]))
+    assert pipeline.agents is agents
+    # a completion outside any check is counted nowhere, and raises nothing
+    assert agents.grade_document(claim(), "evidence text from a\n") is True
+    assert agents.grade_answer(claim(), "True. Fine.") is True
+    report = pipeline.check_article(ArticleText(id="art", body="Nothing here."), "lotr_srag")
+    assert report.token_usage["backend_calls"] == 1  # its extraction alone
+
 
 def test_check_article_report_bytes_do_not_depend_on_a_shared_grade_memo(tmp_path):
     def rule(prompt: str) -> str:
