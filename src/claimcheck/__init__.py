@@ -7,7 +7,7 @@ rewrite claims and regenerate answers until the verdict is grounded.
 
 from .agents import Claim, FactCheckAgents, VerdictLabel, parse_score, parse_verdict
 from .config import RunConfig, load_config
-from .corpus import Chunk, ChunkKey, CorpusRecord, chunk_text, ingest_corpus, tokenize
+from .corpus import Chunk, ChunkKey, CorpusRecord, chunk_text, ingest_corpus
 from .errors import (
     BackendError,
     ClaimcheckError,
@@ -72,7 +72,6 @@ __all__ = [
     "parse_verdict",
     "render_report",
     "semantic_similarity",
-    "tokenize",
     "wilcoxon_signed_rank",
     "__version__",
 ]

@@ -415,6 +415,26 @@ def parse_listed_lines(text: str) -> list[str] | None:
     return lines
 
 
+def list_with_retry(backend: LlmBackend, prompt: str) -> list[str] | None:
+    """The listing ``backend`` answers, asked once more with a stricter
+    prompt if unparseable; None if it stays unparseable."""
+    lines = parse_listed_lines(_complete(backend, prompt).text)
+    if lines is None:
+        lines = parse_listed_lines(_complete(backend, prompt + prompts.CLAIMS_RETRY_SUFFIX).text)
+    return lines
+
+
+def score_with_retry(backend: LlmBackend, prompt: str, what: str) -> bool:
+    """The yes/no score ``backend`` answers, asked once more with a stricter
+    prompt if unparseable; :class:`GradingError` if it stays unparseable."""
+    verdict = parse_score(_complete(backend, prompt).text)
+    if verdict is None:
+        verdict = parse_score(_complete(backend, prompt + prompts.SCORE_RETRY_SUFFIX).text)
+    if verdict is None:
+        raise GradingError(f"{what}: grader output unparseable after reformat retry")
+    return verdict
+
+
 def _dedupe_near(found: list[tuple[str, ChunkKey]], vectors) -> list[tuple[str, ChunkKey]]:
     """The first of each group of claims whose embeddings' cosine reaches the threshold."""
     kept: list[tuple[str, ChunkKey]] = []
@@ -487,7 +507,7 @@ class FactCheckAgents:
         failures: list[ClaimcheckError] = []
         for chunk in chunks:
             try:
-                lines = self._list_claims(chunk)
+                lines = list_with_retry(self.generator, prompts.EXTRACT_CLAIMS.render(chunk=chunk.text))
             except (TransportError, ProtocolError, BackendError) as exc:
                 failures.append(exc)
                 warnings.append(f"chunk {tuple(chunk.key)}: claim extraction failed: {exc}; chunk skipped")
@@ -515,16 +535,6 @@ class FactCheckAgents:
             for i, (text, key) in enumerate(kept)
         ]
 
-    def _list_claims(self, chunk: Chunk) -> list[str] | None:
-        """The chunk's claim listing, asked once more with a stricter
-        prompt if unparseable; None if it stays unparseable."""
-        prompt = prompts.EXTRACT_CLAIMS.render(chunk=chunk.text)
-        lines = parse_listed_lines(_complete(self.generator, prompt).text)
-        if lines is None:
-            retry = prompt + prompts.CLAIMS_RETRY_SUFFIX
-            lines = parse_listed_lines(_complete(self.generator, retry).text)
-        return lines
-
     # -- generation ----------------------------------------------------
 
     @staticmethod
@@ -548,21 +558,13 @@ class FactCheckAgents:
 
     # -- grading -------------------------------------------------------
 
-    def _graded_score(self, prompt: str, what: str) -> bool:
-        verdict = parse_score(_complete(self.grader, prompt).text)
-        if verdict is None:
-            verdict = parse_score(_complete(self.grader, prompt + prompts.SCORE_RETRY_SUFFIX).text)
-        if verdict is None:
-            raise GradingError(f"{what}: grader output unparseable after reformat retry")
-        return verdict
-
     def grade_document(self, claim: Claim, document: str) -> bool:
         prompt = prompts.GRADE_DOCUMENT.render(document=document, question=claim.text)
-        return self._graded_score(prompt, "document grade")
+        return score_with_retry(self.grader, prompt, "document grade")
 
     def grade_answer(self, claim: Claim, answer: str) -> bool:
         prompt = prompts.GRADE_ANSWER.render(generation=answer, question=claim.text)
-        return self._graded_score(prompt, "answer grade")
+        return score_with_retry(self.grader, prompt, "answer grade")
 
     # -- rewriting -----------------------------------------------------
 

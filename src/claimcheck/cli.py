@@ -122,18 +122,35 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
     reports = []
     for path in paths:
         try:
-            reports.append(json.loads(path.read_text(encoding="utf-8")))
+            report = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from exc
+        if not isinstance(report, dict):
+            raise ValidationError(f"report {path} is not a JSON object")
+        entries = report.get("entries") or []
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValidationError(f"report {path}: 'entries' must be a list of objects")
+        reports.append(report)
     return reports
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
 
 
 def _evaluate_from_scores(args) -> int:
     try:
         payload = json.loads(Path(args.scores).read_text(encoding="utf-8"))
         systems = payload["systems"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read scores file {args.scores}: {exc}") from exc
+    if not isinstance(systems, dict) or not all(
+        isinstance(scores, dict) and all(map(_is_number_list, scores.values()))
+        for scores in systems.values()
+    ):
+        raise ValidationError(
+            f"scores file {args.scores}: 'systems' must map each system to metric: [numbers]"
+        )
     per_article = {
         str(mode): {str(metric): [float(x) for x in vec] for metric, vec in scores.items()}
         for mode, scores in systems.items()

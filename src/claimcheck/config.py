@@ -85,9 +85,11 @@ class EvaluationConfig:
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError(f"match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
-            raise ConfigError(f"statement_source must be 'backend' or 'sentences'")
+            raise ConfigError(
+                f"statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
+            )
         if self.judge not in ("backend", "lexical"):
-            raise ConfigError(f"judge must be 'backend' or 'lexical'")
+            raise ConfigError(f"judge must be 'backend' or 'lexical', got {self.judge!r}")
 
 
 @dataclass(frozen=True)
@@ -242,5 +244,5 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: config file is empty")
     try:
         return config_from_dict(data, base_dir=path.parent)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Corpus ingestion, tokenization, and overlapping-window chunking.
+"""Corpus ingestion and overlapping-window chunking.
 
 Knowledge-base records arrive as JSONL or CSV rows; articles arrive as
 plain text.  Both are cut into token windows whose character offsets
@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
-import operator
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -33,12 +32,6 @@ _CSV_COLUMNS = ["id", "title", "abstract", "authors", "published_date", "keyword
 # returns plain strings, and offsets come from running sums of their
 # lengths instead of one match object per token.
 _PIECE_RE = re.compile(r"\s*(?:\w+|[^\w\s])", re.UNICODE)
-
-
-class Token(NamedTuple):
-    text: str
-    start: int
-    end: int
 
 
 class ChunkKey(NamedTuple):
@@ -103,37 +96,12 @@ class RejectedRow:
     reason: str
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split ``text`` into word/punctuation tokens with character offsets.
-
-    Offsets are strictly increasing and tokens never contain whitespace,
-    so the input can be reconstructed from tokens plus the gaps between
-    them.
-    """
-    pieces, ends = _token_pieces(text)
-    words = list(map(str.lstrip, pieces))
-    starts = map(operator.sub, ends, map(len, words))
-    return list(map(tuple.__new__, repeat(Token), zip(words, starts, ends)))
-
-
 def _token_pieces(text: str) -> tuple[list[str], list[int]]:
     """Each token with its leading whitespace, and each token's end offset."""
     # Trailing whitespace is cut off first: ``\s*`` would otherwise retry
     # the rest of it from every position, quadratic in its length.
     pieces = _PIECE_RE.findall(text, 0, len(text.rstrip()))
     return pieces, list(accumulate(map(len, pieces)))
-
-
-def detokenize(text: str, tokens: list[Token]) -> str:
-    """Rebuild the source string from tokens and their separators."""
-    if not tokens:
-        return text
-    parts = [text[: tokens[0].start]]
-    for i, tok in enumerate(tokens):
-        parts.append(tok.text)
-        nxt = tokens[i + 1].start if i + 1 < len(tokens) else len(text)
-        parts.append(text[tok.end : nxt])
-    return "".join(parts)
 
 
 def chunk_text(
@@ -223,19 +191,15 @@ def _record_from_mapping(row: dict, *, split_arrays: bool) -> CorpusRecord:
     )
 
 
-def ingest_corpus(path: str | Path, fmt: str | None = None) -> tuple[list[CorpusRecord], list[RejectedRow]]:
-    """Load corpus records from a JSONL or CSV file.
+def ingest_corpus(path: str | Path) -> tuple[list[CorpusRecord], list[RejectedRow]]:
+    """Load corpus records from a JSONL file, or CSV if the suffix is ``.csv``.
 
     Malformed rows never abort the load; each one lands in the rejects
     list with its location and a reason (``empty content``,
-    ``duplicate id``, ...).  Format is inferred from the suffix unless
-    ``fmt`` is given.
+    ``duplicate id``, ...).
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ConfigError(f"unknown corpus format {fmt!r}")
+    is_csv = path.suffix.lower() == ".csv"
     if not path.exists():
         raise ValidationError(f"corpus file not found: {path}")
 
@@ -248,7 +212,7 @@ def ingest_corpus(path: str | Path, fmt: str | None = None) -> tuple[list[Corpus
             rejects.append(RejectedRow(location, err))
             return
         try:
-            rec = _record_from_mapping(row, split_arrays=(fmt == "csv"))
+            rec = _record_from_mapping(row, split_arrays=is_csv)
         except ValidationError as exc:
             rejects.append(RejectedRow(location, str(exc)))
             return
@@ -258,7 +222,7 @@ def ingest_corpus(path: str | Path, fmt: str | None = None) -> tuple[list[Corpus
         seen.add(rec.id)
         records.append(rec)
 
-    if fmt == "jsonl":
+    if not is_csv:
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -308,10 +272,10 @@ def chunk_corpus(
     return chunks
 
 
-def load_article(path: str | Path, article_id: str | None = None) -> ArticleText:
-    """Read an article from a text file; the id defaults to the file stem."""
+def load_article(path: str | Path) -> ArticleText:
+    """Read an article from a text file; the id is the file stem."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"article file not found: {path}")
     body = path.read_text(encoding="utf-8")
-    return ArticleText(id=article_id or path.stem, body=body)
+    return ArticleText(id=path.stem, body=body)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .agents import LlmBackend, parse_listed_lines, parse_score
+from .agents import LlmBackend, list_with_retry, score_with_retry
 from .embedding import cosine_similarity
 from .errors import (
     DegenerateSampleError,
@@ -79,24 +79,16 @@ def extract_statements(text: str, backend: LlmBackend) -> list[str]:
     """Atomic factual statements listed by the backend; empty text costs no call."""
     if not text.strip():
         return []
-    prompt = prompts.EXTRACT_STATEMENTS.render(text=text)
-    lines = parse_listed_lines(backend.complete(prompt).text)
+    lines = list_with_retry(backend, prompts.EXTRACT_STATEMENTS.render(text=text))
     if lines is None:
-        lines = parse_listed_lines(backend.complete(prompt + prompts.CLAIMS_RETRY_SUFFIX).text)
-        if lines is None:
-            raise ExtractionError("statement listing unparseable after retry")
+        raise ExtractionError("statement listing unparseable after retry")
     return lines
 
 
 def nli_judge(premise: str, hypothesis: str, backend: LlmBackend) -> bool:
     """Does the premise support the hypothesis?  Same score parsing as grading."""
     prompt = prompts.NLI_JUDGE.render(premise=premise, hypothesis=hypothesis)
-    verdict = parse_score(backend.complete(prompt).text)
-    if verdict is None:
-        verdict = parse_score(backend.complete(prompt + prompts.SCORE_RETRY_SUFFIX).text)
-    if verdict is None:
-        raise GradingError("judge output unparseable after reformat retry")
-    return verdict
+    return score_with_retry(backend, prompt, "judge")
 
 
 def _normalize_lexical(text: str) -> str:

@@ -128,19 +128,6 @@ class VectorIndex:
             raise ValidationError(f"query has dimension {got}, index expects {self.dimension}")
         return unit_normalize(arr)
 
-    def _scan(self, query, k: int, min_similarity: float):
-        q = self._prepare_query(query)
-        keys, matrix, metas = self._snapshot
-        if not keys:
-            return keys, matrix, metas, np.empty(0, np.int64), np.empty(0, np.float64)
-        idx, sims = kernels.topk_scan(matrix, q, int(k), float(min_similarity))
-        return keys, matrix, metas, idx, sims
-
-    def top_k(self, query, k: int = DEFAULT_K, min_similarity: float = NO_THRESHOLD) -> list[Hit]:
-        """The k most similar entries, similarity descending, key ascending on ties."""
-        keys, _, metas, idx, sims = self._scan(query, k, min_similarity)
-        return [Hit(keys[i], float(s), dict(metas[i])) for i, s in zip(idx, sims)]
-
     def mmr_select(
         self,
         query,
@@ -154,14 +141,18 @@ class VectorIndex:
         Fetches the ``pool_size`` most similar entries above the
         threshold, then greedily picks k of them maximizing
         ``lambda_ * sim(query, c) - (1 - lambda_) * max_sim(c, selected)``.
-        ``lambda_ = 1`` reproduces :meth:`top_k` exactly; score ties break
-        toward the lowest chunk key.
+        ``lambda_ = 1`` returns the k most similar entries, similarity
+        descending; score ties break toward the lowest chunk key.
         """
         if not 0.0 <= lambda_ <= 1.0:
             raise ConfigError(f"lambda must be within [0, 1], got {lambda_}")
         if pool_size < k:
             raise ConfigError(f"pool_size {pool_size} is smaller than k {k}")
-        keys, matrix, metas, idx, sims = self._scan(query, pool_size, min_similarity)
+        q = self._prepare_query(query)
+        keys, matrix, metas = self._snapshot
+        if not keys:
+            return []
+        idx, sims = kernels.topk_scan(matrix, q, int(pool_size), float(min_similarity))
         if idx.size == 0:
             return []
         # kernels break ties by position, so order the pool by chunk key;

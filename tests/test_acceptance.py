@@ -26,7 +26,7 @@ import scipy.stats
 from claimcheck import cli, prompts
 from claimcheck.agents import Claim, FactCheckAgents, RawAnswer, VerdictLabel
 from claimcheck.config import RefinementConfig
-from claimcheck.corpus import ChunkKey, chunk_text, tokenize
+from claimcheck.corpus import ChunkKey, chunk_text
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
 from claimcheck.evaluation import (
     ConsistencyScore,
@@ -72,7 +72,7 @@ def test_chunker_randomized_invariants():
         size = int(rng.integers(50, 2501))
         overlap = int(rng.integers(0, size))
         chunks = chunk_text("doc", text, size, overlap)
-        tokens = tokenize(text)
+        tokens = list(re.finditer(r"\w+|[^\w\s]", text))
         total = len(tokens)
         if total == 0:
             assert chunks == []
@@ -92,7 +92,7 @@ def test_chunker_randomized_invariants():
         # text windows are literal slices of the source
         for c in (chunks[0], chunks[-1], chunks[len(chunks) // 2]):
             start, end = c.token_span
-            assert c.text == text[tokens[start].start : tokens[end - 1].end]
+            assert c.text == text[tokens[start].start() : tokens[end - 1].end()]
     assert time.monotonic() - started < 10.0
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from claimcheck import cli, corpus, embedding, prompts
 from claimcheck.agents import prompt_fingerprint
@@ -493,12 +494,79 @@ def test_evaluate_bad_scores_file(bundle, capsys):
     assert "cannot read scores file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"mode": "lotr", "article_id": "immune-boosters", "entries": "none"},
+        {"mode": "lotr", "article_id": "immune-boosters", "entries": [1]},
+    ],
+    ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object"],
+)
+def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
+    bad = bundle / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "evaluate",
+        "--reports", str(bad),
+        "--ground-truth", str(bundle / "ground_truth.jsonl"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: report {bad}")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1],
+        {"systems": [1]},
+        {"systems": {"lotr": [0.5]}},
+        {"systems": {"lotr": {"consistency": 0.5}}},
+        {"systems": {"lotr": {"consistency": ["high"]}}},
+    ],
+    ids=["root-not-an-object", "systems-not-a-mapping", "system-not-a-mapping",
+         "scores-not-a-list", "score-not-a-number"],
+)
+def test_evaluate_scores_of_the_wrong_shape(bundle, capsys, payload):
+    bad = bundle / "scores.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code = run("--config", str(bundle / "config.yaml"), "evaluate", "--scores", str(bad))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err
+
+
 # -- top level ----------------------------------------------------------------
 
 
 def test_missing_config_file(bundle, capsys):
     assert run("--config", str(bundle / "absent.yaml"), "ingest") == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("concurrency",),
+        ("embedders", 0, "dimension"),
+        ("embedders", 1, "seed"),
+        ("backends", "grader", "temperature"),
+        ("backends", "generator", "max_output_tokens"),
+    ],
+    ids=lambda key: ".".join(map(str, key)),
+)
+def test_non_numeric_config_value_is_a_config_error(bundle, capsys, key):
+    path = bundle / "config.yaml"
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    parent = data
+    for step in key[:-1]:
+        parent = parent[step]
+    parent[key[-1]] = "many"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert run("--config", str(path), "ingest") == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_module_entry_point(bundle):

@@ -146,6 +146,8 @@ def test_exactly_two_embedders():
         ("refinement", {"min_relevant_fraction": 1.5}, "min_relevant_fraction"),
         ("evaluation", {"match_threshold": 2.0}, "match_threshold"),
         ("evaluation", {"judge": "vibes"}, "judge"),
+        ("evaluation", {"judge": "vibes"}, "got 'vibes'"),
+        ("evaluation", {"statement_source": "oracle"}, "got 'oracle'"),
     ],
 )
 def test_section_validation(section, values, message):

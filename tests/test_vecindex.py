@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import unit_normalize
 from claimcheck.errors import ConfigError, IndexFormatError, ValidationError
-from claimcheck.vecindex import VectorIndex
+from claimcheck.vecindex import NO_THRESHOLD, VectorIndex
 
 
 def basis_index(dimension=4, model_id="m") -> VectorIndex:
@@ -27,10 +27,14 @@ def basis_index(dimension=4, model_id="m") -> VectorIndex:
     return index
 
 
+def nearest(index: VectorIndex, query, k: int = 5, min_similarity: float = NO_THRESHOLD):
+    """The k most similar entries: MMR on relevance alone over a pool of k."""
+    return index.mmr_select(query, k=k, pool_size=k, lambda_=1.0, min_similarity=min_similarity)
+
+
 def test_len_and_empty_search():
     index = VectorIndex("m", 3)
     assert len(index) == 0
-    assert index.top_k([1.0, 0.0, 0.0]) == []
     assert index.mmr_select([1.0, 0.0, 0.0]) == []
 
 
@@ -39,7 +43,7 @@ def test_dimension_validation():
         VectorIndex("m", 0)
     index = VectorIndex("m", 3)
     with pytest.raises(ValidationError):
-        index.top_k([1.0, 0.0])
+        nearest(index, [1.0, 0.0])
 
 
 def test_top_k_orders_by_similarity_then_key():
@@ -51,7 +55,7 @@ def test_top_k_orders_by_similarity_then_key():
             (ChunkKey("a", 0), [0.6, 0.8], {}),
         ]
     )
-    hits = index.top_k([1.0, 0.0], k=3)
+    hits = nearest(index, [1.0, 0.0], k=3)
     assert [tuple(h.chunk_key) for h in hits] == [("a", 1), ("b", 0), ("a", 0)]
     assert hits[0].similarity == pytest.approx(1.0)
     assert hits[2].similarity == pytest.approx(0.6)
@@ -60,15 +64,15 @@ def test_top_k_orders_by_similarity_then_key():
 def test_top_k_threshold_and_k():
     index = basis_index()
     query = [0.9, 0.3, 0.0, 0.0]
-    assert len(index.top_k(query, k=2)) == 2
-    hits = index.top_k(query, k=10, min_similarity=0.5)
+    assert len(nearest(index, query, k=2)) == 2
+    hits = nearest(index, query, k=10, min_similarity=0.5)
     assert [h.chunk_key.seq for h in hits] == [0]
 
 
 def test_vectors_stored_normalized():
     index = VectorIndex("m", 2)
     index.upsert([(ChunkKey("a", 0), [10.0, 0.0], {})])
-    assert index.top_k([1.0, 0.0])[0].similarity == pytest.approx(1.0)
+    assert nearest(index, [1.0, 0.0])[0].similarity == pytest.approx(1.0)
 
 
 def test_upsert_replaces_existing_key():
@@ -76,7 +80,7 @@ def test_upsert_replaces_existing_key():
     index.upsert([(ChunkKey("a", 0), [1.0, 0.0], {"v": "old"})])
     index.upsert([(ChunkKey("a", 0), [0.0, 1.0], {"v": "new"})])
     assert len(index) == 1
-    hit = index.top_k([0.0, 1.0])[0]
+    hit = nearest(index, [0.0, 1.0])[0]
     assert hit.similarity == pytest.approx(1.0)
     assert hit.metadata == {"v": "new"}
 
@@ -140,9 +144,9 @@ def test_upsert_validates_whole_batch_before_writing():
 
 def test_metadata_is_copied_per_hit():
     index = basis_index()
-    hit = index.top_k([1.0, 0.0, 0.0, 0.0], k=1)[0]
+    hit = nearest(index, [1.0, 0.0, 0.0, 0.0], k=1)[0]
     hit.metadata["title"] = "mutated"
-    assert index.top_k([1.0, 0.0, 0.0, 0.0], k=1)[0].metadata["title"] == "t0"
+    assert nearest(index, [1.0, 0.0, 0.0, 0.0], k=1)[0].metadata["title"] == "t0"
 
 
 # -- MMR ----------------------------------------------------------------------
@@ -166,18 +170,19 @@ def test_mmr_prefers_novel_evidence():
 
 def test_mmr_lambda_one_equals_top_k():
     rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(30, 8))
+    keys = [ChunkKey("d", i) for i in range(30)]
     index = VectorIndex("m", 8)
-    index.upsert(
-        [(ChunkKey("d", i), rng.normal(size=8), {"i": str(i)}) for i in range(30)]
-    )
+    index.upsert([(key, v, {"i": str(key.seq)}) for key, v in zip(keys, vectors)])
+    units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     for _ in range(10):
         query = rng.normal(size=8)
-        via_mmr = index.mmr_select(query, k=6, pool_size=30, lambda_=1.0)
-        via_topk = index.top_k(query, k=6)
-        assert [h.chunk_key for h in via_mmr] == [h.chunk_key for h in via_topk]
-        np.testing.assert_allclose(
-            [h.similarity for h in via_mmr], [h.similarity for h in via_topk]
-        )
+        sims = units @ (query / np.linalg.norm(query))
+        # brute force: similarity descending, then key ascending
+        expected = sorted(range(30), key=lambda i: (-sims[i], keys[i]))[:6]
+        hits = index.mmr_select(query, k=6, pool_size=30, lambda_=1.0)
+        assert [h.chunk_key for h in hits] == [keys[i] for i in expected]
+        np.testing.assert_allclose([h.similarity for h in hits], sims[expected])
 
 
 def test_mmr_pool_limits_candidates():
@@ -227,8 +232,8 @@ def test_persist_load_round_trip(tmp_path):
     assert loaded.dimension == index.dimension
     assert len(loaded) == len(index)
     query = np.arange(5, dtype=np.float64)
-    original = index.top_k(query, k=12)
-    reloaded = loaded.top_k(query, k=12)
+    original = nearest(index, query, k=12)
+    reloaded = nearest(loaded, query, k=12)
     assert [h.chunk_key for h in original] == [h.chunk_key for h in reloaded]
     np.testing.assert_array_equal(
         [h.similarity for h in original], [h.similarity for h in reloaded]
