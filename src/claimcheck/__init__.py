@@ -5,6 +5,9 @@ retrieved from two embedding spaces and merged, and a grader loop can
 rewrite claims and regenerate answers until the verdict is grounded.
 """
 
+# before the imports: the transport names this version in its User-Agent
+__version__ = "0.1.0"
+
 from .agents import Claim, FactCheckAgents, VerdictLabel, parse_score, parse_verdict
 from .config import RunConfig, load_config
 from .corpus import Chunk, ChunkKey, CorpusRecord, chunk_text, ingest_corpus
@@ -32,8 +35,6 @@ from .evaluation import (
 from .lotr import EvidenceBundle, MergingRetriever, RetrieverLeg
 from .pipeline import FactCheckEntry, FactCheckPipeline, Report, render_report
 from .vecindex import VectorIndex
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BackendError",

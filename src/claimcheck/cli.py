@@ -130,6 +130,12 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
         entries = report.get("entries") or []
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValidationError(f"report {path}: 'entries' must be a list of objects")
+        for e in entries:
+            if not isinstance(e.get("claim", {}), dict):
+                raise ValidationError(f"report {path}: an entry's 'claim' must be an object")
+            sources = e.get("sources") or []
+            if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
+                raise ValidationError(f"report {path}: an entry's 'sources' must be a list of objects")
         reports.append(report)
     return reports
 

@@ -8,6 +8,11 @@ pool on which calls that wait on the endpoint overlap.  Only failures a
 later attempt can get past are retried: connection errors, timeouts,
 HTTP 408, 429 and 5xx.
 
+The posts go out over the standard library's ``http.client`` on
+kept-alive connections, at most one per request in flight.  HTTPS
+verifies certificates and host names against the system trust store (or
+``SSL_CERT_FILE``); no proxy is used and no redirect is followed.
+
 :func:`run_all` is the one place that decides where concurrency
 happens: work on an in-process model runs in the caller's thread, and
 only calls that wait on an endpoint are overlapped, on that endpoint's
@@ -17,15 +22,18 @@ pool.
 from __future__ import annotations
 
 import contextvars
+import http.client
 import logging
 import os
+import ssl
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from json import dumps, loads
 from typing import Callable, Sequence, TypeVar
+from urllib.parse import urlsplit
 
-import requests
-
+from . import __version__
 from .errors import ConfigError, ProtocolError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -35,6 +43,11 @@ RETRY_FACTOR = 2.0
 MAX_ATTEMPTS = 5
 DEFAULT_MAX_IN_FLIGHT = 4
 MAX_RETRY_AFTER = 30.0
+USER_AGENT = f"claimcheck/{__version__}"
+
+# how a kept connection the server has since closed fails the next post
+# (http.client.RemoteDisconnected is a ConnectionResetError)
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,6 +73,87 @@ def _retry_after(resp) -> float | None:
     return min(float(value), MAX_RETRY_AFTER)
 
 
+class _Response:
+    """A finished answer: its status, its headers (``get`` ignores case) and its body."""
+
+    def __init__(self, status_code: int, headers: http.client.HTTPMessage, body: bytes):
+        self.status_code = status_code
+        self.headers = headers
+        self.body = body
+
+    def json(self):
+        return loads(self.body)
+
+
+class _KeepAliveSession:
+    """POSTs JSON over kept-alive ``http.client`` connections.
+
+    Idle connections wait on one stack per origin.  A post takes the most
+    recently used one, or opens a new one when none is idle, so posts
+    made under an endpoint's gate never hold more connections open than
+    requests in flight.  A connection goes back on the stack once its
+    answer is read, unless the answer closes it.  A post on a kept
+    connection that the server has since closed is sent again, once, on a
+    fresh one; any other failure is raised to the caller.  A connection
+    keeps the timeout it was opened with: the one endpoint that owns the
+    session always passes the same one.
+    """
+
+    def __init__(self):
+        self._idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+        self._tls: ssl.SSLContext | None = None
+
+    def _open(self, scheme: str, netloc: str, timeout: float) -> http.client.HTTPConnection:
+        if scheme != "https":
+            return http.client.HTTPConnection(netloc, timeout=timeout)
+        with self._lock:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+        return http.client.HTTPSConnection(netloc, timeout=timeout, context=self._tls)
+
+    @staticmethod
+    def _send(conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict):
+        """Send the request on ``conn`` and read the answer's status and
+        headers; a failure closes ``conn``."""
+        try:
+            conn.request("POST", target, body, headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
+    def post(self, url: str, json, headers: dict, timeout: float) -> _Response:
+        parts = urlsplit(url)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        body = dumps(json, allow_nan=False).encode("utf-8")
+        if not parts.netloc:
+            raise http.client.InvalidURL(f"no host in {url!r}")
+        with self._lock:
+            idle = self._idle.setdefault((parts.scheme, parts.netloc), [])
+            conn = idle.pop() if idle else None
+        resp = None
+        if conn is not None:
+            try:
+                resp = self._send(conn, target, body, headers)
+            except _STALE:
+                pass  # closed by the server while idle: sent again on a fresh connection
+        if resp is None:
+            conn = self._open(parts.scheme, parts.netloc, timeout)
+            resp = self._send(conn, target, body, headers)
+        try:
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                idle.append(conn)
+        return _Response(resp.status, resp.headers, data)
+
+
 class JsonEndpoint:
     """POSTs JSON bodies to one http(s) URL and decodes the JSON answers.
 
@@ -68,9 +162,14 @@ class JsonEndpoint:
     wait.  A retryable failure is tried again up to ``MAX_ATTEMPTS``
     times in all, sleeping ``base_delay * RETRY_FACTOR**k`` after the
     k-th failure, or the ``Retry-After`` seconds of a 429 or 503 (at most
-    ``MAX_RETRY_AFTER``); any other status or request error raises
-    :class:`TransportError` at once.  A 200 whose body is not JSON raises
-    :class:`ProtocolError` without a retry.
+    ``MAX_RETRY_AFTER``); any other status, a redirect included, and an
+    invalid URL raise :class:`TransportError` at once.  A 200 whose body
+    is not JSON raises :class:`ProtocolError` without a retry.
+
+    ``session`` is what posts: ``post(url, json, headers, timeout)``
+    returns an answer with ``status_code``, ``headers`` and ``json()``,
+    and raises ``OSError`` or ``http.client.HTTPException`` when the
+    request fails.  By default it is a private keep-alive client.
 
     Calls that wait on the endpoint overlap on its one pool of
     ``max_in_flight`` threads, started on first use (see :func:`run_all`).
@@ -83,7 +182,7 @@ class JsonEndpoint:
         name: str,
         timeout: float,
         api_key_env: str | None = None,
-        session: requests.Session | None = None,
+        session=None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         base_delay: float = RETRY_BASE_DELAY,
         sleep=time.sleep,
@@ -94,7 +193,7 @@ class JsonEndpoint:
         self.name = name
         self.timeout = timeout
         self.api_key_env = api_key_env
-        self.session = session or requests.Session()
+        self.session = session or _KeepAliveSession()
         self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self.base_delay = base_delay
@@ -116,7 +215,7 @@ class JsonEndpoint:
         return fn(item)
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
         if self.api_key_env:
             secret = os.environ.get(self.api_key_env)
             if not secret:
@@ -135,10 +234,10 @@ class JsonEndpoint:
             try:
                 with self._gate:
                     resp = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                failure = str(exc)
-            except requests.RequestException as exc:
+            except http.client.InvalidURL as exc:
                 raise TransportError(f"{self.name} request failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                failure = str(exc) or type(exc).__name__
             else:
                 if resp.status_code == 200:
                     try:

@@ -7,6 +7,7 @@ import http.server
 import json
 import shutil
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -32,21 +33,37 @@ def bundle(tmp_path: Path) -> Path:
 
 
 class StubHttpServer:
-    """Local endpoint replaying canned responses and recording requests.
+    """Local HTTP/1.1 endpoint replaying canned responses and recording
+    requests.
 
     ``responses`` is a queue of (status, payload) pairs; when it runs dry
     the optional ``default`` callable builds a response from the request
-    body, and with neither the server answers 500.
+    body, and with neither the server answers 500.  Each answer waits
+    ``delay`` seconds first.  Connections are kept alive, and
+    ``accepted`` counts them; with ``close_idle`` the server closes each
+    one after its answer without saying so, as a server that drops idle
+    connections does.
     """
 
     def __init__(self):
         self.responses: list[tuple[int, object]] = []
         self.requests: list[tuple[str, dict, dict]] = []
         self.default = None
+        self.delay = 0.0
+        self.close_idle = False
+        self.accepted = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            wbufsize = -1  # each answer in one write, so Nagle's algorithm never holds its body
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.accepted += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 try:
@@ -62,17 +79,19 @@ class StubHttpServer:
                     else:
                         status, payload = 500, {}
                 raw = payload.encode() if isinstance(payload, str) else json.dumps(payload).encode()
+                time.sleep(outer.delay)
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
+                self.close_connection = outer.close_idle
 
             def log_message(self, *args):  # quiet
                 pass
 
         self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
 
     @property
     def url(self) -> str:
@@ -95,7 +114,7 @@ def http_stub():
 
 
 class FakeResponse:
-    """The part of ``requests.Response`` the remote clients read."""
+    """The part of a transport session's answer the remote clients read."""
 
     def __init__(self, status_code: int, payload: dict, headers: dict | None = None):
         self.status_code = status_code
@@ -153,7 +172,7 @@ class RuleBackend:
 
 
 class EmbeddingSession:
-    """A fake ``requests`` session serving the deterministic embedder's
+    """A fake transport session serving the deterministic embedder's
     vectors for ``spec`` over HTTP.  Every post waits at ``barrier``, when
     there is one, and notes its input texts and the thread it runs on."""
 

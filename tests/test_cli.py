@@ -500,8 +500,10 @@ def test_evaluate_bad_scores_file(bundle, capsys):
         [1, 2],
         {"mode": "lotr", "article_id": "immune-boosters", "entries": "none"},
         {"mode": "lotr", "article_id": "immune-boosters", "entries": [1]},
+        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": "text"}]},
+        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": {"text": "t"}, "sources": ["a"]}]},
     ],
-    ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object"],
+    ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object", "claim-not-an-object", "source-not-an-object"],
 )
 def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
     bad = bundle / "bad.json"

@@ -382,7 +382,7 @@ def doc_parent(prompt: str) -> str | None:
 
 
 class ChatSession:
-    """A fake ``requests`` session behind a remote chat backend: answers
+    """A fake transport session behind a remote chat backend: answers
     each chat-completions post with ``rule(prompt)``, which returns the
     completion text, a (text, usage) pair or an HTTP status to fail with,
     and counts the posts in flight.  Token usage, unless given, is counted
@@ -797,7 +797,7 @@ def test_check_article_malformed_grader_usage_fails_only_that_claim(tmp_path, us
 
 
 class NullEmbeddingSession:
-    """A fake ``requests`` session serving the deterministic embedder's
+    """A fake transport session serving the deterministic embedder's
     vectors over HTTP, except ``null`` for a text containing ``bad``."""
 
     def __init__(self, local: DeterministicEmbedder, bad: str):

@@ -1,23 +1,29 @@
 """The retry policy both remote adapters share through ``JsonEndpoint``,
-and where :func:`run_all` runs its calls."""
+the keep-alive client beneath it, and where :func:`run_all` runs its
+calls."""
 
 from __future__ import annotations
 
 import contextvars
+import http.client
+import os
+import ssl
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import pytest
-import requests
 
+import claimcheck
 from claimcheck.agents import LlmBackendConfig, RemoteChatBackend
 from claimcheck.embedding import EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import TransportError
-from claimcheck.transport import MAX_ATTEMPTS, MAX_RETRY_AFTER, JsonEndpoint, run_all
-from conftest import FakeResponse
+from claimcheck.transport import MAX_ATTEMPTS, MAX_RETRY_AFTER, USER_AGENT, JsonEndpoint, run_all
+from conftest import FakeResponse, StubHttpServer
 
 URL = "http://models.invalid/v1"
 BASE_DELAY = 0.25
@@ -80,7 +86,7 @@ def run(adapter: Adapter, script):
 
 @pytest.mark.parametrize(
     "failure",
-    [400, 401, 403, 404, requests.exceptions.InvalidURL("bad url")],
+    [400, 401, 403, 404, http.client.InvalidURL("bad url")],
     ids=["400", "401", "403", "404", "invalid-url"],
 )
 def test_failures_a_retry_cannot_cure_raise_at_once(adapter, failure):
@@ -101,7 +107,7 @@ def test_retryable_statuses_are_retried(adapter, status):
 
 @pytest.mark.parametrize(
     "failure",
-    [requests.ConnectionError("refused"), requests.Timeout("read timed out")],
+    [ConnectionRefusedError("refused"), TimeoutError("read timed out")],
     ids=["connection", "timeout"],
 )
 def test_connection_errors_and_timeouts_retry_with_backoff(adapter, failure):
@@ -142,6 +148,115 @@ def test_other_retry_after_values_keep_the_backoff(adapter, status, retry_after)
     call()
     assert len(session.timeouts) == 2
     assert delays == [BASE_DELAY]
+
+
+# -- the keep-alive client ----------------------------------------------------
+
+
+def stub_endpoint(stub: StubHttpServer, delays: list[float], max_in_flight: int = 4) -> JsonEndpoint:
+    """An endpoint on ``stub``, which answers every post with ``{"ok": true}``."""
+    stub.default = lambda body: (200, {"ok": True})
+    return JsonEndpoint(
+        stub.url, "stub endpoint", timeout=10.0, max_in_flight=max_in_flight, sleep=delays.append
+    )
+
+
+def test_sequential_posts_share_one_connection(http_stub):
+    delays: list[float] = []
+    remote = stub_endpoint(http_stub, delays)
+    assert [remote.post({"n": n}) for n in range(5)] == [{"ok": True}] * 5
+    assert http_stub.accepted == 1
+    assert len(http_stub.requests) == 5
+    assert delays == []
+
+
+def test_concurrent_posts_open_at_most_max_in_flight_connections(http_stub):
+    delays: list[float] = []
+    http_stub.delay = 0.02
+    remote = stub_endpoint(http_stub, delays, max_in_flight=3)
+
+    def caller() -> None:
+        for n in range(3):
+            remote.post({"n": n})
+
+    # more callers than the cap, switching often: a connection lost or
+    # shared between two posts would show as a failed post or as more
+    # connections than the cap
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(http_stub.requests) == 24
+    assert 1 <= http_stub.accepted <= 3
+    assert delays == []
+
+
+def test_a_connection_the_server_closed_costs_no_sleep_and_no_attempt(http_stub):
+    delays: list[float] = []
+    http_stub.close_idle = True
+    remote = stub_endpoint(http_stub, delays)
+    for n in range(3):
+        remote.post({"n": n})
+        time.sleep(0.05)  # the server closes the idle connection meanwhile
+    assert http_stub.accepted == 3
+    assert len(http_stub.requests) == 3  # each post answered once
+    assert delays == []
+
+
+def test_posts_name_the_client_and_version(http_stub):
+    stub_endpoint(http_stub, []).post({})
+    _, headers, _ = http_stub.requests[0]
+    assert headers["User-Agent"] == USER_AGENT == f"claimcheck/{claimcheck.__version__}"
+
+
+@pytest.mark.parametrize("url", ["http:///v1", "http://models.invalid:port/v1"], ids=["no-host", "bad-port"])
+def test_an_invalid_url_fails_at_once(url):
+    delays: list[float] = []
+    remote = JsonEndpoint(url, "bad endpoint", timeout=1.0, sleep=delays.append)
+    with pytest.raises(TransportError, match="bad endpoint request failed"):
+        remote.post({})
+    assert delays == []
+
+
+def test_https_verifies_certificates_and_host_names(monkeypatch):
+    contexts: list[ssl.SSLContext] = []
+
+    class Unreachable:
+        """An HTTPS connection that notes its TLS context and never connects."""
+
+        def __init__(self, host, timeout, context):
+            contexts.append(context)
+
+        def request(self, *args):
+            raise ConnectionRefusedError("no network in this test")
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(http.client, "HTTPSConnection", Unreachable)
+    delays: list[float] = []
+    remote = JsonEndpoint("https://models.invalid/v1", "tls endpoint", timeout=1.0, sleep=delays.append)
+    with pytest.raises(TransportError, match="no network in this test"):
+        remote.post({})
+    assert len(contexts) == MAX_ATTEMPTS
+    assert all(context is contexts[0] for context in contexts)  # one context per endpoint
+    assert contexts[0].verify_mode is ssl.CERT_REQUIRED
+    assert contexts[0].check_hostname
+
+
+def test_the_runtime_imports_without_requests():
+    src = Path(claimcheck.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys; sys.modules['requests'] = None; import claimcheck.cli"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # -- run_all ------------------------------------------------------------------
