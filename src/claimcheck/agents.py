@@ -22,7 +22,7 @@ from typing import Iterator, Protocol, Sequence
 
 from . import prompts
 from .corpus import Chunk, ChunkKey
-from .embedding import cosine_similarity, memoize_remote
+from .embedding import cosine_similarity
 from .errors import (
     BackendError,
     ClaimcheckError,
@@ -465,9 +465,7 @@ class FactCheckAgents:
     """The generator/grader/rewriter trio plus claim extraction.
 
     Every completion is added to the totals of the :func:`count_usage`
-    block it runs in, if any.  A dedupe embedder that waits on an HTTP
-    endpoint is put behind an :class:`~.embedding.EmbeddingMemo`; one
-    that already is keeps its memo.
+    block it runs in, if any.
     """
 
     def __init__(
@@ -480,7 +478,7 @@ class FactCheckAgents:
         self.generator = generator
         self.grader = grader
         self.rewriter = rewriter
-        self.embedder = memoize_remote(embedder)
+        self.embedder = embedder
 
     # -- extraction ----------------------------------------------------
 

@@ -9,6 +9,7 @@ holds the API key instead.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,28 @@ from .embedding import EmbedderSpec
 from .errors import ConfigError
 
 MODES = ("baseline", "lotr", "lotr_srag")
+ROLES = ("generator", "grader", "rewriter")
+ROOT_KEYS = (
+    "corpus_path", "index_dir", "embedders", "backends", "chunking", "retrieval",
+    "refinement", "evaluation", "mock_fixtures", "concurrency",
+)
+
+
+def _number(value, kind: str, what: str):
+    """``value`` if it is an integer (``kind`` ``"int"``) or a real number
+    (``"float"``); a boolean is neither."""
+    ok = isinstance(value, int) if kind == "int" else isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{what} must be {'an integer' if kind == 'int' else 'a number'}, got {value!r}")
+    return value
+
+
+def _check_numbers(settings, section: str) -> None:
+    """Every ``int`` and ``float`` field of a settings dataclass holds a number
+    of its kind; the field types are the annotation strings of this module."""
+    for f in dataclasses.fields(settings):
+        if f.type in ("int", "float"):
+            _number(getattr(settings, f.name), f.type, f"{section}.{f.name.rstrip('_')}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +52,7 @@ class ChunkingConfig:
     kb_overlap: int = 50
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "chunking")
         for size, overlap, what in (
             (self.article_chunk_size, self.article_overlap, "article"),
             (self.kb_chunk_size, self.kb_overlap, "kb"),
@@ -48,8 +72,11 @@ class RetrievalConfig:
     reorder: str = "ends"
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "retrieval")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ConfigError(f"retrieval lambda must be within [0, 1], got {self.lambda_}")
+        if not -1.0 <= self.min_similarity <= 1.0:
+            raise ConfigError(f"min_similarity must be within [-1, 1], got {self.min_similarity}")
         if self.k <= 0 or self.pool_size < self.k:
             raise ConfigError(
                 f"retrieval needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
@@ -67,6 +94,7 @@ class RefinementConfig:
     min_relevant_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "refinement")
         if self.max_rewrites < 0 or self.max_regenerations < 0:
             raise ConfigError("refinement budgets must be non-negative")
         if not 0.0 <= self.min_relevant_fraction <= 1.0:
@@ -82,6 +110,7 @@ class EvaluationConfig:
     judge: str = "backend"  # "backend" | "lexical"
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "evaluation")
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError(f"match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
@@ -110,8 +139,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if len(self.embedders) != 2:
             raise ConfigError(f"exactly two embedder specs are required, got {len(self.embedders)}")
-        if self.embedders[0].model_id == self.embedders[1].model_id:
+        first, second = (spec.model_id for spec in self.embedders)
+        if first == second:
             raise ConfigError("the two embedders must have distinct model ids")
+        if index_path(self, first) == index_path(self, second):
+            raise ConfigError(
+                f"embedders {first!r} and {second!r} would share the index file {index_path(self, first)}"
+            )
+        _number(self.concurrency, "int", "concurrency")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
 
@@ -155,6 +190,29 @@ class RunConfig:
         return data
 
 
+def index_path(config: RunConfig, model_id: str) -> Path:
+    """The model id, each run of characters outside [A-Za-z0-9._-] as ``_``."""
+    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_id)
+    return Path(config.index_dir) / f"{slug}.idx"
+
+
+def _mapping(data, where: str, known) -> dict:
+    """``data``, checked to be a mapping whose keys are all in ``known``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    return data
+
+
+def _section(data: dict, name: str, cls):
+    """The ``name`` section as a ``cls``; YAML's ``lambda`` is the field ``lambda_``."""
+    fields = {f.name.rstrip("_"): f.name for f in dataclasses.fields(cls)}
+    raw = _mapping(data.get(name) or {}, name, fields)
+    return cls(**{fields[key]: value for key, value in raw.items()})
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -162,38 +220,32 @@ def _require(data: dict, key: str, where: str):
 
 
 def _build_backend_config(data: dict, role: str) -> LlmBackendConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"backend {role!r} must be a mapping")
-    known = {"model_id", "endpoint", "temperature", "max_output_tokens", "api_key_env"}
-    unknown = set(data) - known - {"role"}
-    if unknown:
-        raise ConfigError(f"backend {role!r}: unknown keys {sorted(unknown)}")
+    where = f"backend {role!r}"
+    _mapping(data, where, {f.name for f in dataclasses.fields(LlmBackendConfig)})
     return LlmBackendConfig(
-        model_id=str(_require(data, "model_id", f"backend {role!r}")),
-        endpoint=str(_require(data, "endpoint", f"backend {role!r}")),
+        model_id=str(_require(data, "model_id", where)),
+        endpoint=str(_require(data, "endpoint", where)),
         role=role,
-        temperature=float(data.get("temperature", 0.0)),
-        max_output_tokens=int(data.get("max_output_tokens", 512)),
+        temperature=float(_number(data.get("temperature", 0.0), "float", f"{where} temperature")),
+        max_output_tokens=_number(data.get("max_output_tokens", 512), "int", f"{where} max_output_tokens"),
         api_key_env=data.get("api_key_env"),
     )
 
 
 def _build_embedder_spec(data: dict, position: int) -> EmbedderSpec:
     where = f"embedders[{position}]"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be a mapping")
+    _mapping(data, where, {f.name for f in dataclasses.fields(EmbedderSpec)})
     return EmbedderSpec(
         model_id=str(_require(data, "model_id", where)),
-        dimension=int(_require(data, "dimension", where)),
+        dimension=_number(_require(data, "dimension", where), "int", f"{where}.dimension"),
         endpoint=str(_require(data, "endpoint", where)),
-        seed=int(data.get("seed", 0)),
+        seed=_number(data.get("seed", 0), "int", f"{where}.seed"),
         api_key_env=data.get("api_key_env"),
     )
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
+    _mapping(data, "config root", ROOT_KEYS)
 
     def resolve(p) -> str:
         p = str(p)
@@ -204,15 +256,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     embedders_raw = _require(data, "embedders", "config")
     if not isinstance(embedders_raw, (list, tuple)) or len(embedders_raw) != 2:
         raise ConfigError("config: 'embedders' must list exactly two specs")
-    backends_raw = _require(data, "backends", "config")
-    if not isinstance(backends_raw, dict):
-        raise ConfigError("config: 'backends' must be a mapping")
-    for role in ("generator", "grader", "rewriter"):
+    backends_raw = _mapping(_require(data, "backends", "config"), "config: 'backends'", ROLES)
+    for role in ROLES:
         _require(backends_raw, role, "backends")
-
-    retrieval_raw = dict(data.get("retrieval") or {})
-    if "lambda" in retrieval_raw:
-        retrieval_raw["lambda_"] = retrieval_raw.pop("lambda")
 
     mock = data.get("mock_fixtures")
     return RunConfig(
@@ -222,12 +268,12 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
         generator=_build_backend_config(backends_raw["generator"], "generator"),
         grader=_build_backend_config(backends_raw["grader"], "grader"),
         rewriter=_build_backend_config(backends_raw["rewriter"], "rewriter"),
-        chunking=ChunkingConfig(**(data.get("chunking") or {})),
-        retrieval=RetrievalConfig(**retrieval_raw),
-        refinement=RefinementConfig(**(data.get("refinement") or {})),
-        evaluation=EvaluationConfig(**(data.get("evaluation") or {})),
+        chunking=_section(data, "chunking", ChunkingConfig),
+        retrieval=_section(data, "retrieval", RetrievalConfig),
+        refinement=_section(data, "refinement", RefinementConfig),
+        evaluation=_section(data, "evaluation", EvaluationConfig),
         mock_fixtures=resolve(mock) if mock else None,
-        concurrency=int(data.get("concurrency", 4)),
+        concurrency=data.get("concurrency", 4),
     )
 
 
@@ -244,5 +290,5 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: config file is empty")
     try:
         return config_from_dict(data, base_dir=path.parent)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

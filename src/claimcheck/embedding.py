@@ -5,9 +5,9 @@ common hosted-embeddings wire format, and a fully deterministic local
 embedder used for offline runs and tests.  The deterministic embedder
 hashes whitespace tokens into pseudo-random directions and sums them, so
 texts sharing vocabulary land near each other while remaining a pure
-function of (text, dimension, seed).  Checking puts each remote embedder
-behind an :class:`EmbeddingMemo`, so a recurring claim text is posted
-once per model.
+function of (text, dimension, seed).  :func:`build_embedder` puts each
+remote embedder behind an :class:`EmbeddingMemo`, so a recurring claim
+text is posted once per model.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, ValidationError
-from .transport import JsonEndpoint, remote_endpoint, run_all
+from .transport import JsonEndpoint, run_all
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
@@ -217,20 +217,25 @@ class EmbeddingMemo:
     ``EMBEDDING_MEMO_ENTRIES`` entries.  ``embed`` copies kept rows out
     and posts only the distinct texts it does not hold, in one call to
     the inner embedder; a row is kept only once that call has returned
-    it, so a failed call is asked again the next time.  Kept rows are
-    private copies, so no caller's matrix shares memory with the memo.
-    ``endpoint`` and ``spec`` are the inner embedder's.
+    it, so a failed call is asked again the next time.  A call of more
+    texts than the map holds, such as an index build, would only evict
+    its own rows, so it goes straight to the inner embedder and keeps
+    nothing.  Kept rows are private copies, so no caller's matrix shares
+    memory with the memo.  ``endpoint`` and ``spec`` are the inner
+    embedder's.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner: RemoteEmbedder):
         self.inner = inner
         self.spec = inner.spec
-        self.endpoint = remote_endpoint(inner)
+        self.endpoint = inner.endpoint
         self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """The inner embedder's ``(len(texts), dimension)`` float64 matrix."""
+        if len(texts) > EMBEDDING_MEMO_ENTRIES:
+            return self.inner.embed(texts)
         _check_texts(texts)
         out = np.empty((len(texts), self.spec.dimension), np.float64)
         missing: dict[str, list[int]] = {}
@@ -255,14 +260,6 @@ class EmbeddingMemo:
         return out
 
 
-def memoize_remote(embedder):
-    """``embedder`` behind an :class:`EmbeddingMemo` when it waits on an
-    HTTP endpoint; an in-process embedder, or a memo, as it is."""
-    if isinstance(embedder, EmbeddingMemo) or remote_endpoint(embedder) is None:
-        return embedder
-    return EmbeddingMemo(embedder)
-
-
 def _check_texts(texts: list[str]) -> None:
     if not isinstance(texts, (list, tuple)):
         raise ValidationError("embed expects a list of texts")
@@ -272,7 +269,8 @@ def _check_texts(texts: list[str]) -> None:
 
 
 def build_embedder(spec: EmbedderSpec):
-    """Pick the provider implied by the spec's endpoint."""
+    """Pick the provider implied by the spec's endpoint; a remote one
+    comes behind its own :class:`EmbeddingMemo`."""
     if spec.endpoint == DETERMINISTIC_ENDPOINT:
         return DeterministicEmbedder(spec)
-    return RemoteEmbedder(spec)
+    return EmbeddingMemo(RemoteEmbedder(spec))

@@ -12,11 +12,10 @@ objects in context order, plus a warning for each leg that was down.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import ChunkKey
-from .embedding import memoize_remote
 from .errors import ConfigError, TransportError
 from .transport import remote_endpoint, run_all
 from .vecindex import DEFAULT_K, DEFAULT_LAMBDA, DEFAULT_POOL_SIZE, Hit, VectorIndex
@@ -81,12 +80,7 @@ class RetrieverLeg:
 
 
 class MergingRetriever:
-    """Dual-space retrieval with interleave, dedupe, and ends reordering.
-
-    A leg whose embedder waits on an HTTP endpoint queries through an
-    :class:`~.embedding.EmbeddingMemo`, so a recurring claim text is
-    posted once per model.
-    """
+    """Dual-space retrieval with interleave, dedupe, and ends reordering."""
 
     def __init__(
         self,
@@ -101,7 +95,7 @@ class MergingRetriever:
             raise ConfigError("retriever needs at least one leg")
         if reorder not in REORDER_MODES:
             raise ConfigError(f"unknown reorder mode {reorder!r}, expected one of {REORDER_MODES}")
-        self.legs = [replace(leg, embedder=memoize_remote(leg.embedder)) for leg in legs]
+        self.legs = list(legs)
         self.k = int(k)
         self.lambda_ = float(lambda_)
         self.min_similarity = float(min_similarity)

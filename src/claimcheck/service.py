@@ -1,26 +1,18 @@
-"""Set-up from a run config: index names and layout, the retriever, and
-the agents with one embedder per configured model."""
+"""Set-up from a run config: the indexes, the retriever, and the agents
+with one embedder per configured model."""
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from .agents import FactCheckAgents, LlmBackend, build_backend
-from .config import RunConfig
+from .config import RunConfig, index_path
 from .corpus import Chunk
-from .embedding import build_embedder, memoize_remote
+from .embedding import build_embedder
 from .errors import ConfigError
 from .lotr import MergingRetriever, RetrieverLeg
 from .pipeline import FactCheckPipeline
 from .vecindex import VectorIndex
-
-
-def index_path(config: RunConfig, model_id: str) -> Path:
-    """The model id, each run of characters outside [A-Za-z0-9._-] as ``_``."""
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_id)
-    return Path(config.index_dir) / f"{slug}.idx"
 
 
 def build_embedders(config: RunConfig) -> list:
@@ -51,6 +43,8 @@ def load_indexes(config: RunConfig) -> list[VectorIndex]:
         if not path.exists():
             raise ConfigError(f"index for {spec.model_id!r} not found at {path}; run build-index")
         index = VectorIndex.load(path)
+        if index.model_id != spec.model_id:
+            raise ConfigError(f"index {path} holds model {index.model_id!r}, config says {spec.model_id!r}")
         if index.dimension != spec.dimension:
             raise ConfigError(
                 f"index {path} has dimension {index.dimension}, config says {spec.dimension}"
@@ -95,9 +89,10 @@ def build_agents(config: RunConfig, embedders: list, **backends: LlmBackend) -> 
 def build_pipeline(config: RunConfig, mode: str) -> FactCheckPipeline:
     """A pipeline for ``mode``; only the retrieval modes load indexes.
 
-    Claim dedupe and the first leg share one embedding memo, so a
-    first-round query reuses the claim's dedupe vector.
+    Claim dedupe and the first leg share one embedder, and so one
+    embedding memo when it is remote: a first-round query reuses the
+    claim's dedupe vector.
     """
-    embedders = [memoize_remote(embedder) for embedder in build_embedders(config)]
+    embedders = build_embedders(config)
     retriever = None if mode == "baseline" else build_retriever(config, embedders, load_indexes(config))
     return FactCheckPipeline(config, build_agents(config, embedders), retriever)

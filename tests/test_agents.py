@@ -31,7 +31,7 @@ from claimcheck.embedding import (
     DeterministicEmbedder,
     EmbedderSpec,
     EmbeddingMemo,
-    RemoteEmbedder,
+    build_embedder,
 )
 from claimcheck.errors import (
     BackendError,
@@ -683,7 +683,8 @@ def test_extract_claims_failed_dedupe_embedding_drops_exact_repeats():
 def test_agents_keep_one_dedupe_memo_across_pipelines(tmp_path):
     spec = EmbedderSpec(model_id="h", dimension=32, endpoint="http://embeddings.invalid/v1", seed=7)
     session = EmbeddingSession(spec)
-    remote = RemoteEmbedder(spec, session=session, sleep=lambda s: None)
+    embedder = build_embedder(spec)
+    embedder.endpoint.session = session
 
     def rule(prompt: str) -> str:
         if prompt.startswith("You are a careful reader"):
@@ -691,10 +692,9 @@ def test_agents_keep_one_dedupe_memo_across_pipelines(tmp_path):
         return "Unverifiable. The article cites no evidence."
 
     agents = FactCheckAgents(
-        generator=RuleBackend(rule), grader=QueueBackend([]), rewriter=QueueBackend([]), embedder=remote
+        generator=RuleBackend(rule), grader=QueueBackend([]), rewriter=QueueBackend([]), embedder=embedder
     )
-    assert isinstance(agents.embedder, EmbeddingMemo) and agents.embedder.inner is remote
-    assert type(agents_with().embedder) is DeterministicEmbedder  # in-process: not wrapped
+    assert isinstance(agents.embedder, EmbeddingMemo) and agents.embedder is embedder
     # every pipeline rebuilds the agents around its usage counter, and keeps the memo
     pipelines = [FactCheckPipeline(make_run_config(tmp_path), agents, None) for _ in range(2)]
     assert all(pipeline.agents.embedder is agents.embedder for pipeline in pipelines)

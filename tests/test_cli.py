@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from claimcheck import cli, corpus, embedding, prompts
+from claimcheck import cli, corpus, embedding, evaluation, prompts
 from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
@@ -78,6 +78,27 @@ def test_build_index_strict_on_rejects(bundle, capsys):
     assert "rejected 1 corpus rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ({"hash-256": "hash/384", "hash-384": "hash_384"}, "would share the index file"),
+        ({"seed: 7": "sede: 7"}, "unknown keys ['sede']"),
+        ({"concurrency: 4": "concurrncy: 8"}, "unknown keys ['concurrncy']"),
+    ],
+    ids=["shared-index-file", "unknown-embedder-key", "unknown-root-key"],
+)
+def test_build_index_refuses_a_broken_config_before_writing(bundle, capsys, edits, message):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    config.write_text(text, encoding="utf-8")
+    assert run("--config", str(config), "build-index") == 2
+    assert message in capsys.readouterr().err
+    assert not (bundle / "index").exists()
+
+
 def test_build_index_non_finite_embedding_is_operational(bundle, http_stub, capsys):
     config = bundle / "config.yaml"
     text = config.read_text(encoding="utf-8")
@@ -140,6 +161,20 @@ def test_check_refuses_an_index_of_another_dimension(bundle, capsys):
     )
     assert code == 2
     assert "hash-256.idx has dimension 256, config says 128" in capsys.readouterr().err
+
+
+def test_check_refuses_an_index_of_another_model(bundle, capsys):
+    build_index(bundle)
+    config = bundle / "config.yaml"
+    config.write_text(config.read_text(encoding="utf-8").replace("hash-384", "other-384"), encoding="utf-8")
+    (bundle / "index" / "hash-384.idx").rename(bundle / "index" / "other-384.idx")
+    capsys.readouterr()
+    code = run(
+        "--config", str(config),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr",
+    )
+    assert code == 2
+    assert "other-384.idx holds model 'hash-384', config says 'other-384'" in capsys.readouterr().err
 
 
 def test_check_refuses_a_version_1_index(bundle, capsys):
@@ -274,16 +309,15 @@ def test_check_writes_a_partial_report_and_exits_1_when_a_chunk_was_skipped(bund
     assert f"warning: {warning}" in captured.err
 
 
-def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
-    bundle, http_stub, monkeypatch, capsys
-):
+def embed_over_http_stub(bundle: Path, http_stub) -> tuple[Path, dict[str, DeterministicEmbedder]]:
+    """Point the bundle's embedders at the stub, which serves each model's
+    deterministic vectors, so retrieval, the scripted answers and the scores
+    are those of the offline run.  Returns the config and the local models."""
     config = bundle / "config.yaml"
     text = config.read_text(encoding="utf-8")
     config.write_text(
         text.replace("endpoint: deterministic-test", f"endpoint: {http_stub.url}"), encoding="utf-8"
     )
-    # the stub serves each model's deterministic vectors, so retrieval and
-    # the scripted answers are those of the offline run
     local = {spec.model_id: DeterministicEmbedder(spec) for spec in load_config(config).embedders}
 
     def answer(body):
@@ -291,6 +325,13 @@ def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
         return 200, {"data": [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]}
 
     http_stub.default = answer
+    return config, local
+
+
+def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
+    bundle, http_stub, monkeypatch, capsys
+):
+    config, local = embed_over_http_stub(bundle, http_stub)
     memos: list = []
     make_memo = embedding.EmbeddingMemo.__init__
 
@@ -300,7 +341,7 @@ def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
 
     monkeypatch.setattr(embedding.EmbeddingMemo, "__init__", spy)
     build_index(bundle)
-    assert memos == []  # build-index embeds unique chunks and fills no memo
+    memos.clear()  # build-index made its own; count those of the check
     http_stub.requests.clear()
     out_path = bundle / "report.json"
     code = run(
@@ -442,6 +483,31 @@ def test_evaluate_glob_matches_report_directories(bundle, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert out == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
+
+
+def test_evaluate_over_a_remote_embedder_posts_each_text_once(bundle, http_stub, monkeypatch, capsys):
+    config, _ = embed_over_http_stub(bundle, http_stub)
+    reports = [str(bundle / "golden" / f"report_{mode}.json") for mode in ("baseline", "lotr", "lotr_srag")]
+    argv = ["--config", str(config), "evaluate", "--ground-truth", str(bundle / "ground_truth.jsonl")]
+    argv += ["--reports", *reports]
+    ground_truth = evaluation.load_ground_truth(bundle / "ground_truth.jsonl")
+    texts = [g.claim for g in ground_truth] + [g.reference_response for g in ground_truth]
+
+    def posts_of_each_text() -> list[int]:
+        inputs = sum((body["input"] for _, _, body in http_stub.requests), [])
+        http_stub.requests.clear()
+        return [inputs.count(text) for text in texts]
+
+    # a memo with no room passes every call through: the run without it
+    monkeypatch.setattr(embedding, "EMBEDDING_MEMO_ENTRIES", 0)
+    assert run(*argv) == 0
+    unmemoized = capsys.readouterr().out
+    assert min(posts_of_each_text()) > 1  # each again for every system that matched it
+    monkeypatch.setattr(embedding, "EMBEDDING_MEMO_ENTRIES", 1024)
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == unmemoized
+    assert unmemoized == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
+    assert posts_of_each_text() == [1] * len(texts)
 
 
 def test_evaluate_builds_one_grader_backend(bundle, capsys, monkeypatch):

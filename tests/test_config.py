@@ -155,6 +155,89 @@ def test_section_validation(section, values, message):
         config_from_dict(minimal_dict(**{section: values}))
 
 
+def within(data: dict, path: tuple):
+    """The part of a config dict at ``path``; a missing section is made empty."""
+    for step in path:
+        data = data[step] if isinstance(data, list) else data.setdefault(step, {})
+    return data
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("retrieval", "min_similarity"), "high", "retrieval.min_similarity must be a number, got 'high'"),
+        (("retrieval", "min_similarity"), True, "retrieval.min_similarity must be a number"),
+        (("retrieval", "min_similarity"), 1.5, r"min_similarity must be within \[-1, 1\], got 1.5"),
+        (("retrieval", "min_similarity"), -1.01, r"within \[-1, 1\]"),
+        (("retrieval", "lambda"), None, "retrieval.lambda must be a number, got None"),
+        (("chunking", "article_chunk_size"), 600.5, "chunking.article_chunk_size must be an integer"),
+        (("retrieval", "k"), True, "retrieval.k must be an integer, got True"),
+        (("retrieval", "pool_size"), 20.7, "retrieval.pool_size must be an integer"),
+        (("refinement", "max_rewrites"), 1.5, "refinement.max_rewrites must be an integer"),
+        (("refinement", "min_relevant_fraction"), "half", "refinement.min_relevant_fraction must be a number"),
+        (("evaluation", "match_threshold"), "0.7", "evaluation.match_threshold must be a number"),
+        (("concurrency",), True, "concurrency must be an integer, got True"),
+        (("concurrency",), 4.0, "concurrency must be an integer"),
+        (("embedders", 0, "dimension"), 64.0, r"embedders\[0\].dimension must be an integer"),
+        (("embedders", 1, "seed"), False, r"embedders\[1\].seed must be an integer"),
+        (("backends", "grader", "temperature"), True, "backend 'grader' temperature must be a number"),
+        (("backends", "generator", "max_output_tokens"), 51.2, "max_output_tokens must be an integer"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_numbers_of_the_wrong_kind_are_config_errors(path, value, message):
+    data = minimal_dict()
+    within(data, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
+def test_numbers_at_their_bounds_load():
+    data = minimal_dict(
+        retrieval={"min_similarity": -1, "lambda": 1, "k": 1, "pool_size": 1},
+        backends={role: {"model_id": role, "endpoint": "scripted", "temperature": 1} for role in
+                  ("generator", "grader", "rewriter")},
+    )
+    config = config_from_dict(data)
+    assert (config.retrieval.min_similarity, config.retrieval.lambda_) == (-1, 1)
+    assert config.grader.temperature == 1.0
+    data["retrieval"]["min_similarity"] = 1.0
+    assert config_from_dict(data).retrieval.min_similarity == 1.0
+
+
+@pytest.mark.parametrize(
+    "where,key,message",
+    [
+        ((), "concurrncy", "config root: unknown keys ['concurrncy']"),
+        (("embedders", 0), "sede", "embedders[0]: unknown keys ['sede']"),
+        (("backends",), "judge", "unknown keys ['judge']"),
+        (("chunking",), "kb_chunks", "chunking: unknown keys ['kb_chunks']"),
+        (("evaluation",), "judge_model", "evaluation: unknown keys ['judge_model']"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_unknown_keys_are_config_errors(where, key, message):
+    data = minimal_dict()
+    within(data, where)[key] = {"model_id": "x", "endpoint": "scripted"} if where == ("backends",) else 7
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(data)
+
+
+def test_two_embedders_may_not_share_an_index_file():
+    data = minimal_dict()
+    data["embedders"][0]["model_id"] = "hash/384"
+    data["embedders"][1]["model_id"] = "hash_384"
+    with pytest.raises(ConfigError, match="'hash/384' and 'hash_384' would share the index file"):
+        config_from_dict(data)
+
+
+def test_load_config_names_the_file_in_every_error(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(minimal_dict(concurrncy=8)), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: config root: unknown keys"):
+        load_config(path)
+
+
 def test_concurrency_validation():
     with pytest.raises(ConfigError, match="concurrency"):
         config_from_dict(minimal_dict(concurrency=0))

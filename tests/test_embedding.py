@@ -22,7 +22,6 @@ from claimcheck.embedding import (
     checked_norm,
     cosine_similarity,
     deterministic_test_embedder,
-    memoize_remote,
     unit_normalize,
 )
 from claimcheck.errors import ConfigError, ProtocolError, TransportError, ValidationError
@@ -137,8 +136,12 @@ def test_cosine_similarity_contract():
 
 
 def test_build_embedder_dispatch():
-    assert isinstance(build_embedder(spec()), DeterministicEmbedder)
-    assert isinstance(build_embedder(spec(endpoint="http://localhost:1/v1")), RemoteEmbedder)
+    # in-process: bare; remote: behind a memo of its own, over its endpoint
+    assert type(build_embedder(spec())) is DeterministicEmbedder
+    for endpoint in ("http://localhost:1/v1", "https://embeddings.invalid/v1"):
+        memo = build_embedder(spec(endpoint=endpoint))
+        assert isinstance(memo, EmbeddingMemo) and type(memo.inner) is RemoteEmbedder
+        assert memo.endpoint is memo.inner.endpoint and memo.spec is memo.inner.spec
     with pytest.raises(ConfigError):
         build_embedder(spec(endpoint="ftp://nope"))
 
@@ -487,14 +490,16 @@ def test_embedding_memo_answers_do_not_share_memory():
     assert len(session.inputs) == 1
 
 
-def test_memoize_remote_wraps_only_remote_embedders_and_only_once():
-    local = DeterministicEmbedder(spec())
-    assert memoize_remote(local) is local
-    remote_embedder = RemoteEmbedder(spec(endpoint="http://embeddings.invalid/v1"))
-    memo = memoize_remote(remote_embedder)
-    assert isinstance(memo, EmbeddingMemo) and memo.inner is remote_embedder
-    assert memo.endpoint is remote_embedder.endpoint and memo.spec is remote_embedder.spec
-    assert memoize_remote(memo) is memo
+def test_embedding_memo_passes_a_call_larger_than_itself_through(monkeypatch):
+    # such a call, like an index build, would only evict its own rows
+    monkeypatch.setattr("claimcheck.embedding.EMBEDDING_MEMO_ENTRIES", 4)
+    session = EmbeddingSession(spec(dimension=4))
+    memo = memo_over(session)
+    texts = ["a", "b", "c", "a", "d"]
+    assert np.array_equal(memo.embed(texts), session.local.embed(texts))
+    assert session.inputs == [texts]
+    memo.embed(["a"])
+    assert session.inputs == [texts, ["a"]]  # nothing was kept
 
 
 def test_embedding_memo_stays_consistent_under_threads(monkeypatch):

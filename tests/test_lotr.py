@@ -20,7 +20,6 @@ from claimcheck.embedding import (
     MAX_BATCH,
     DeterministicEmbedder,
     EmbedderSpec,
-    EmbeddingMemo,
     RemoteEmbedder,
 )
 from claimcheck.errors import ConfigError, TransportError
@@ -332,19 +331,3 @@ def test_repeated_set_ups_do_not_accumulate_pool_threads():
     while threading.active_count() > before + 2 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= before + 2
-
-
-def test_retriever_puts_only_remote_leg_embedders_behind_a_memo():
-    local = build_leg("m-a", 1, TEXTS)
-    remote, session = remote_leg("m-b", 2)
-    retriever = MergingRetriever([local, remote], k=3, min_similarity=-1.0, pool_size=4, reorder="none")
-    in_process, memoized = retriever.legs
-    assert in_process.embedder is local.embedder
-    assert isinstance(memoized.embedder, EmbeddingMemo) and memoized.embedder.inner is remote.embedder
-    first = retriever.retrieve("zinc lozenges for cold symptoms")
-    assert first == make_retriever().retrieve("zinc lozenges for cold symptoms")
-    assert retriever.retrieve("zinc lozenges for cold symptoms") == first
-    assert session.inputs == [["zinc lozenges for cold symptoms"]]
-    # a retriever over legs that already query through a memo keeps it
-    again = MergingRetriever(retriever.legs, k=3, min_similarity=-1.0, pool_size=4, reorder="none")
-    assert again.legs[1].embedder is memoized.embedder
