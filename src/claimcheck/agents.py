@@ -13,7 +13,6 @@ import hashlib
 import json
 import re
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .transport import JsonEndpoint, remote_endpoint
+from .transport import JsonEndpoint, LruMap, remote_endpoint
 
 SCRIPTED_ENDPOINT = "scripted"
 CLAIM_DEDUPE_THRESHOLD = 0.9
@@ -153,6 +152,10 @@ class ScriptedBackend:
                     responses[row["fingerprint"]] = row["response"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ConfigError(f"{path}: bad fixture line {lineno}: {exc}") from exc
+                if not isinstance(row["response"], str):
+                    raise ConfigError(
+                        f"{path}: bad fixture line {lineno}: response must be a string, got {row['response']!r}"
+                    )
         return cls(responses, model_id=model_id)
 
     def save(self, path: str | Path) -> None:
@@ -189,8 +192,8 @@ class ScriptedBackend:
 class GradeMemo:
     """Reuses a deterministic grader's answers to identical prompts.
 
-    Answers are kept by prompt fingerprint in a least-recently-used map
-    of at most ``GRADE_MEMO_ENTRIES`` entries, and only when they parse
+    Answers are kept by prompt fingerprint in an :class:`LruMap` of at
+    most ``GRADE_MEMO_ENTRIES`` entries, and only when they parse
     as a score: an unparseable answer, and any failure, is asked again
     the next time.  A reused answer is the stored :class:`RawAnswer`,
     token counts included, so callers that count calls above the memo
@@ -200,23 +203,15 @@ class GradeMemo:
     def __init__(self, inner: LlmBackend):
         self.inner = inner
         self.endpoint = remote_endpoint(inner)
-        self._answers: OrderedDict[str, RawAnswer] = OrderedDict()
-        self._lock = threading.Lock()
+        self._answers = LruMap(GRADE_MEMO_ENTRIES)
 
     def complete(self, prompt: str) -> RawAnswer:
         key = prompt_fingerprint(prompt)
-        with self._lock:
-            answer = self._answers.get(key)
-            if answer is not None:
-                self._answers.move_to_end(key)
-                return answer
-        answer = self.inner.complete(prompt)
-        if parse_score(answer.text) is not None:
-            with self._lock:
-                self._answers[key] = answer
-                self._answers.move_to_end(key)
-                if len(self._answers) > GRADE_MEMO_ENTRIES:
-                    self._answers.popitem(last=False)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self.inner.complete(prompt)
+            if parse_score(answer.text) is not None:
+                self._answers.keep(key, answer)
         return answer
 
 

@@ -136,6 +136,8 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
             sources = e.get("sources") or []
             if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
                 raise ValidationError(f"report {path}: an entry's 'sources' must be a list of objects")
+            if not all(isinstance(s.get(key, ""), str) for s in sources for key in ("title", "authors", "date")):
+                raise ValidationError(f"report {path}: a source's title, authors and date must be strings")
         reports.append(report)
     return reports
 

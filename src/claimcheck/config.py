@@ -36,6 +36,15 @@ def _number(value, kind: str, what: str):
     return value
 
 
+def _string(value, what: str, optional: bool = False):
+    """``value`` if it is a string that is not blank; also None when ``optional``."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or not value.strip():
+        raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _check_numbers(settings, section: str) -> None:
     """Every ``int`` and ``float`` field of a settings dataclass holds a number
     of its kind; the field types are the annotation strings of this module."""
@@ -223,12 +232,12 @@ def _build_backend_config(data: dict, role: str) -> LlmBackendConfig:
     where = f"backend {role!r}"
     _mapping(data, where, {f.name for f in dataclasses.fields(LlmBackendConfig)})
     return LlmBackendConfig(
-        model_id=str(_require(data, "model_id", where)),
-        endpoint=str(_require(data, "endpoint", where)),
+        model_id=_string(_require(data, "model_id", where), f"{where} model_id"),
+        endpoint=_string(_require(data, "endpoint", where), f"{where} endpoint"),
         role=role,
         temperature=float(_number(data.get("temperature", 0.0), "float", f"{where} temperature")),
         max_output_tokens=_number(data.get("max_output_tokens", 512), "int", f"{where} max_output_tokens"),
-        api_key_env=data.get("api_key_env"),
+        api_key_env=_string(data.get("api_key_env"), f"{where} api_key_env", optional=True),
     )
 
 
@@ -236,19 +245,18 @@ def _build_embedder_spec(data: dict, position: int) -> EmbedderSpec:
     where = f"embedders[{position}]"
     _mapping(data, where, {f.name for f in dataclasses.fields(EmbedderSpec)})
     return EmbedderSpec(
-        model_id=str(_require(data, "model_id", where)),
+        model_id=_string(_require(data, "model_id", where), f"{where}.model_id"),
         dimension=_number(_require(data, "dimension", where), "int", f"{where}.dimension"),
-        endpoint=str(_require(data, "endpoint", where)),
+        endpoint=_string(_require(data, "endpoint", where), f"{where}.endpoint"),
         seed=_number(data.get("seed", 0), "int", f"{where}.seed"),
-        api_key_env=data.get("api_key_env"),
+        api_key_env=_string(data.get("api_key_env"), f"{where}.api_key_env", optional=True),
     )
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     _mapping(data, "config root", ROOT_KEYS)
 
-    def resolve(p) -> str:
-        p = str(p)
+    def resolve(p: str) -> str:
         if base_dir is not None and not Path(p).is_absolute():
             return str((base_dir / p).resolve())
         return p
@@ -260,10 +268,10 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     for role in ROLES:
         _require(backends_raw, role, "backends")
 
-    mock = data.get("mock_fixtures")
+    mock = _string(data.get("mock_fixtures"), "mock_fixtures", optional=True)
     return RunConfig(
-        corpus_path=resolve(_require(data, "corpus_path", "config")),
-        index_dir=resolve(_require(data, "index_dir", "config")),
+        corpus_path=resolve(_string(_require(data, "corpus_path", "config"), "corpus_path")),
+        index_dir=resolve(_string(_require(data, "index_dir", "config"), "index_dir")),
         embedders=tuple(_build_embedder_spec(e, i) for i, e in enumerate(embedders_raw)),
         generator=_build_backend_config(backends_raw["generator"], "generator"),
         grader=_build_backend_config(backends_raw["grader"], "grader"),

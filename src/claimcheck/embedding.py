@@ -15,14 +15,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, ValidationError
-from .transport import JsonEndpoint, run_all
+from .transport import JsonEndpoint, LruMap, run_all
 
 DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
@@ -213,7 +211,7 @@ class RemoteEmbedder:
 class EmbeddingMemo:
     """Reuses a remote embedder's vectors for texts it has embedded before.
 
-    Rows are kept by text in a least-recently-used map of at most
+    Rows are kept by text in an :class:`LruMap` of at most
     ``EMBEDDING_MEMO_ENTRIES`` entries.  ``embed`` copies kept rows out
     and posts only the distinct texts it does not hold, in one call to
     the inner embedder; a row is kept only once that call has returned
@@ -229,34 +227,26 @@ class EmbeddingMemo:
         self.inner = inner
         self.spec = inner.spec
         self.endpoint = inner.endpoint
-        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
+        self._rows = LruMap(EMBEDDING_MEMO_ENTRIES)
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """The inner embedder's ``(len(texts), dimension)`` float64 matrix."""
-        if len(texts) > EMBEDDING_MEMO_ENTRIES:
+        if len(texts) > self._rows.size:
             return self.inner.embed(texts)
         _check_texts(texts)
         out = np.empty((len(texts), self.spec.dimension), np.float64)
         missing: dict[str, list[int]] = {}
-        with self._lock:
-            for i, text in enumerate(texts):
-                row = self._rows.get(text)
-                if row is None:
-                    missing.setdefault(text, []).append(i)
-                else:
-                    self._rows.move_to_end(text)
-                    out[i] = row
-        if not missing:
-            return out
-        fresh = self.inner.embed(list(missing))
-        with self._lock:
+        for i, text in enumerate(texts):
+            row = self._rows.get(text)
+            if row is None:
+                missing.setdefault(text, []).append(i)
+            else:
+                out[i] = row
+        if missing:
+            fresh = self.inner.embed(list(missing))
             for (text, positions), vector in zip(missing.items(), fresh):
                 out[positions] = vector
-                self._rows[text] = vector.copy()
-                self._rows.move_to_end(text)
-                if len(self._rows) > EMBEDDING_MEMO_ENTRIES:
-                    self._rows.popitem(last=False)
+                self._rows.keep(text, vector.copy())
         return out
 
 

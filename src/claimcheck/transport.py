@@ -28,6 +28,7 @@ import os
 import ssl
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from json import dumps, loads
 from typing import Callable, Sequence, TypeVar
@@ -295,3 +296,32 @@ def run_all(
         outcomes.append(done)
     wait(pending.values())
     return [outcome.result() for outcome in outcomes]
+
+
+class LruMap:
+    """A lock-guarded least-recently-used map of at most ``size`` entries.
+
+    ``get`` makes a hit the most recent entry (None on a miss), and ``keep``
+    evicts the oldest past ``size``.  Callers never change a kept value.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            return self._entries.get(key)
+
+    def keep(self, key, value) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
+            self._entries[key] = value
+            if len(self._entries) > self.size:
+                self._entries.popitem(last=False)

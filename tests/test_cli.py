@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -386,6 +388,21 @@ def test_check_corrupt_mock_fixtures(bundle, capsys):
     assert "bad fixture line 1" in capsys.readouterr().err
 
 
+def test_check_refuses_a_mock_response_that_is_not_a_string(bundle, capsys):
+    build_index(bundle)
+    path = bundle / "mock_responses.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(first), "response": 5}) + "\n" + "".join(rest), encoding="utf-8")
+    out = bundle / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
+    )
+    assert code == 2
+    assert f"{path}: bad fixture line 1: response must be a string, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- evaluate -----------------------------------------------------------------
 
 
@@ -568,8 +585,10 @@ def test_evaluate_bad_scores_file(bundle, capsys):
         {"mode": "lotr", "article_id": "immune-boosters", "entries": [1]},
         {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": "text"}]},
         {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": {"text": "t"}, "sources": ["a"]}]},
+        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": {"text": "t"}, "sources": [{"title": 5}]}]},
     ],
-    ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object", "claim-not-an-object", "source-not-an-object"],
+    ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object", "claim-not-an-object",
+         "source-not-an-object", "source-title-not-a-string"],
 )
 def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
     bad = bundle / "bad.json"
@@ -635,6 +654,71 @@ def test_non_numeric_config_value_is_a_config_error(bundle, capsys, key):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     assert run("--config", str(path), "ingest") == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+# -- mutated inputs -----------------------------------------------------------
+
+MUTATIONS = (None, 5, True, "", [], {}, "None")
+MUTATIONS_PER_INPUT = 40
+
+
+def value_paths(value, path: tuple = ()):
+    """The path of every value nested in ``value``."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+def mutate(data, rng: random.Random):
+    """A copy of ``data`` with one nested value replaced, and a note of which."""
+    data = copy.deepcopy(data)
+    path = rng.choice(list(value_paths(data)))
+    value = copy.deepcopy(rng.choice(MUTATIONS))
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return data, f"{'.'.join(map(str, path))} = {value!r}"
+
+
+def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
+    """One value of the config, the mock fixtures or a report replaced at a
+    time: ``main`` returns 0, 1 or 2 and raises nothing."""
+    build_index(bundle)
+    rng = random.Random(16)
+    config_path, mock_path = bundle / "config.yaml", bundle / "mock_responses.jsonl"
+    mutated_config, mutated_report = bundle / "mutated.yaml", tmp_path / "mutated_report.json"
+    config = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    mock = mock_path.read_text(encoding="utf-8")
+    report = json.loads((bundle / "golden" / "report_lotr_srag.json").read_text(encoding="utf-8"))
+    check = ["check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag",
+             "--out", str(tmp_path / "report.json")]
+    evaluate = ["evaluate", "--reports", str(mutated_report), "--ground-truth", str(bundle / "ground_truth.jsonl")]
+
+    def runs(what: str, argv: list[str]) -> str | None:
+        try:
+            code = run(*argv)
+        except Exception as exc:  # the finding this test exists for
+            return f"{what}: raised {exc!r}"
+        return None if code in (0, 1, 2) else f"{what}: exit {code!r}"
+
+    failures = []
+    for _ in range(MUTATIONS_PER_INPUT):
+        data, what = mutate(config, rng)
+        mutated_config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        failures.append(runs(f"config {what}", ["--config", str(mutated_config), *check]))
+    rows = [json.loads(line) for line in mock.splitlines()]
+    for _ in range(MUTATIONS_PER_INPUT):
+        data, what = mutate(rows, rng)
+        mock_path.write_text("".join(json.dumps(row) + "\n" for row in data), encoding="utf-8")
+        failures.append(runs(f"mock fixtures row {what}", ["--config", str(config_path), *check]))
+    mock_path.write_text(mock, encoding="utf-8")
+    for _ in range(MUTATIONS_PER_INPUT):
+        data, what = mutate(report, rng)
+        mutated_report.write_text(json.dumps(data), encoding="utf-8")
+        failures.append(runs(f"report {what}", ["--config", str(config_path), *evaluate]))
+    assert [f for f in failures if f] == []
 
 
 def test_module_entry_point(bundle):

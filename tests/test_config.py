@@ -182,6 +182,15 @@ def within(data: dict, path: tuple):
         (("embedders", 1, "seed"), False, r"embedders\[1\].seed must be an integer"),
         (("backends", "grader", "temperature"), True, "backend 'grader' temperature must be a number"),
         (("backends", "generator", "max_output_tokens"), 51.2, "max_output_tokens must be an integer"),
+        (("backends", "grader", "model_id"), None, "backend 'grader' model_id must be a non-empty string, got None"),
+        (("backends", "rewriter", "endpoint"), [], "backend 'rewriter' endpoint must be a non-empty string"),
+        (("backends", "generator", "api_key_env"), 5, "backend 'generator' api_key_env must be a non-empty string"),
+        (("embedders", 0, "model_id"), 5, r"embedders\[0\].model_id must be a non-empty string, got 5"),
+        (("embedders", 1, "endpoint"), " ", r"embedders\[1\].endpoint must be a non-empty string"),
+        (("embedders", 1, "api_key_env"), "", r"embedders\[1\].api_key_env must be a non-empty string"),
+        (("corpus_path",), None, "corpus_path must be a non-empty string, got None"),
+        (("index_dir",), True, "index_dir must be a non-empty string, got True"),
+        (("mock_fixtures",), {}, "mock_fixtures must be a non-empty string"),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

@@ -22,7 +22,7 @@ import claimcheck
 from claimcheck.agents import LlmBackendConfig, RemoteChatBackend
 from claimcheck.embedding import EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import TransportError
-from claimcheck.transport import MAX_ATTEMPTS, MAX_RETRY_AFTER, USER_AGENT, JsonEndpoint, run_all
+from claimcheck.transport import MAX_ATTEMPTS, MAX_RETRY_AFTER, USER_AGENT, JsonEndpoint, LruMap, run_all
 from conftest import FakeResponse, StubHttpServer
 
 URL = "http://models.invalid/v1"
@@ -348,3 +348,11 @@ def test_concurrent_callers_share_one_pool_per_endpoint():
     assert not any(t.is_alive() for t in threads)
     assert results == [[2 * i for i in range(n, n + 5)] for n in range(callers)]
     assert len(ran_on) <= 3
+
+
+def test_lru_map_makes_a_key_kept_again_the_most_recent():
+    # two callers that miss the same key at once both keep it
+    memo = LruMap(2)
+    for key in ("a", "b", "a", "c"):
+        memo.keep(key, key.upper())
+    assert (memo.get("a"), memo.get("b"), memo.get("c"), len(memo)) == ("A", None, "C", 2)
