@@ -143,19 +143,19 @@ class ScriptedBackend:
         if not path.exists():
             raise ConfigError(f"scripted backend fixtures not found: {path}")
         responses: dict[str, str] = {}
-        with path.open(encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
-                    responses[row["fingerprint"]] = row["response"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    row = json.loads(line.decode("utf-8"))
+                    fingerprint, response = row["fingerprint"], row["response"]
+                except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigError(f"{path}: bad fixture line {lineno}: {exc}") from exc
-                if not isinstance(row["response"], str):
-                    raise ConfigError(
-                        f"{path}: bad fixture line {lineno}: response must be a string, got {row['response']!r}"
-                    )
+                for key, value in (("fingerprint", fingerprint), ("response", response)):
+                    if not isinstance(value, str):
+                        raise ConfigError(f"{path}: bad fixture line {lineno}: {key} must be a string, got {value!r}")
+                responses[fingerprint] = response
         return cls(responses, model_id=model_id)
 
     def save(self, path: str | Path) -> None:

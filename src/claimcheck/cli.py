@@ -123,7 +123,7 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
     for path in paths:
         try:
             report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(report, dict):
             raise ValidationError(f"report {path} is not a JSON object")
@@ -150,7 +150,7 @@ def _evaluate_from_scores(args) -> int:
     try:
         payload = json.loads(Path(args.scores).read_text(encoding="utf-8"))
         systems = payload["systems"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read scores file {args.scores}: {exc}") from exc
     if not isinstance(systems, dict) or not all(
         isinstance(scores, dict) and all(map(_is_number_list, scores.values()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,36 +22,27 @@ from .errors import ConfigError
 
 MODES = ("baseline", "lotr", "lotr_srag")
 ROLES = ("generator", "grader", "rewriter")
-ROOT_KEYS = (
-    "corpus_path", "index_dir", "embedders", "backends", "chunking", "retrieval",
-    "refinement", "evaluation", "mock_fixtures", "concurrency",
-)
 
 
-def _number(value, kind: str, what: str):
-    """``value`` if it is an integer (``kind`` ``"int"``) or a real number
-    (``"float"``); a boolean is neither."""
-    ok = isinstance(value, int) if kind == "int" else isinstance(value, (int, float))
-    if isinstance(value, bool) or not ok:
-        raise ConfigError(f"{what} must be {'an integer' if kind == 'int' else 'a number'}, got {value!r}")
-    return value
+def _typed(value, kind: str, path: str):
+    """``value`` checked against a field annotation of this package.
 
-
-def _string(value, what: str, optional: bool = False):
-    """``value`` if it is a string that is not blank; also None when ``optional``."""
-    if value is None and optional:
-        return None
-    if not isinstance(value, str) or not value.strip():
-        raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _check_numbers(settings, section: str) -> None:
-    """Every ``int`` and ``float`` field of a settings dataclass holds a number
-    of its kind; the field types are the annotation strings of this module."""
-    for f in dataclasses.fields(settings):
-        if f.type in ("int", "float"):
-            _number(getattr(settings, f.name), f.type, f"{section}.{f.name.rstrip('_')}")
+    ``int`` takes a YAML integer; ``float`` any finite number, returned as a
+    float; ``str`` a string that is not blank; ``str | None`` that or null.
+    A boolean is never a number.
+    """
+    if kind in ("str", "str | None"):
+        if (isinstance(value, str) and value.strip()) or (value is None and kind == "str | None"):
+            return value
+        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind == "float" else int):
+        raise ConfigError(f"{path} must be {'a number' if kind == 'float' else 'an integer'}, got {value!r}")
+    if kind == "int":
+        return value
+    # false for NaN, the infinities and integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,6 @@ class ChunkingConfig:
     kb_overlap: int = 50
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "chunking")
         for size, overlap, what in (
             (self.article_chunk_size, self.article_overlap, "article"),
             (self.kb_chunk_size, self.kb_overlap, "kb"),
@@ -81,7 +72,6 @@ class RetrievalConfig:
     reorder: str = "ends"
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "retrieval")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ConfigError(f"retrieval lambda must be within [0, 1], got {self.lambda_}")
         if not -1.0 <= self.min_similarity <= 1.0:
@@ -103,7 +93,6 @@ class RefinementConfig:
     min_relevant_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "refinement")
         if self.max_rewrites < 0 or self.max_regenerations < 0:
             raise ConfigError("refinement budgets must be non-negative")
         if not 0.0 <= self.min_relevant_fraction <= 1.0:
@@ -119,7 +108,6 @@ class EvaluationConfig:
     judge: str = "backend"  # "backend" | "lexical"
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "evaluation")
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError(f"match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
@@ -155,37 +143,18 @@ class RunConfig:
             raise ConfigError(
                 f"embedders {first!r} and {second!r} would share the index file {index_path(self, first)}"
             )
-        _number(self.concurrency, "int", "concurrency")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
 
     def to_dict(self) -> dict:
         """Plain-data snapshot embedded into reports; round-trips via config_from_dict."""
-        return {
-            "corpus_path": self.corpus_path,
-            "index_dir": self.index_dir,
-            "embedders": [dataclasses.asdict(e) for e in self.embedders],
-            "backends": {
-                role: dataclasses.asdict(cfg)
-                for role, cfg in (
-                    ("generator", self.generator),
-                    ("grader", self.grader),
-                    ("rewriter", self.rewriter),
-                )
-            },
-            "chunking": dataclasses.asdict(self.chunking),
-            "retrieval": {
-                "k": self.retrieval.k,
-                "lambda": self.retrieval.lambda_,
-                "min_similarity": self.retrieval.min_similarity,
-                "pool_size": self.retrieval.pool_size,
-                "reorder": self.retrieval.reorder,
-            },
-            "refinement": dataclasses.asdict(self.refinement),
-            "evaluation": dataclasses.asdict(self.evaluation),
-            "mock_fixtures": self.mock_fixtures,
-            "concurrency": self.concurrency,
-        }
+        data = {}
+        for key, value in _plain(self).items():
+            if key in ROLES:
+                data.setdefault("backends", {})[key] = value
+            else:
+                data[key] = value
+        return data
 
     def public_dict(self) -> dict:
         """The snapshot embedded into reports.
@@ -205,21 +174,24 @@ def index_path(config: RunConfig, model_id: str) -> Path:
     return Path(config.index_dir) / f"{slug}.idx"
 
 
+def _plain(value):
+    """Settings as the plain data of a config file: a settings object maps each
+    field name without its trailing ``_`` to the field's value."""
+    if dataclasses.is_dataclass(value):
+        return {f.name.rstrip("_"): _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _mapping(data, where: str, known) -> dict:
     """``data``, checked to be a mapping whose keys are all in ``known``."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be a mapping")
+        raise ConfigError(f"{where} must be a mapping, got {data!r}")
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     return data
-
-
-def _section(data: dict, name: str, cls):
-    """The ``name`` section as a ``cls``; YAML's ``lambda`` is the field ``lambda_``."""
-    fields = {f.name.rstrip("_"): f.name for f in dataclasses.fields(cls)}
-    raw = _mapping(data.get(name) or {}, name, fields)
-    return cls(**{fields[key]: value for key, value in raw.items()})
 
 
 def _require(data: dict, key: str, where: str):
@@ -228,60 +200,58 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _build_backend_config(data: dict, role: str) -> LlmBackendConfig:
-    where = f"backend {role!r}"
-    _mapping(data, where, {f.name for f in dataclasses.fields(LlmBackendConfig)})
-    return LlmBackendConfig(
-        model_id=_string(_require(data, "model_id", where), f"{where} model_id"),
-        endpoint=_string(_require(data, "endpoint", where), f"{where} endpoint"),
-        role=role,
-        temperature=float(_number(data.get("temperature", 0.0), "float", f"{where} temperature")),
-        max_output_tokens=_number(data.get("max_output_tokens", 512), "int", f"{where} max_output_tokens"),
-        api_key_env=_string(data.get("api_key_env"), f"{where} api_key_env", optional=True),
-    )
+def _load(cls, data, where: str, **given):
+    """The settings object ``cls`` read from the mapping at ``where`` in the file.
 
-
-def _build_embedder_spec(data: dict, position: int) -> EmbedderSpec:
-    where = f"embedders[{position}]"
-    _mapping(data, where, {f.name for f in dataclasses.fields(EmbedderSpec)})
-    return EmbedderSpec(
-        model_id=_string(_require(data, "model_id", where), f"{where}.model_id"),
-        dimension=_number(_require(data, "dimension", where), "int", f"{where}.dimension"),
-        endpoint=_string(_require(data, "endpoint", where), f"{where}.endpoint"),
-        seed=_number(data.get("seed", 0), "int", f"{where}.seed"),
-        api_key_env=_string(data.get("api_key_env"), f"{where}.api_key_env", optional=True),
-    )
+    A key is a field name without its trailing ``_``, so YAML's ``lambda`` is
+    ``lambda_``; each value is checked against its field's annotation.  A
+    missing or null mapping takes every default.  The caller sets the fields
+    in ``given``: the file may repeat them but not change them.
+    """
+    fields = {f.name.rstrip("_"): f for f in dataclasses.fields(cls)}
+    data = _mapping({} if data is None else data, where, fields)
+    values = dict(given)
+    for key, f in fields.items():
+        if key not in data:
+            if f.name not in given and f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing required key {key!r}")
+            continue
+        value = _typed(data[key], f.type, f"{where}.{key}")
+        if given.get(f.name, value) != value:
+            raise ConfigError(f"{where}.{key} must be {given[f.name]!r}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
-    _mapping(data, "config root", ROOT_KEYS)
-
-    def resolve(p: str) -> str:
-        if base_dir is not None and not Path(p).is_absolute():
-            return str((base_dir / p).resolve())
-        return p
-
-    embedders_raw = _require(data, "embedders", "config")
-    if not isinstance(embedders_raw, (list, tuple)) or len(embedders_raw) != 2:
+    root = {f.name: f for f in dataclasses.fields(RunConfig)}
+    _mapping(data, "config root", {*root, "backends"} - set(ROLES))
+    embedders = _require(data, "embedders", "config")
+    if not isinstance(embedders, (list, tuple)) or len(embedders) != 2:
         raise ConfigError("config: 'embedders' must list exactly two specs")
-    backends_raw = _mapping(_require(data, "backends", "config"), "config: 'backends'", ROLES)
-    for role in ROLES:
-        _require(backends_raw, role, "backends")
+    backends = _mapping(_require(data, "backends", "config"), "backends", ROLES)
 
-    mock = _string(data.get("mock_fixtures"), "mock_fixtures", optional=True)
+    def path(key: str, value) -> str | None:
+        """The path setting ``key``, resolved against ``base_dir`` when relative."""
+        value = _typed(value, root[key].type, key)
+        if value is None or base_dir is None or Path(value).is_absolute():
+            return value
+        return str((base_dir / value).resolve())
+
     return RunConfig(
-        corpus_path=resolve(_string(_require(data, "corpus_path", "config"), "corpus_path")),
-        index_dir=resolve(_string(_require(data, "index_dir", "config"), "index_dir")),
-        embedders=tuple(_build_embedder_spec(e, i) for i, e in enumerate(embedders_raw)),
-        generator=_build_backend_config(backends_raw["generator"], "generator"),
-        grader=_build_backend_config(backends_raw["grader"], "grader"),
-        rewriter=_build_backend_config(backends_raw["rewriter"], "rewriter"),
-        chunking=_section(data, "chunking", ChunkingConfig),
-        retrieval=_section(data, "retrieval", RetrievalConfig),
-        refinement=_section(data, "refinement", RefinementConfig),
-        evaluation=_section(data, "evaluation", EvaluationConfig),
-        mock_fixtures=resolve(mock) if mock else None,
-        concurrency=data.get("concurrency", 4),
+        corpus_path=path("corpus_path", _require(data, "corpus_path", "config")),
+        index_dir=path("index_dir", _require(data, "index_dir", "config")),
+        embedders=tuple(_load(EmbedderSpec, spec, f"embedders[{i}]") for i, spec in enumerate(embedders)),
+        **{
+            role: _load(LlmBackendConfig, _require(backends, role, "backends"), f"backends.{role}", role=role)
+            for role in ROLES
+        },
+        chunking=_load(ChunkingConfig, data.get("chunking"), "chunking"),
+        retrieval=_load(RetrievalConfig, data.get("retrieval"), "retrieval"),
+        refinement=_load(RefinementConfig, data.get("refinement"), "refinement"),
+        evaluation=_load(EvaluationConfig, data.get("evaluation"), "evaluation"),
+        mock_fixtures=path("mock_fixtures", data.get("mock_fixtures")),
+        concurrency=_typed(data.get("concurrency", RunConfig.concurrency), root["concurrency"].type, "concurrency"),
     )
 
 
@@ -292,7 +262,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"{path}: config file is empty")

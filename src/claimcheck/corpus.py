@@ -223,12 +223,15 @@ def ingest_corpus(path: str | Path) -> tuple[list[CorpusRecord], list[RejectedRo
         records.append(rec)
 
     if not is_csv:
-        with path.open(encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
+                    row = json.loads(line.decode("utf-8"))
+                except UnicodeDecodeError:
+                    consume(f"line {lineno}", None, "invalid utf-8")
+                    continue
                 except json.JSONDecodeError:
                     consume(f"line {lineno}", None, "invalid json")
                     continue
@@ -237,14 +240,17 @@ def ingest_corpus(path: str | Path) -> tuple[list[CorpusRecord], list[RejectedRo
                     continue
                 consume(f"line {lineno}", row, None)
     else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in _CSV_COLUMNS if c not in header]
-            if missing:
-                raise ValidationError(f"csv corpus is missing columns: {', '.join(missing)}")
-            for lineno, row in enumerate(reader, start=2):
-                consume(f"line {lineno}", {k: row.get(k) for k in _CSV_COLUMNS}, None)
+        try:
+            with path.open(encoding="utf-8", newline="") as fh:
+                reader = csv.DictReader(fh)
+                header = reader.fieldnames or []
+                missing = [c for c in _CSV_COLUMNS if c not in header]
+                if missing:
+                    raise ValidationError(f"csv corpus is missing columns: {', '.join(missing)}")
+                for lineno, row in enumerate(reader, start=2):
+                    consume(f"line {lineno}", {k: row.get(k) for k in _CSV_COLUMNS}, None)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot read corpus {path}: {exc}") from exc
 
     return records, rejects
 
@@ -277,5 +283,8 @@ def load_article(path: str | Path) -> ArticleText:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"article file not found: {path}")
-    body = path.read_text(encoding="utf-8")
+    try:
+        body = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read article {path}: {exc}") from exc
     return ArticleText(id=path.stem, body=body)

@@ -462,19 +462,20 @@ def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"ground truth file not found: {path}")
+    keys = ("article_id", "claim", "label", "reference_response")
     entries: list[GroundTruthEntry] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-                article_id = str(row["article_id"])
-                claim = str(row["claim"])
-                label_raw = str(row["label"])
-                reference = str(row["reference_response"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                row = json.loads(line.decode("utf-8"))
+                values = [row[key] for key in keys]
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{path}: bad ground-truth line {lineno}: {exc}") from exc
+            if not all(isinstance(value, str) for value in values):
+                raise ValidationError(f"{path}: bad ground-truth line {lineno}: {', '.join(keys)} must be strings")
+            article_id, claim, label_raw, reference = values
             label = label_raw.strip().lower().replace(" ", "_").replace("-", "_")
             if label not in GT_LABELS:
                 label = "other"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
 import random
 import subprocess
@@ -86,8 +88,16 @@ def test_build_index_strict_on_rejects(bundle, capsys):
         ({"hash-256": "hash/384", "hash-384": "hash_384"}, "would share the index file"),
         ({"seed: 7": "sede: 7"}, "unknown keys ['sede']"),
         ({"concurrency: 4": "concurrncy: 8"}, "unknown keys ['concurrncy']"),
+        (
+            {"endpoint: scripted": "endpoint: scripted\n    temperature: .nan"},
+            "backends.generator.temperature must be a finite number, got nan",
+        ),
+        (
+            {"model_id: scripted-rewriter": "model_id: scripted-rewriter\n    role: grader"},
+            "backends.rewriter.role must be 'rewriter', got 'grader'",
+        ),
     ],
-    ids=["shared-index-file", "unknown-embedder-key", "unknown-root-key"],
+    ids=["shared-index-file", "unknown-embedder-key", "unknown-root-key", "nan-temperature", "changed-role"],
 )
 def test_build_index_refuses_a_broken_config_before_writing(bundle, capsys, edits, message):
     config = bundle / "config.yaml"
@@ -403,6 +413,21 @@ def test_check_refuses_a_mock_response_that_is_not_a_string(bundle, capsys):
     assert not out.exists()
 
 
+def test_check_refuses_a_mock_fingerprint_that_is_not_a_string(bundle, capsys):
+    build_index(bundle)
+    path = bundle / "mock_responses.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(first), "fingerprint": 5}) + "\n" + "".join(rest), encoding="utf-8")
+    out = bundle / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
+    )
+    assert code == 2
+    assert f"{path}: bad fixture line 1: fingerprint must be a string, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- evaluate -----------------------------------------------------------------
 
 
@@ -625,6 +650,28 @@ def test_evaluate_scores_of_the_wrong_shape(bundle, capsys, payload):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        ("config.yaml", ["ingest"]),
+        ("immune-boosters.md", ["check", "--article", "immune-boosters.md", "--mode", "baseline"]),
+        ("mock_responses.jsonl", ["check", "--article", "immune-boosters.md", "--mode", "baseline"]),
+        ("ground_truth.jsonl", ["evaluate", "--reports", "golden/report_lotr.json", "--ground-truth", "ground_truth.jsonl"]),
+        ("golden/report_lotr.json", ["evaluate", "--reports", "golden/report_lotr.json", "--ground-truth", "ground_truth.jsonl"]),
+        ("pairwise_scores.json", ["evaluate", "--scores", "pairwise_scores.json"]),
+    ],
+    ids=["config", "article", "mock-fixtures", "ground-truth", "report", "scores"],
+)
+def test_a_file_that_is_not_utf8_is_refused(bundle, capsys, monkeypatch, name, command):
+    monkeypatch.chdir(bundle)
+    path = bundle / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert run("--config", "config.yaml", *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "'utf-8' codec can't decode byte 0xff in position 0" in err
+
+
 # -- top level ----------------------------------------------------------------
 
 
@@ -682,19 +729,60 @@ def mutate(data, rng: random.Random):
     return data, f"{'.'.join(map(str, path))} = {value!r}"
 
 
+def jsonl_rows(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def jsonl_text(rows: list) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def csv_text(rows: list) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    for row in rows:
+        writer.writerow(row if isinstance(row, list) else [row])
+    return out.getvalue()
+
+
 def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
-    """One value of the config, the mock fixtures or a report replaced at a
-    time: ``main`` returns 0, 1 or 2 and raises nothing."""
+    """One value of each file the CLI reads replaced at a time, then each
+    file with a byte that is not UTF-8: ``main`` returns 0, 1 or 2 and
+    raises nothing."""
     build_index(bundle)
     rng = random.Random(16)
     config_path, mock_path = bundle / "config.yaml", bundle / "mock_responses.jsonl"
     mutated_config, mutated_report = bundle / "mutated.yaml", tmp_path / "mutated_report.json"
-    config = yaml.safe_load(config_path.read_text(encoding="utf-8"))
-    mock = mock_path.read_text(encoding="utf-8")
-    report = json.loads((bundle / "golden" / "report_lotr_srag.json").read_text(encoding="utf-8"))
-    check = ["check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag",
-             "--out", str(tmp_path / "report.json")]
-    evaluate = ["evaluate", "--reports", str(mutated_report), "--ground-truth", str(bundle / "ground_truth.jsonl")]
+    csv_config, csv_path = bundle / "csv.yaml", bundle / "corpus.csv"
+    corpus_path, truth_path, scores_path = (
+        bundle / "corpus.jsonl", bundle / "ground_truth.jsonl", bundle / "pairwise_scores.json"
+    )
+    # the same corpus as CSV, with ;-separated lists
+    csv_config.write_text(config_path.read_text(encoding="utf-8").replace("corpus.jsonl", "corpus.csv"), encoding="utf-8")
+    columns = ["id", "title", "abstract", "authors", "published_date", "keywords"]
+    cells = [[row.get(c) for c in columns] for row in jsonl_rows(corpus_path.read_text(encoding="utf-8"))]
+    csv_path.write_text(
+        csv_text([columns, *[["; ".join(v) if isinstance(v, list) else v for v in row] for row in cells]]),
+        encoding="utf-8",
+    )
+    article = bundle / "immune-boosters.md"
+    check = ["check", "--article", str(article), "--mode", "lotr-srag", "--out", str(tmp_path / "report.json")]
+    evaluate = ["evaluate", "--ground-truth", str(truth_path), "--reports"]
+    inputs = [
+        # what, the file written, the file it starts from, its parse and dump (None: plain text), argv
+        ("config", mutated_config, config_path, yaml.safe_load, yaml.safe_dump, ["--config", str(mutated_config), *check]),
+        ("mock fixtures", mock_path, mock_path, jsonl_rows, jsonl_text, ["--config", str(config_path), *check]),
+        ("report", mutated_report, bundle / "golden" / "report_lotr_srag.json", json.loads, json.dumps,
+         ["--config", str(config_path), *evaluate, str(mutated_report)]),
+        ("corpus", corpus_path, corpus_path, jsonl_rows, jsonl_text, ["--config", str(config_path), "ingest"]),
+        ("csv corpus", csv_path, csv_path, lambda t: list(csv.reader(io.StringIO(t))), csv_text,
+         ["--config", str(csv_config), "ingest"]),
+        ("ground truth", truth_path, truth_path, jsonl_rows, jsonl_text,
+         ["--config", str(config_path), *evaluate, str(bundle / "golden" / "report_lotr_srag.json")]),
+        ("scores", scores_path, scores_path, json.loads, json.dumps,
+         ["--config", str(config_path), "evaluate", "--scores", str(scores_path)]),
+        ("article", article, article, None, None, ["--config", str(config_path), *check]),
+    ]
 
     def runs(what: str, argv: list[str]) -> str | None:
         try:
@@ -704,20 +792,17 @@ def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
         return None if code in (0, 1, 2) else f"{what}: exit {code!r}"
 
     failures = []
-    for _ in range(MUTATIONS_PER_INPUT):
-        data, what = mutate(config, rng)
-        mutated_config.write_text(yaml.safe_dump(data), encoding="utf-8")
-        failures.append(runs(f"config {what}", ["--config", str(mutated_config), *check]))
-    rows = [json.loads(line) for line in mock.splitlines()]
-    for _ in range(MUTATIONS_PER_INPUT):
-        data, what = mutate(rows, rng)
-        mock_path.write_text("".join(json.dumps(row) + "\n" for row in data), encoding="utf-8")
-        failures.append(runs(f"mock fixtures row {what}", ["--config", str(config_path), *check]))
-    mock_path.write_text(mock, encoding="utf-8")
-    for _ in range(MUTATIONS_PER_INPUT):
-        data, what = mutate(report, rng)
-        mutated_report.write_text(json.dumps(data), encoding="utf-8")
-        failures.append(runs(f"report {what}", ["--config", str(config_path), *evaluate]))
+    for what, path, source, parse, dump, argv in inputs:
+        pristine = source.read_bytes()
+        if parse is not None:
+            data = parse(pristine.decode("utf-8"))
+            for _ in range(MUTATIONS_PER_INPUT):
+                mutated, where = mutate(data, rng)
+                path.write_text(dump(mutated), encoding="utf-8")
+                failures.append(runs(f"{what} {where}", argv))
+        path.write_bytes(pristine[: len(pristine) // 2] + b"\xff" + pristine[len(pristine) // 2 :])
+        failures.append(runs(f"{what} not UTF-8", argv))
+        path.write_bytes(pristine)
     assert [f for f in failures if f] == []
 
 

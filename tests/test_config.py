@@ -180,17 +180,28 @@ def within(data: dict, path: tuple):
         (("concurrency",), 4.0, "concurrency must be an integer"),
         (("embedders", 0, "dimension"), 64.0, r"embedders\[0\].dimension must be an integer"),
         (("embedders", 1, "seed"), False, r"embedders\[1\].seed must be an integer"),
-        (("backends", "grader", "temperature"), True, "backend 'grader' temperature must be a number"),
+        (("backends", "grader", "temperature"), True, "backends.grader.temperature must be a number"),
         (("backends", "generator", "max_output_tokens"), 51.2, "max_output_tokens must be an integer"),
-        (("backends", "grader", "model_id"), None, "backend 'grader' model_id must be a non-empty string, got None"),
-        (("backends", "rewriter", "endpoint"), [], "backend 'rewriter' endpoint must be a non-empty string"),
-        (("backends", "generator", "api_key_env"), 5, "backend 'generator' api_key_env must be a non-empty string"),
+        (("backends", "grader", "model_id"), None, "backends.grader.model_id must be a non-empty string, got None"),
+        (("backends", "rewriter", "endpoint"), [], "backends.rewriter.endpoint must be a non-empty string"),
+        (("backends", "generator", "api_key_env"), 5, "backends.generator.api_key_env must be a non-empty string"),
         (("embedders", 0, "model_id"), 5, r"embedders\[0\].model_id must be a non-empty string, got 5"),
         (("embedders", 1, "endpoint"), " ", r"embedders\[1\].endpoint must be a non-empty string"),
         (("embedders", 1, "api_key_env"), "", r"embedders\[1\].api_key_env must be a non-empty string"),
         (("corpus_path",), None, "corpus_path must be a non-empty string, got None"),
         (("index_dir",), True, "index_dir must be a non-empty string, got True"),
         (("mock_fixtures",), {}, "mock_fixtures must be a non-empty string"),
+        (("retrieval",), [], r"retrieval must be a mapping, got \[\]"),
+        (("chunking",), "", "chunking must be a mapping, got ''"),
+        (("refinement",), False, "refinement must be a mapping, got False"),
+        (("evaluation",), 0, "evaluation must be a mapping, got 0"),
+        (("backends", "generator", "role"), "grader", "backends.generator.role must be 'generator', got 'grader'"),
+        (("backends", "grader", "temperature"), float("nan"), "backends.grader.temperature must be a finite number, got nan"),
+        (("backends", "rewriter", "temperature"), float("inf"), "backends.rewriter.temperature must be a finite number, got inf"),
+        pytest.param(
+            ("backends", "generator", "temperature"), 10**400, "backends.generator.temperature must be a finite number",
+            id="backends.generator.temperature-10**400",
+        ),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

@@ -223,6 +223,26 @@ def test_ingest_jsonl_accepts_and_rejects(tmp_path):
     assert rejects[0].location == "line 2"
 
 
+def test_ingest_jsonl_rejects_a_line_that_is_not_utf8(tmp_path):
+    # a malformed row never aborts the load
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(
+        b'{"id": "a", "title": "T1", "abstract": "A1"}\n'
+        b'{"id": "b", "title": "caf\xe9", "abstract": "A2"}\n'
+        b'{"id": "c", "title": "T3", "abstract": "A3"}\n'
+    )
+    records, rejects = ingest_corpus(path)
+    assert [r.id for r in records] == ["a", "c"]
+    assert [(r.location, r.reason) for r in rejects] == [("line 2", "invalid utf-8")]
+
+
+def test_ingest_csv_that_is_not_utf8_is_a_validation_error(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(b"id,title,abstract,authors,published_date,keywords\nk1,caf\xe9,Abstract,,,\n")
+    with pytest.raises(ValidationError, match=f"cannot read corpus {re.escape(str(path))}: 'utf-8' codec"):
+        ingest_corpus(path)
+
+
 def test_ingest_jsonl_rejects_string_authors(tmp_path):
     # JSONL rows must use arrays; the ; convention is CSV-only
     path = tmp_path / "corpus.jsonl"

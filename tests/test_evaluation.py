@@ -492,6 +492,17 @@ def test_load_ground_truth_errors(tmp_path):
     write_ground_truth(path, [gt_row(claim="  ")])
     with pytest.raises(ValidationError, match="empty claim"):
         load_ground_truth(path)
+    # a null or a number is refused, not read as the text 'None' or '5'
+    write_ground_truth(path, [gt_row(), gt_row(ref=None)])
+    with pytest.raises(ValidationError, match="line 2: article_id, claim, label, reference_response must be strings"):
+        load_ground_truth(path)
+    write_ground_truth(path, [gt_row(claim=5)])
+    with pytest.raises(ValidationError, match="line 1: .* must be strings"):
+        load_ground_truth(path)
+    write_ground_truth(path, [gt_row()])
+    path.write_bytes(path.read_bytes() + b'{"claim": "\xff"}\n')
+    with pytest.raises(ValidationError, match="bad ground-truth line 2: 'utf-8' codec can't decode byte 0xff"):
+        load_ground_truth(path)
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="no entries"):
         load_ground_truth(path)
