@@ -36,7 +36,7 @@ from .transport import JsonEndpoint, LruMap, remote_endpoint
 
 SCRIPTED_ENDPOINT = "scripted"
 CLAIM_DEDUPE_THRESHOLD = 0.9
-GRADE_MEMO_ENTRIES = 4096
+CHAT_MEMO_ENTRIES = 4096
 
 
 def prompt_fingerprint(prompt: str) -> str:
@@ -62,6 +62,8 @@ class LlmBackendConfig:
             raise ConfigError(f"backend {self.model_id!r} ({self.role}) has no endpoint configured")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"backends.{self.role}.max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,12 @@ class RemoteChatBackend:
         )
         try:
             text = payload["choices"][0]["message"]["content"]
-            usage = payload.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
-            completion_tokens = int(usage.get("completion_tokens", 0))
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            usage = {} if payload.get("usage") is None else payload["usage"]
+            prompt_tokens, completion_tokens = (usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens"))
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"malformed chat response: {exc}") from exc
+        if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):
+            raise ProtocolError(f"malformed chat response: token counts must be integers >= 0, got {usage!r}")
         if not isinstance(text, str) or not text.strip():
             raise BackendError(f"backend {self.config.model_id!r} returned an empty completion")
         return RawAnswer(
@@ -189,29 +192,28 @@ class ScriptedBackend:
         )
 
 
-class GradeMemo:
-    """Reuses a deterministic grader's answers to identical prompts.
+class ChatMemo:
+    """Reuses a deterministic backend's answers to identical prompts.
 
-    Answers are kept by prompt fingerprint in an :class:`LruMap` of at
-    most ``GRADE_MEMO_ENTRIES`` entries, and only when they parse
-    as a score: an unparseable answer, and any failure, is asked again
-    the next time.  A reused answer is the stored :class:`RawAnswer`,
-    token counts included, so callers that count calls above the memo
-    count the same calls and tokens whether or not it hit.
+    Every answer the inner backend returns is kept by prompt fingerprint
+    in an :class:`LruMap` of at most ``CHAT_MEMO_ENTRIES`` entries; a call
+    that raises keeps nothing, so it is asked again the next time.  A
+    reused answer is the stored :class:`RawAnswer`, token counts
+    included, so callers that count calls above the memo count the same
+    calls and tokens whether or not it hit.
     """
 
     def __init__(self, inner: LlmBackend):
         self.inner = inner
         self.endpoint = remote_endpoint(inner)
-        self._answers = LruMap(GRADE_MEMO_ENTRIES)
+        self._answers = LruMap(CHAT_MEMO_ENTRIES)
 
     def complete(self, prompt: str) -> RawAnswer:
         key = prompt_fingerprint(prompt)
         answer = self._answers.get(key)
         if answer is None:
             answer = self.inner.complete(prompt)
-            if parse_score(answer.text) is not None:
-                self._answers.keep(key, answer)
+            self._answers.keep(key, answer)
         return answer
 
 
@@ -255,23 +257,19 @@ def _complete(backend: LlmBackend, prompt: str) -> RawAnswer:
 def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = None) -> LlmBackend:
     """Pick the transport implied by the config's endpoint.
 
-    A grader at temperature 0 answers an identical prompt identically,
-    so it is wrapped in a :class:`GradeMemo`; the generator and rewriter
-    never are, because a regeneration re-sends its prompt for a new
-    sample.
+    A remote backend at temperature 0 answers an identical prompt
+    identically, whatever its role, so it comes with a :class:`ChatMemo`
+    of its own.  The in-process scripted backend, and a remote one at a
+    higher temperature, which samples anew each time, are never wrapped.
     """
-    if config.endpoint == SCRIPTED_ENDPOINT:
-        if mock_fixtures is None:
-            raise ConfigError(
-                f"backend {config.model_id!r} ({config.role}) is scripted but no "
-                "mock-fixtures path is configured"
-            )
-        backend: LlmBackend = ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
-    else:
+    if config.endpoint != SCRIPTED_ENDPOINT:
         backend = RemoteChatBackend(config)
-    if config.role == "grader" and config.temperature == 0:
-        return GradeMemo(backend)
-    return backend
+        return ChatMemo(backend) if config.temperature == 0 else backend
+    if mock_fixtures is None:
+        raise ConfigError(
+            f"backend {config.model_id!r} is scripted but no mock-fixtures path is configured"
+        )
+    return ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
 
 
 class VerdictLabel(str, Enum):

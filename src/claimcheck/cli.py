@@ -179,7 +179,7 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
 
     statements_fn, judge_fn = evaluation.split_sentences, evaluation.lexical_judge
     if "backend" in (eval_cfg.statement_source, eval_cfg.judge):
-        # one grader lists statements and judges them: one grade memo, one endpoint
+        # one grader lists statements and judges them: one memo, one endpoint
         grader = build_backend(config.grader, mock_fixtures=config.mock_fixtures)
         if eval_cfg.statement_source == "backend":
             statements_fn = lambda text: evaluation.extract_statements(text, grader)  # noqa: E731

@@ -171,6 +171,33 @@ class RuleBackend:
         )
 
 
+def chat_payload(text: str) -> dict:
+    return {
+        "choices": [{"message": {"content": text}}],
+        "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+    }
+
+
+class CountingSession:
+    """A fake transport session answering each chat post with
+    ``answer(prompt)`` and recording every prompt it was posted; a ``None``
+    answer is an HTTP 503."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.posts: list[str] = []
+
+    def post(self, url, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
+        with self.lock:
+            self.posts.append(prompt)
+        text = self.answer(prompt)
+        if text is None:
+            return FakeResponse(503, {})
+        return FakeResponse(200, chat_payload(text))
+
+
 class EmbeddingSession:
     """A fake transport session serving the deterministic embedder's
     vectors for ``spec`` over HTTP.  Every post waits at ``barrier``, when

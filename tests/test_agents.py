@@ -12,9 +12,9 @@ import pytest
 
 from claimcheck import prompts
 from claimcheck.agents import (
+    ChatMemo,
     Claim,
     FactCheckAgents,
-    GradeMemo,
     LlmBackendConfig,
     RemoteChatBackend,
     ScriptedBackend,
@@ -43,7 +43,15 @@ from claimcheck.errors import (
     ValidationError,
 )
 from claimcheck.pipeline import FactCheckPipeline
-from conftest import EmbeddingSession, FakeResponse, QueueBackend, RuleBackend, make_run_config
+from conftest import (
+    CountingSession,
+    EmbeddingSession,
+    FakeResponse,
+    QueueBackend,
+    RuleBackend,
+    chat_payload,
+    make_run_config,
+)
 
 KEY = ChunkKey("a1", 0)
 
@@ -206,13 +214,6 @@ def chat_config(url: str, **kw) -> LlmBackendConfig:
     return LlmBackendConfig(model_id="chat-model", endpoint=url, **kw)
 
 
-def chat_payload(text: str) -> dict:
-    return {
-        "choices": [{"message": {"content": text}}],
-        "usage": {"prompt_tokens": 7, "completion_tokens": 3},
-    }
-
-
 def test_remote_chat_happy_path(http_stub):
     http_stub.responses.append((200, chat_payload("True. It holds.")))
     backend = RemoteChatBackend(chat_config(http_stub.url), base_delay=0.001)
@@ -259,8 +260,28 @@ def test_remote_chat_malformed_response_is_not_retried(http_stub):
 
 @pytest.mark.parametrize(
     "usage",
-    [{"prompt_tokens": None}, [1], {"prompt_tokens": "12a"}, {"completion_tokens": 1e999}],
-    ids=["null-tokens", "usage-list", "text-tokens", "infinite-tokens"],
+    [
+        {"prompt_tokens": None},
+        [1],
+        {"prompt_tokens": "12a"},
+        {"completion_tokens": 1e999},
+        {"prompt_tokens": -5},
+        {"prompt_tokens": True},
+        {"completion_tokens": 2.9},
+        {"prompt_tokens": "12"},
+        False,
+    ],
+    ids=[
+        "null-tokens",
+        "usage-list",
+        "text-tokens",
+        "infinite-tokens",
+        "negative-tokens",
+        "boolean-tokens",
+        "fractional-tokens",
+        "quoted-tokens",
+        "usage-false",
+    ],
 )
 def test_remote_chat_malformed_usage_is_a_protocol_error(http_stub, usage):
     http_stub.responses.append((200, {**chat_payload("yes"), "usage": usage}))
@@ -348,35 +369,18 @@ def test_build_backend_dispatch(tmp_path, http_stub):
         encoding="utf-8",
     )
     assert isinstance(build_backend(scripted_cfg, mock_fixtures=path), ScriptedBackend)
-    assert isinstance(build_backend(chat_config(http_stub.url)), RemoteChatBackend)
+    remote = build_backend(chat_config(http_stub.url))
+    assert isinstance(remote, ChatMemo) and isinstance(remote.inner, RemoteChatBackend)
+    assert isinstance(build_backend(chat_config(http_stub.url, temperature=0.7)), RemoteChatBackend)
 
 
-# -- GradeMemo ----------------------------------------------------------------
+# -- ChatMemo -----------------------------------------------------------------
 
 YES = '{"score": "yes"}'
 NO = '{"score": "no"}'
 
 
-class CountingSession:
-    """A session answering each post with ``answer(prompt)`` and recording
-    every prompt it was posted; a ``None`` answer is an HTTP 503."""
-
-    def __init__(self, answer):
-        self.answer = answer
-        self.lock = threading.Lock()
-        self.posts: list[str] = []
-
-    def post(self, url, json, headers, timeout):
-        prompt = json["messages"][0]["content"]
-        with self.lock:
-            self.posts.append(prompt)
-        text = self.answer(prompt)
-        if text is None:
-            return FakeResponse(503, {})
-        return FakeResponse(200, chat_payload(text))
-
-
-def memoized_grader(answer) -> tuple[GradeMemo, CountingSession]:
+def memoized_grader(answer) -> tuple[ChatMemo, CountingSession]:
     session = CountingSession(answer)
     backend = RemoteChatBackend(
         chat_config("http://grader.invalid/v1", role="grader"),
@@ -384,7 +388,7 @@ def memoized_grader(answer) -> tuple[GradeMemo, CountingSession]:
         base_delay=0.001,
         sleep=lambda s: None,
     )
-    return GradeMemo(backend), session
+    return ChatMemo(backend), session
 
 
 def test_grade_memo_posts_a_repeated_grade_once():
@@ -412,9 +416,12 @@ def test_grade_memo_asks_again_after_a_grade_it_could_not_use(first, error):
             memo.complete("grade a")
     posted = len(session.posts)
     reply["text"] = YES
-    assert memo.complete("grade a").text == YES
-    assert memo.complete("grade a").text == YES
-    assert len(session.posts) == posted + 1
+    # an answer that does not parse as a score is kept like any other;
+    # only a call that raised is asked again
+    kept = first if error is None else YES
+    assert memo.complete("grade a").text == kept
+    assert memo.complete("grade a").text == kept
+    assert len(session.posts) == posted + (error is not None)
 
 
 def test_grade_memo_keys_the_reformat_retry_apart():
@@ -426,12 +433,13 @@ def test_grade_memo_keys_the_reformat_retry_apart():
     assert agents.grade_document(claim(), "doc") is True
     plain, retry = session.posts[0], session.posts[1]
     assert retry == plain + prompts.SCORE_RETRY_SUFFIX
-    # the unparseable first answer is asked for again, the retry's grade is reused
-    assert session.posts == [plain, retry, plain]
+    # both answers are kept apart, the unparseable first one included: the
+    # second grade posts nothing and still reads the retry's score
+    assert session.posts == [plain, retry]
 
 
 def test_grade_memo_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr("claimcheck.agents.GRADE_MEMO_ENTRIES", 2)
+    monkeypatch.setattr("claimcheck.agents.CHAT_MEMO_ENTRIES", 2)
     memo, session = memoized_grader(lambda prompt: YES)
     for prompt in ("a", "b", "a", "c", "a", "b"):
         memo.complete(prompt)
@@ -441,6 +449,8 @@ def test_grade_memo_evicts_the_least_recently_used(monkeypatch):
 
 @pytest.mark.parametrize("endpoint", ["scripted", "http://chat.invalid/v1"])
 def test_build_backend_memoizes_graders_at_temperature_zero_only(tmp_path, endpoint):
+    """Every remote role at temperature 0 comes with its own memo; a higher
+    temperature and the in-process scripted backend never do."""
     fixtures = tmp_path / "mock.jsonl"
     fixtures.write_text("", encoding="utf-8")
 
@@ -448,16 +458,19 @@ def test_build_backend_memoizes_graders_at_temperature_zero_only(tmp_path, endpo
         config = LlmBackendConfig(model_id="m", endpoint=endpoint, role=role, temperature=temperature)
         return build_backend(config, mock_fixtures=fixtures)
 
-    inner = ScriptedBackend if endpoint == "scripted" else RemoteChatBackend
-    grader = built("grader")
-    assert isinstance(grader, GradeMemo) and isinstance(grader.inner, inner)
-    assert isinstance(built("grader", temperature=0.7), inner)
-    assert isinstance(built("generator"), inner)
-    assert isinstance(built("rewriter"), inner)
+    roles = ("generator", "grader", "rewriter")
+    if endpoint == "scripted":
+        assert all(isinstance(built(role), ScriptedBackend) for role in roles)
+    else:
+        memos = [built(role) for role in roles]
+        assert all(isinstance(m, ChatMemo) and isinstance(m.inner, RemoteChatBackend) for m in memos)
+        assert len({id(m._answers) for m in memos}) == 3
+    for role in roles:
+        assert not isinstance(built(role, temperature=0.7), ChatMemo)
 
 
 def test_grade_memo_stays_consistent_under_threads(monkeypatch):
-    monkeypatch.setattr("claimcheck.agents.GRADE_MEMO_ENTRIES", 3)
+    monkeypatch.setattr("claimcheck.agents.CHAT_MEMO_ENTRIES", 3)
     pool = [f"grade {i}" for i in range(6)]
 
     def grade(prompt: str) -> str:
@@ -499,7 +512,7 @@ def test_count_usage_totals_the_completions_of_its_own_block():
             raise BackendError("grader down")
         return YES
 
-    memo = GradeMemo(RuleBackend(grade))
+    memo = ChatMemo(RuleBackend(grade))
     agents = agents_with(grader=memo)
     with count_usage() as usage:
         assert agents.grade_document(claim(), "doc a") is True

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from claimcheck import cli, corpus, embedding, evaluation, prompts
+from claimcheck import agents, cli, corpus, embedding, evaluation, prompts
 from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
@@ -550,6 +550,52 @@ def test_evaluate_over_a_remote_embedder_posts_each_text_once(bundle, http_stub,
     assert capsys.readouterr().out == unmemoized
     assert unmemoized == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
     assert posts_of_each_text() == [1] * len(texts)
+
+
+def test_evaluate_over_a_remote_grader_lists_each_text_once(bundle, http_stub, monkeypatch, capsys):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    text = text.replace("statement_source: sentences", "statement_source: backend")
+    remote = text.replace(
+        "model_id: scripted-grader\n    endpoint: scripted",
+        f"model_id: scripted-grader\n    endpoint: {http_stub.url}",
+    )
+    assert remote != text
+    config.write_text(remote, encoding="utf-8")
+    listing_head, listing_tail = prompts.EXTRACT_STATEMENTS.template.split("{text}")
+
+    def answer(body):
+        # the listed text's sentences, one per line, as the offline run splits them
+        listed = body["messages"][0]["content"].removeprefix(listing_head).removesuffix(listing_tail)
+        lines = evaluation.split_sentences(listed) or ["NONE"]
+        return 200, {"choices": [{"message": {"content": "\n".join(lines)}}]}
+
+    http_stub.default = answer
+    reports = [str(bundle / "golden" / f"report_{mode}.json") for mode in ("baseline", "lotr", "lotr_srag")]
+    argv = ["--config", str(config), "evaluate", "--ground-truth", str(bundle / "ground_truth.jsonl")]
+    argv += ["--reports", *reports]
+    ground_truth = evaluation.load_ground_truth(bundle / "ground_truth.jsonl")
+    references = [prompts.EXTRACT_STATEMENTS.render(text=g.reference_response) for g in ground_truth]
+
+    def posts_of_each_prompt() -> dict[str, int]:
+        posted = [body["messages"][0]["content"] for _, _, body in http_stub.requests]
+        http_stub.requests.clear()
+        return {prompt: posted.count(prompt) for prompt in posted}
+
+    # a memo with no room passes every call through: the run without it
+    monkeypatch.setattr(agents, "CHAT_MEMO_ENTRIES", 0)
+    assert run(*argv) == 0
+    unmemoized = capsys.readouterr().out
+    posts = posts_of_each_prompt()
+    assert all(prompt.startswith(listing_head) for prompt in posts)
+    assert min(posts[prompt] for prompt in references) > 1  # listed again for every system
+    monkeypatch.setattr(agents, "CHAT_MEMO_ENTRIES", 4096)
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == unmemoized
+    assert unmemoized == (bundle / "golden" / "comparison_reports.md").read_text(encoding="utf-8")
+    memoized = posts_of_each_prompt()
+    assert memoized.keys() == posts.keys()
+    assert set(memoized.values()) == {1}
 
 
 def test_evaluate_builds_one_grader_backend(bundle, capsys, monkeypatch):

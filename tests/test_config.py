@@ -202,6 +202,8 @@ def within(data: dict, path: tuple):
             ("backends", "generator", "temperature"), 10**400, "backends.generator.temperature must be a finite number",
             id="backends.generator.temperature-10**400",
         ),
+        (("backends", "grader", "max_output_tokens"), 0, "max_output_tokens must be >= 1, got 0"),
+        (("backends", "grader", "max_output_tokens"), -5, "max_output_tokens must be >= 1, got -5"),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -215,12 +217,13 @@ def test_numbers_of_the_wrong_kind_are_config_errors(path, value, message):
 def test_numbers_at_their_bounds_load():
     data = minimal_dict(
         retrieval={"min_similarity": -1, "lambda": 1, "k": 1, "pool_size": 1},
-        backends={role: {"model_id": role, "endpoint": "scripted", "temperature": 1} for role in
-                  ("generator", "grader", "rewriter")},
+        backends={role: {"model_id": role, "endpoint": "scripted", "temperature": 1, "max_output_tokens": 1}
+                  for role in ("generator", "grader", "rewriter")},
     )
     config = config_from_dict(data)
     assert (config.retrieval.min_similarity, config.retrieval.lambda_) == (-1, 1)
     assert config.grader.temperature == 1.0
+    assert config.grader.max_output_tokens == 1
     data["retrieval"]["min_similarity"] = 1.0
     assert config_from_dict(data).retrieval.min_similarity == 1.0
 

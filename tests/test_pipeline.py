@@ -14,12 +14,13 @@ import pytest
 
 from claimcheck import cli, pipeline as pipeline_module, service
 from claimcheck.agents import (
+    ChatMemo,
     Claim,
     FactCheckAgents,
-    GradeMemo,
     LlmBackendConfig,
     RemoteChatBackend,
     VerdictLabel,
+    build_backend,
 )
 from claimcheck.config import RefinementConfig, load_config
 from claimcheck.corpus import ArticleText, ChunkKey, load_article
@@ -37,7 +38,14 @@ from claimcheck.pipeline import (
 )
 from claimcheck.prompts import SCORE_RETRY_SUFFIX
 from claimcheck.vecindex import Hit, VectorIndex
-from conftest import FakeResponse, QueueBackend, RecordingEmbedder, RuleBackend, make_run_config
+from conftest import (
+    CountingSession,
+    FakeResponse,
+    QueueBackend,
+    RecordingEmbedder,
+    RuleBackend,
+    make_run_config,
+)
 
 YES = '{"score": "yes"}'
 NO = '{"score": "no"}'
@@ -271,6 +279,30 @@ def test_srag_regenerates_once_then_succeeds(tmp_path):
     assert entry.trace.terminal_state == TERMINAL_DONE
     assert len(gen.prompts) == 2
     assert gen.prompts[0] == gen.prompts[1]  # regeneration reuses the same prompt
+
+
+def test_srag_regeneration_over_a_remote_generator_at_temperature_zero_posts_once(tmp_path, monkeypatch):
+    def checked(memo_entries: int) -> tuple[str, list[str], list[int]]:
+        monkeypatch.setattr("claimcheck.agents.CHAT_MEMO_ENTRIES", memo_entries)
+        session = CountingSession(
+            lambda prompt: "Zinc cures colds."
+            if prompt.startswith("You are a careful reader")
+            else "True. Fine. Source: Study A"
+        )
+        generator = build_backend(LlmBackendConfig(model_id="gen", endpoint="http://gen.invalid/v1"))
+        generator.inner.endpoint.session = session
+        grader = QueueBackend([YES, NO, YES])  # doc yes; answer no; the same answer again, yes
+        pipeline, _ = make_pipeline(tmp_path, generator, grader, bundles=[[hit("a")]])
+        report = pipeline.check_article(ArticleText(id="art", body="Zinc cures colds."), "lotr_srag")
+        regenerations = [e.trace.regenerations_used for e in report.entries]
+        return render_report(report), session.posts, regenerations
+
+    rendered, posts, regenerations = checked(4096)
+    extraction, generation = posts
+    assert regenerations == [1]
+    # without the memo the regeneration posts the generation prompt again,
+    # for the same answer at temperature 0, and the report is the same
+    assert checked(0) == (rendered, [extraction, generation, generation], [1])
 
 
 def test_srag_regenerates_then_rewrites(tmp_path):
@@ -719,7 +751,7 @@ def test_check_article_report_bytes_do_not_depend_on_a_shared_grade_memo(tmp_pat
         return YES
 
     inner = RuleBackend(rule)
-    grader = GradeMemo(inner)
+    grader = ChatMemo(inner)
     rendered, requests = [], []
     for _ in range(2):
         pipeline, _ = make_pipeline(
@@ -736,8 +768,8 @@ def test_check_article_report_bytes_do_not_depend_on_a_shared_grade_memo(tmp_pat
         # 1 generation, 1 answer grade, memo hits included
         assert report.token_usage["backend_calls"] == 1 + 2 * 5
     assert rendered[0] == rendered[1]
-    # the second check asks again only for the grades that did not parse
-    assert requests == [8, 2]
+    # the second check finds every answer kept, the unparseable ones included
+    assert requests == [8, 0]
 
 
 def test_check_article_rejects_unknown_mode(tmp_path):
