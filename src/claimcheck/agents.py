@@ -61,7 +61,7 @@ class LlmBackendConfig:
         if not self.endpoint:
             raise ConfigError(f"backend {self.model_id!r} ({self.role}) has no endpoint configured")
         if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+            raise ConfigError(f"backends.{self.role}.temperature must be >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
             raise ConfigError(f"backends.{self.role}.max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
@@ -282,17 +282,12 @@ class VerdictLabel(str, Enum):
 
     @property
     def display(self) -> str:
-        return _DISPLAY[self]
+        return display_label(self.value)
 
 
-_DISPLAY = {
-    VerdictLabel.TRUE: "True",
-    VerdictLabel.PARTLY_TRUE: "Partly true",
-    VerdictLabel.FALSE: "False",
-    VerdictLabel.PARTLY_FALSE: "Partly false",
-    VerdictLabel.MISLEADING: "Misleading",
-    VerdictLabel.UNVERIFIABLE: "Unverifiable",
-}
+def display_label(label: str) -> str:
+    """A label as reports show it: ``partly_true`` reads ``Partly true``."""
+    return label.replace("_", " ").capitalize()
 
 # longest match first so "partly true" is not read as "true"
 _LABEL_PATTERNS: tuple[tuple[str, VerdictLabel], ...] = (

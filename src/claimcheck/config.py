@@ -12,6 +12,7 @@ import dataclasses
 import re
 import sys
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import yaml
@@ -73,9 +74,9 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_ <= 1.0:
-            raise ConfigError(f"retrieval lambda must be within [0, 1], got {self.lambda_}")
+            raise ConfigError(f"retrieval.lambda must be within [0, 1], got {self.lambda_}")
         if not -1.0 <= self.min_similarity <= 1.0:
-            raise ConfigError(f"min_similarity must be within [-1, 1], got {self.min_similarity}")
+            raise ConfigError(f"retrieval.min_similarity must be within [-1, 1], got {self.min_similarity}")
         if self.k <= 0 or self.pool_size < self.k:
             raise ConfigError(
                 f"retrieval needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
@@ -97,7 +98,7 @@ class RefinementConfig:
             raise ConfigError("refinement budgets must be non-negative")
         if not 0.0 <= self.min_relevant_fraction <= 1.0:
             raise ConfigError(
-                f"min_relevant_fraction must be within [0, 1], got {self.min_relevant_fraction}"
+                f"refinement.min_relevant_fraction must be within [0, 1], got {self.min_relevant_fraction}"
             )
 
 
@@ -109,7 +110,7 @@ class EvaluationConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.match_threshold <= 1.0:
-            raise ConfigError(f"match_threshold must be within [0, 1], got {self.match_threshold}")
+            raise ConfigError(f"evaluation.match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
             raise ConfigError(
                 f"statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
@@ -149,7 +150,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Plain-data snapshot embedded into reports; round-trips via config_from_dict."""
         data = {}
-        for key, value in _plain(self).items():
+        for key, value in plain(self).items():
             if key in ROLES:
                 data.setdefault("backends", {})[key] = value
             else:
@@ -174,13 +175,18 @@ def index_path(config: RunConfig, model_id: str) -> Path:
     return Path(config.index_dir) / f"{slug}.idx"
 
 
-def _plain(value):
-    """Settings as the plain data of a config file: a settings object maps each
-    field name without its trailing ``_`` to the field's value."""
+def plain(value):
+    """``value`` as the plain data of a config file or a report's JSON: a dataclass
+    maps each field name without its trailing ``_`` to the field's value, in field
+    order; an ``Enum`` is its value; a tuple or list is a list, a dict a copied dict."""
     if dataclasses.is_dataclass(value):
-        return {f.name.rstrip("_"): _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
+        return {f.name.rstrip("_"): plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
     return value
 
 

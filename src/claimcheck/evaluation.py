@@ -24,6 +24,7 @@ import numpy as np
 from . import prompts
 from .agents import LlmBackend, list_with_retry, score_with_retry
 from .embedding import cosine_similarity
+from .pipeline import entry_response_text
 from .errors import (
     DegenerateSampleError,
     ExtractionError,
@@ -485,23 +486,6 @@ def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
     if not entries:
         raise ValidationError(f"{path}: ground truth file holds no entries")
     return entries
-
-
-def entry_response_text(entry: dict) -> str:
-    """The response string an entry contributes to metric comparisons."""
-    label = str(entry.get("label", "unverifiable")).replace("_", " ").capitalize()
-    parts = [f"{label}."]
-    explanation = str(entry.get("explanation", "")).strip()
-    if explanation:
-        parts.append(explanation)
-    sources = entry.get("sources") or []
-    if sources:
-        cited = "; ".join(
-            ", ".join(x for x in (s.get("title", ""), s.get("authors", ""), s.get("date", "")) if x)
-            for s in sources
-        )
-        parts.append(f"Source: {cited}")
-    return " ".join(parts)
 
 
 def _greedy_match(

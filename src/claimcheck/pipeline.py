@@ -22,12 +22,11 @@ from __future__ import annotations
 import contextvars
 import json
 import logging
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, parse_verdict
-from .config import MODES, RunConfig
+from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, display_label, parse_verdict
+from .config import MODES, RunConfig, plain
 from .corpus import ArticleText, ChunkKey, chunk_text
 from .errors import ClaimcheckError, ConfigError, GradingError, ValidationError
 from .lotr import EvidenceBundle, MergingRetriever
@@ -75,13 +74,16 @@ class FactCheckEntry:
 
 @dataclass
 class Report:
+    """One article's fact-check.  The fields, in order, are the keys of the
+    report's JSON (``report_to_dict``); no timing is kept, so repeated runs
+    give identical bytes."""
+
     article_id: str
     mode: str
     config: dict
-    entries: list[FactCheckEntry]
     token_usage: dict
-    warnings: list[str] = field(default_factory=list)
-    timing_seconds: float | None = None  # kept out of the canonical JSON
+    warnings: list[str]
+    entries: list[FactCheckEntry]
 
 
 def _hit_text(hit: Hit) -> str:
@@ -327,7 +329,6 @@ class FactCheckPipeline:
         """
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-        start = time.perf_counter()
         warnings: list[str] = []
         chunks = chunk_text(
             article.id,
@@ -354,10 +355,9 @@ class FactCheckPipeline:
             article_id=article.id,
             mode=mode,
             config=self.config.public_dict(),
-            entries=entries,
             token_usage=token_usage,
             warnings=warnings,
-            timing_seconds=time.perf_counter() - start,
+            entries=entries,
         )
 
 
@@ -365,40 +365,27 @@ class FactCheckPipeline:
 
 
 def report_to_dict(report: Report) -> dict:
-    """Canonical plain-data form; deterministic, no timestamps."""
-    return {
-        "article_id": report.article_id,
-        "mode": report.mode,
-        "config": report.config,
-        "token_usage": dict(report.token_usage),
-        "warnings": list(report.warnings),
-        "entries": [
-            {
-                "claim": {
-                    "id": e.claim.id,
-                    "text": e.claim.text,
-                    "source_chunk": list(e.claim.source_chunk),
-                    "rewritten_from": e.claim.rewritten_from,
-                },
-                "label": e.label.value,
-                "explanation": e.explanation,
-                "sources": [
-                    {"title": s.title, "authors": s.authors, "date": s.date} for s in e.sources
-                ],
-                "evidence_keys": [list(k) for k in e.evidence_keys],
-                "trace": {
-                    "retrieval_rounds": e.trace.retrieval_rounds,
-                    "rewrites_used": e.trace.rewrites_used,
-                    "regenerations_used": e.trace.regenerations_used,
-                    "doc_grades": [list(g) for g in e.trace.doc_grades],
-                    "answer_grades": list(e.trace.answer_grades),
-                    "terminal_state": e.trace.terminal_state,
-                    "notes": list(e.trace.notes),
-                },
-            }
-            for e in report.entries
-        ],
-    }
+    """Canonical plain-data form: every field of the report's dataclasses,
+    in field order; deterministic, no timestamps."""
+    return plain(report)
+
+
+def entry_response_text(entry: dict) -> str:
+    """The response to an entry's plain form: the text the markdown table
+    shows and the text ``evaluate`` scores against the reference."""
+    label = display_label(str(entry.get("label", "unverifiable")))
+    parts = [f"{label}."]
+    explanation = str(entry.get("explanation", "")).strip()
+    if explanation:
+        parts.append(explanation)
+    sources = entry.get("sources") or []
+    if sources:
+        cited = "; ".join(
+            ", ".join(x for x in (s.get("title", ""), s.get("authors", ""), s.get("date", "")) if x)
+            for s in sources
+        )
+        parts.append(f"Source: {cited}")
+    return " ".join(parts)
 
 
 def _md_escape(text: str) -> str:
@@ -407,8 +394,9 @@ def _md_escape(text: str) -> str:
 
 def render_report(report: Report, fmt: str = "json") -> str:
     """Serialize a report as canonical JSON or a two-column markdown table."""
+    data = report_to_dict(report)
     if fmt == "json":
-        return json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
     if fmt != "markdown":
         raise ConfigError(f"unknown report format {fmt!r}, expected 'json' or 'markdown'")
     lines = [
@@ -419,17 +407,8 @@ def render_report(report: Report, fmt: str = "json") -> str:
         "| Extracted claims | Response of fact-checking |",
         "| --- | --- |",
     ]
-    for i, e in enumerate(report.entries, start=1):
-        response = f"{e.label.display}."
-        if e.explanation:
-            response += f" {e.explanation}"
-        if e.sources:
-            cited = "; ".join(
-                ", ".join(part for part in (s.title, s.authors, s.date) if part)
-                for s in e.sources
-            )
-            response += f" Source: {cited}"
-        lines.append(f"| {i}. {_md_escape(e.claim.text)} | {i}. {_md_escape(response)} |")
+    for i, e in enumerate(data["entries"], start=1):
+        lines.append(f"| {i}. {_md_escape(e['claim']['text'])} | {i}. {_md_escape(entry_response_text(e))} |")
     if report.warnings:
         lines += ["", "## Warnings", ""]
         lines += [f"- {w}" for w in report.warnings]

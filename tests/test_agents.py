@@ -138,9 +138,19 @@ def test_parse_verdict_unrecognized_sets_warning():
     assert parsed.explanation == "The moon is made of cheese."
 
 
-def test_parse_verdict_display_names():
-    assert VerdictLabel.PARTLY_TRUE.display == "Partly true"
-    assert VerdictLabel.UNVERIFIABLE.display == "Unverifiable"
+@pytest.mark.parametrize(
+    "label,shown",
+    [
+        (VerdictLabel.TRUE, "True"),
+        (VerdictLabel.PARTLY_TRUE, "Partly true"),
+        (VerdictLabel.FALSE, "False"),
+        (VerdictLabel.PARTLY_FALSE, "Partly false"),
+        (VerdictLabel.MISLEADING, "Misleading"),
+        (VerdictLabel.UNVERIFIABLE, "Unverifiable"),
+    ],
+)
+def test_parse_verdict_display_names(label, shown):
+    assert label.display == shown
 
 
 # -- parse_score --------------------------------------------------------------

@@ -226,6 +226,8 @@ def test_check_writes_report_and_sidecar(bundle, capsys):
     meta = json.loads((out_path.parent / "report.json.meta.json").read_text(encoding="utf-8"))
     assert set(meta) == {"article_id", "mode", "elapsed_seconds", "generated_at"}
     assert meta["mode"] == "lotr_srag"
+    # the CLI times the check itself; the report holds no timing
+    assert isinstance(meta["elapsed_seconds"], float) and meta["elapsed_seconds"] >= 0
 
 
 @pytest.mark.parametrize("mode", ["baseline", "lotr", "lotr-srag"])

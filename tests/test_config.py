@@ -204,6 +204,12 @@ def within(data: dict, path: tuple):
         ),
         (("backends", "grader", "max_output_tokens"), 0, "max_output_tokens must be >= 1, got 0"),
         (("backends", "grader", "max_output_tokens"), -5, "max_output_tokens must be >= 1, got -5"),
+        # a value of the right kind but out of range names its key's path
+        (("retrieval", "lambda"), 1.5, r"retrieval\.lambda must be within \[0, 1\], got 1.5"),
+        (("retrieval", "min_similarity"), -1.5, r"retrieval\.min_similarity must be within \[-1, 1\], got -1.5"),
+        (("refinement", "min_relevant_fraction"), 1.5, r"refinement\.min_relevant_fraction must be within \[0, 1\], got 1.5"),
+        (("evaluation", "match_threshold"), -0.1, r"evaluation\.match_threshold must be within \[0, 1\], got -0.1"),
+        (("backends", "grader", "temperature"), -0.5, r"backends\.grader\.temperature must be >= 0, got -0.5"),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

@@ -624,7 +624,6 @@ def test_check_article_baseline_end_to_end(tmp_path):
     assert report.token_usage["prompt_tokens"] > 0
     assert report.token_usage["completion_tokens"] > 0
     assert report.warnings == []
-    assert report.timing_seconds is not None
     assert "corpus_path" not in report.config
 
 
@@ -1044,6 +1043,19 @@ def test_render_markdown_table(tmp_path):
     assert "Source: Study A, A. A, 2021-01-01" in line
     assert "## Warnings" in text
     assert "- one warning" in text
+
+
+def test_markdown_cell_is_the_scored_response_text(tmp_path):
+    # the response a reader sees is the text evaluate scores, escaped for
+    # the table: the explanation's surrounding whitespace is stripped
+    report = sample_report(tmp_path)
+    report = replace(report, entries=[replace(report.entries[0], explanation="  Padded\nexplanation.\n ")])
+    text = render_report(report, fmt="markdown")
+    line = next(l for l in text.splitlines() if l.startswith("| 1."))
+    cell = line.split(" | 1. ", 1)[1].removesuffix(" |")
+    scored = pipeline_module.entry_response_text(report_to_dict(report)["entries"][0])
+    assert cell == pipeline_module._md_escape(scored)
+    assert cell == "True. Padded explanation. Source: Study A, A. A, 2021-01-01"
 
 
 def test_render_unknown_format(tmp_path):
