@@ -59,8 +59,10 @@ class ChunkingConfig:
             (self.kb_chunk_size, self.kb_overlap, "kb"),
         ):
             if not 0 <= overlap < size:
+                key = f"{what}_chunk_size" if size <= 0 else f"{what}_overlap"
                 raise ConfigError(
-                    f"{what} chunking needs 0 <= overlap < size, got size={size} overlap={overlap}"
+                    f"chunking.{key} needs 0 <= overlap < {what}_chunk_size, "
+                    f"got {what}_chunk_size={size} {what}_overlap={overlap}"
                 )
 
 
@@ -78,11 +80,12 @@ class RetrievalConfig:
         if not -1.0 <= self.min_similarity <= 1.0:
             raise ConfigError(f"retrieval.min_similarity must be within [-1, 1], got {self.min_similarity}")
         if self.k <= 0 or self.pool_size < self.k:
+            key = "k" if self.k <= 0 else "pool_size"
             raise ConfigError(
-                f"retrieval needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
+                f"retrieval.{key} needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
             )
         if self.reorder not in ("ends", "none"):
-            raise ConfigError(f"reorder must be 'ends' or 'none', got {self.reorder!r}")
+            raise ConfigError(f"retrieval.reorder must be 'ends' or 'none', got {self.reorder!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,9 @@ class RefinementConfig:
     min_relevant_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_rewrites < 0 or self.max_regenerations < 0:
-            raise ConfigError("refinement budgets must be non-negative")
+        for key in ("max_rewrites", "max_regenerations"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"refinement.{key} must be non-negative, got {getattr(self, key)}")
         if not 0.0 <= self.min_relevant_fraction <= 1.0:
             raise ConfigError(
                 f"refinement.min_relevant_fraction must be within [0, 1], got {self.min_relevant_fraction}"
@@ -113,10 +117,10 @@ class EvaluationConfig:
             raise ConfigError(f"evaluation.match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
             raise ConfigError(
-                f"statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
+                f"evaluation.statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
             )
         if self.judge not in ("backend", "lexical"):
-            raise ConfigError(f"judge must be 'backend' or 'lexical', got {self.judge!r}")
+            raise ConfigError(f"evaluation.judge must be 'backend' or 'lexical', got {self.judge!r}")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ def build_indexes(config: RunConfig, chunks: Sequence[Chunk], embedders: list) -
 
 
 def load_indexes(config: RunConfig) -> list[VectorIndex]:
-    """The persisted index of every configured model, checked against its spec."""
+    """The persisted index of every configured model, checked against its spec.
+
+    Each file passes its own checks; legs whose metadata sections are
+    byte-identical, as ``build_indexes`` writes them, share one parse.
+    """
     indexes = []
     for spec in config.embedders:
         path = index_path(config, spec.model_id)

@@ -18,14 +18,22 @@ On-disk format (version 2), one file in three sections:
     matrix    ``count * dimension`` little-endian float64 (``<f8``),
               row-major, row i being the vector of metadata line i
 
-``sha256`` is the hex SHA-256 of the header line without its ``sha256``
-key, followed by the metadata and matrix sections, so a truncated file
-or any altered byte, header included, fails the load with
-:class:`IndexFormatError` rather than yielding a partial index.  The
-matrix bytes are written and read exactly, with no renormalizing, so a
-rebuild from identical inputs is byte-identical and a loaded index
-scores exactly as the one that was persisted.  Version 1 files (vectors
-as JSON floats) are refused; ``claimcheck build-index`` rebuilds them.
+Each metadata line is exactly one JSON value, as ``persist`` writes it:
+a line with whitespace around its value, or a value that spans two
+lines, is a bad entry.  ``sha256`` is the hex SHA-256 of the header line
+without its ``sha256`` key, followed by the metadata and matrix
+sections, so a truncated file or any altered byte, header included,
+fails the load with :class:`IndexFormatError` rather than yielding a
+partial index.  The matrix bytes are written and read exactly, with no
+renormalizing, so a rebuild from identical inputs is byte-identical and
+a loaded index scores exactly as the one that was persisted.  Version 1
+files (vectors as JSON floats) are refused; ``claimcheck build-index``
+rebuilds them.
+
+Indexes loaded in one process from byte-identical metadata sections,
+such as the two legs of one corpus, share one parsed copy of the keys
+and metadata while any of them is alive; each file still passes its own
+size, digest, line-count and vector checks.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -83,6 +92,8 @@ class VectorIndex:
             np.empty((0, dimension), np.float64),
             (),
         )
+        # the shared parse that a loaded snapshot's keys and metadata come from
+        self._entries: _Entries | None = None
 
     def __len__(self) -> int:
         return len(self._snapshot[0])
@@ -120,6 +131,7 @@ class VectorIndex:
                 else:
                     np.divide(vector, norm, out=row)
             self._snapshot = (keys, matrix, tuple(merged[k][2] for k in keys))
+            self._entries = None
 
     def _prepare_query(self, query) -> np.ndarray:
         arr = np.asarray(query, dtype=np.float64)
@@ -229,14 +241,15 @@ class VectorIndex:
             raise IndexFormatError(f"{path}: file shrank while it was read (truncated?)")
         if _digest(header, metadata, matrix) != header["sha256"]:
             raise IndexFormatError(f"{path}: checksum mismatch, the file is damaged")
-        keys, metas = _parse_entries(path, metadata, count)
+        entries = _shared_entries(path, metadata, count)
         bad = ~(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1))
         if bad.any():
             raise IndexFormatError(
                 f"{path}: entry {int(bad.argmax())} holds a zero or non-finite vector"
             )
         index = cls(model_id=header["model_id"], dimension=dimension)
-        index._snapshot = (keys, matrix, metas)
+        index._snapshot = (entries.keys, matrix, entries.metas)
+        index._entries = entries
         return index
 
 
@@ -281,31 +294,80 @@ def _parse_header(path: Path, line: bytes) -> dict:
     return header
 
 
+class _Entries:
+    """The parsed keys and metadata of one metadata section."""
+
+    __slots__ = ("keys", "metas", "__weakref__")
+
+    def __init__(self, keys: tuple[ChunkKey, ...], metas: tuple[dict, ...]):
+        self.keys = keys
+        self.metas = metas
+
+
+# SHA-256 of a metadata section -> its parse, for as long as an index holds it;
+# neither tuple nor any metadata dict is ever mutated (upsert builds a new
+# snapshot and every Hit copies its metadata).  Two loads racing on one
+# section may each parse it; either parse is correct.
+_PARSED: weakref.WeakValueDictionary[bytes, _Entries] = weakref.WeakValueDictionary()
+
+
+def _shared_entries(path: Path, metadata: bytes, count: int) -> _Entries:
+    """The entries of a metadata section whose file passed its own checks,
+    parsed once while any index loaded from the same bytes is alive."""
+    lines = metadata.count(b"\n")
+    # an empty section, or one whose last line ends in its newline
+    if lines != count or metadata[-1:] not in (b"", b"\n"):
+        raise IndexFormatError(f"{path}: metadata holds {lines} lines for {count} entries")
+    digest = hashlib.sha256(metadata).digest()
+    entries = _PARSED.get(digest)
+    if entries is None:
+        entries = _PARSED[digest] = _Entries(*_parse_entries(path, metadata, count))
+    return entries
+
+
 def _parse_entries(
     path: Path, metadata: bytes, count: int
 ) -> tuple[tuple[ChunkKey, ...], tuple[dict, ...]]:
-    lines = metadata.split(b"\n")
-    if lines.pop() != b"" or len(lines) != count:
-        raise IndexFormatError(f"{path}: metadata holds {len(lines)} lines for {count} entries")
+    """Every entry of a section of ``count`` whole lines, decoded and scanned in one pass."""
+    try:
+        text = metadata.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        n = metadata.count(b"\n", 0, exc.start)
+        raise IndexFormatError(f"{path}: bad entry {n}: {exc}") from exc
+    # the C scanner json.loads ends in: one value at an offset, no whitespace skipped
+    scan = json.JSONDecoder().scan_once
     keys: list[ChunkKey] = []
     metas: list[dict] = []
-    for n, line in enumerate(lines):
+    start = 0
+    for n in range(count):
+        end = text.index("\n", start)
         try:
-            entry = json.loads(line.decode("utf-8"))
-        except ValueError as exc:
-            raise IndexFormatError(f"{path}: bad entry {n}: {exc}") from exc
+            entry, stop = scan(text, start)
+        except (StopIteration, ValueError):
+            stop = -1
         if not (
-            isinstance(entry, dict)
-            and set(entry) == _ENTRY_FIELDS
-            and isinstance(entry["parent_id"], str)
+            stop == end
+            and type(entry) is dict
+            and entry.keys() == _ENTRY_FIELDS
+            and type(entry["parent_id"]) is str
             and type(entry["seq"]) is int
-            and isinstance(entry["metadata"], dict)
-            and all(isinstance(v, str) for v in entry["metadata"].values())
+            and type(entry["metadata"]) is dict
+            and all(type(v) is str for v in entry["metadata"].values())
         ):
-            raise IndexFormatError(f"{path}: bad entry {n}: {line[:200]!r}")
+            raise _bad_entry(path, n, text[start:end])
         key = ChunkKey(entry["parent_id"], entry["seq"])
         if keys and not keys[-1] < key:
             raise IndexFormatError(f"{path}: entry {n} is not in ascending chunk-key order")
         keys.append(key)
         metas.append(entry["metadata"])
+        start = end + 1
     return tuple(keys), tuple(metas)
+
+
+def _bad_entry(path: Path, n: int, line: str) -> IndexFormatError:
+    """json's own message when line ``n`` alone is not JSON, else its first bytes."""
+    try:
+        json.loads(line)
+    except ValueError as exc:
+        return IndexFormatError(f"{path}: bad entry {n}: {exc}")
+    return IndexFormatError(f"{path}: bad entry {n}: {line.encode('utf-8')[:200]!r}")

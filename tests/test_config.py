@@ -210,6 +210,30 @@ def within(data: dict, path: tuple):
         (("refinement", "min_relevant_fraction"), 1.5, r"refinement\.min_relevant_fraction must be within \[0, 1\], got 1.5"),
         (("evaluation", "match_threshold"), -0.1, r"evaluation\.match_threshold must be within \[0, 1\], got -0.1"),
         (("backends", "grader", "temperature"), -0.5, r"backends\.grader\.temperature must be >= 0, got -0.5"),
+        (("retrieval", "reorder"), "shuffle", r"^retrieval\.reorder must be 'ends' or 'none', got 'shuffle'$"),
+        (("retrieval", "k"), 0, r"^retrieval\.k needs 0 < k <= pool_size, got k=0 pool_size=20$"),
+        (("retrieval", "pool_size"), 3, r"^retrieval\.pool_size needs 0 < k <= pool_size, got k=5 pool_size=3$"),
+        (("refinement", "max_rewrites"), -1, r"^refinement\.max_rewrites must be non-negative, got -1$"),
+        (("refinement", "max_regenerations"), -2, r"^refinement\.max_regenerations must be non-negative, got -2$"),
+        (
+            ("chunking", "article_overlap"), 2000,
+            r"^chunking\.article_overlap needs 0 <= overlap < article_chunk_size, "
+            r"got article_chunk_size=2000 article_overlap=2000$",
+        ),
+        (
+            ("chunking", "kb_overlap"), -1,
+            r"^chunking\.kb_overlap needs 0 <= overlap < kb_chunk_size, got kb_chunk_size=400 kb_overlap=-1$",
+        ),
+        (
+            ("chunking", "kb_chunk_size"), 0,
+            r"^chunking\.kb_chunk_size needs 0 <= overlap < kb_chunk_size, got kb_chunk_size=0 kb_overlap=50$",
+        ),
+        (
+            ("evaluation", "statement_source"), "oracle",
+            r"^evaluation\.statement_source must be 'backend' or 'sentences', got 'oracle'$",
+        ),
+        (("evaluation", "judge"), "vibes", r"^evaluation\.judge must be 'backend' or 'lexical', got 'vibes'$"),
+        (("concurrency",), 0, r"^concurrency must be >= 1, got 0$"),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

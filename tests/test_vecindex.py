@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import vecindex
 from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import unit_normalize
 from claimcheck.errors import ConfigError, IndexFormatError, ValidationError
@@ -467,3 +471,163 @@ def test_upsert_peak_allocation_stays_near_one_matrix():
         tracemalloc.stop()
     assert len(index) == n
     assert peak < 1.5 * n * d * 8
+
+
+# -- one parse per metadata section -------------------------------------------
+
+
+def sharing_files(tmp_path):
+    """Two files whose metadata sections are byte-identical and whose
+    matrices differ: the two legs of one corpus.  Returns both paths, the
+    first file's sections and the registry key of their metadata."""
+    first = tmp_path / "first.idx"
+    populated_index().persist(first)
+    header, metadata, matrix = split_sections(first.read_bytes())
+    second = tmp_path / "second.idx"
+    rows = -np.frombuffer(matrix, "<f8")
+    write_sealed(second, {**header, "model_id": "other"}, metadata, rows.tobytes())
+    return first, second, (header, metadata, matrix), hashlib.sha256(metadata).digest()
+
+
+def test_identical_metadata_sections_share_one_parse(tmp_path):
+    first, second, _, _ = sharing_files(tmp_path)
+    a, b = VectorIndex.load(first), VectorIndex.load(second)
+    assert a._snapshot[0] is b._snapshot[0]
+    assert a._snapshot[2] is b._snapshot[2]
+    assert not np.array_equal(a._snapshot[1], b._snapshot[1])
+    assert (a.model_id, b.model_id) == ("model/with-slash", "other")
+
+
+def test_sections_one_byte_apart_share_nothing(tmp_path):
+    first, second, (header, metadata, matrix), _ = sharing_files(tmp_path)
+    write_sealed(second, header, metadata.replace(b'"T0"', b'"T9"', 1), matrix)
+    a, b = VectorIndex.load(first), VectorIndex.load(second)
+    assert a._snapshot[0] is not b._snapshot[0]
+    assert a._snapshot[2] is not b._snapshot[2]
+    assert not any(x is y for x, y in zip(a._snapshot[0], b._snapshot[0]))
+    assert not any(x is y for x, y in zip(a._snapshot[2], b._snapshot[2]))
+    assert (a._snapshot[2][0]["title"], b._snapshot[2][0]["title"]) == ("T0", "T9")
+
+
+def test_shared_parse_is_dropped_with_its_last_index(tmp_path):
+    first, second, _, key = sharing_files(tmp_path)
+    gc.collect()
+    registered = len(vecindex._PARSED)
+    a, b = VectorIndex.load(first), VectorIndex.load(second)
+    assert key in vecindex._PARSED
+    assert len(vecindex._PARSED) == registered + 1
+    del a
+    gc.collect()
+    assert key in vecindex._PARSED  # b still holds it
+    del b
+    gc.collect()
+    assert key not in vecindex._PARSED
+    assert len(vecindex._PARSED) == registered
+
+
+def test_damaged_file_never_reuses_a_live_parse(tmp_path):
+    first, second, (header, metadata, matrix), key = sharing_files(tmp_path)
+    live = VectorIndex.load(first)
+    assert key in vecindex._PARSED
+    pristine = second.read_bytes()
+    second.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
+    with pytest.raises(IndexFormatError, match="checksum"):
+        VectorIndex.load(second)
+    rows = np.frombuffer(matrix, "<f8").reshape(12, 5).copy()
+    rows[7] = 0.0
+    write_sealed(second, header, metadata, rows.tobytes())
+    with pytest.raises(IndexFormatError, match="entry 7 holds a zero or non-finite"):
+        VectorIndex.load(second)
+    # the same matrix bytes read as 6 rows of 10: only the line count differs
+    write_sealed(second, {**header, "count": 6, "dimension": 10}, metadata, matrix)
+    with pytest.raises(IndexFormatError, match="metadata holds 12 lines for 6 entries"):
+        VectorIndex.load(second)
+    assert len(live) == 12
+
+
+def test_upsert_into_one_sharing_index_leaves_the_other_unchanged(tmp_path):
+    first, second, _, _ = sharing_files(tmp_path)
+    a, b = VectorIndex.load(first), VectorIndex.load(second)
+    query = np.arange(5, dtype=np.float64)
+    before = nearest(b, query, k=12)
+    metas = [dict(m) for m in b._snapshot[2]]
+    a.upsert(
+        [
+            (ChunkKey("kb0", 0), np.ones(5), {"title": "replaced"}),
+            (ChunkKey("kb9", 0), np.ones(5), {"title": "new"}),
+        ]
+    )
+    assert len(a) == 13 and a._snapshot[2][0] == {"title": "replaced"}
+    assert nearest(b, query, k=12) == before
+    assert [dict(m) for m in b._snapshot[2]] == metas
+    assert len(b) == 12
+
+
+def test_loads_racing_on_one_section_each_get_the_whole_parse(tmp_path):
+    first, second, _, key = sharing_files(tmp_path)
+    reference = VectorIndex.load(first)._snapshot
+    keys, metas = list(reference[0]), [dict(m) for m in reference[2]]
+    del reference
+    wrong: list[int] = []
+
+    def load(offset: int) -> None:
+        for n in range(40):
+            index = VectorIndex.load(second if (offset + n) % 2 else first)
+            if list(index._snapshot[0]) != keys or list(index._snapshot[2]) != metas:
+                wrong.append(offset)
+
+    # more threads than cores, switching often, each index dropped as the
+    # next loads: a race on the registry would show as an exception or as
+    # a crossed or partial parse
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as loaders:
+            futures = [loaders.submit(load, i) for i in range(8)]
+            for future in futures:
+                future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    gc.collect()
+    assert key not in vecindex._PARSED
+
+
+# -- the one-pass metadata parse ----------------------------------------------
+
+
+def test_bad_entries_are_named_by_their_line(tmp_path):
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    header, metadata, matrix = split_sections(path.read_bytes())
+    lines = metadata.splitlines(keepends=True)
+
+    def sealed_with(n: int, line: bytes) -> None:
+        write_sealed(path, header, b"".join([*lines[:n], line, *lines[n + 1 :]]), matrix)
+
+    sealed_with(5, lines[5].replace(b'"metadata": {', b'"metadata": {"a": 5, '))
+    with pytest.raises(IndexFormatError, match="bad entry 5: "):
+        VectorIndex.load(path)
+    sealed_with(3, lines[3].replace(b'"title": "', b'"title": "\xff', 1))
+    with pytest.raises(IndexFormatError, match="bad entry 3: 'utf-8' codec can't decode byte 0xff"):
+        VectorIndex.load(path)
+    sealed_with(6, lines[6].replace(b"{", b"{oops", 1))
+    with pytest.raises(IndexFormatError, match="bad entry 6: Expecting property name"):
+        VectorIndex.load(path)
+
+
+def test_each_metadata_line_is_exactly_one_json_value(tmp_path):
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    header, metadata, matrix = split_sections(path.read_bytes())
+    lines = metadata.splitlines(keepends=True)
+    for n, line in ((2, b" " + lines[2]), (4, lines[4][:-1] + b" \n")):
+        write_sealed(path, header, b"".join([*lines[:n], line, *lines[n + 1 :]]), matrix)
+        with pytest.raises(IndexFormatError, match=f"bad entry {n}: "):
+            VectorIndex.load(path)
+    # entry 4 split over two lines and the last entry dropped: still 12 lines
+    split = lines[4].replace(b', "parent_id"', b',\n"parent_id"')
+    assert split.count(b"\n") == 2
+    write_sealed(path, header, b"".join([*lines[:4], split, *lines[5:-1]]), matrix)
+    with pytest.raises(IndexFormatError, match="bad entry 4: "):
+        VectorIndex.load(path)
