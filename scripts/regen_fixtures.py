@@ -29,7 +29,7 @@ from claimcheck import corpus, evaluation, prompts, service  # noqa: E402
 from claimcheck.agents import RawAnswer, ScriptedBackend, prompt_fingerprint  # noqa: E402
 from claimcheck.config import load_config  # noqa: E402
 from claimcheck.embedding import cosine_similarity  # noqa: E402
-from claimcheck.pipeline import FactCheckPipeline, render_report, report_to_dict  # noqa: E402
+from claimcheck.pipeline import FactCheckPipeline, render_report  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -433,7 +433,7 @@ def main() -> None:
     # evaluation golden over the three reports (one article, offline judges)
     gt = evaluation.load_ground_truth(FIXTURES / "ground_truth.jsonl")
     result = evaluation.evaluate_run(
-        [report_to_dict(r) for r in reports.values()],
+        list(reports.values()),
         gt,
         embed=embedders[0].embed,
         statements_fn=evaluation.split_sentences,

@@ -119,6 +119,10 @@ class RemoteChatBackend:
             raise ProtocolError(f"malformed chat response: token counts must be integers >= 0, got {usage!r}")
         if not isinstance(text, str) or not text.strip():
             raise BackendError(f"backend {self.config.model_id!r} returned an empty completion")
+        try:
+            text.encode("utf-8")  # JSON can escape a lone surrogate, which has no UTF-8 form
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"malformed chat response: {exc}") from exc
         return RawAnswer(
             text=text,
             prompt_fingerprint=prompt_fingerprint(prompt),
@@ -153,11 +157,12 @@ class ScriptedBackend:
                 try:
                     row = json.loads(line.decode("utf-8"))
                     fingerprint, response = row["fingerprint"], row["response"]
+                    for key, value in (("fingerprint", fingerprint), ("response", response)):
+                        if not isinstance(value, str):
+                            raise TypeError(f"{key} must be a string, got {value!r}")
+                        value.encode("utf-8")  # JSON can escape a lone surrogate, which has no UTF-8 form
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigError(f"{path}: bad fixture line {lineno}: {exc}") from exc
-                for key, value in (("fingerprint", fingerprint), ("response", response)):
-                    if not isinstance(value, str):
-                        raise ConfigError(f"{path}: bad fixture line {lineno}: {key} must be a string, got {value!r}")
                 responses[fingerprint] = response
         return cls(responses, model_id=model_id)
 
@@ -282,12 +287,9 @@ class VerdictLabel(str, Enum):
 
     @property
     def display(self) -> str:
-        return display_label(self.value)
+        """The label as reports show it: ``partly_true`` reads ``Partly true``."""
+        return self.value.replace("_", " ").capitalize()
 
-
-def display_label(label: str) -> str:
-    """A label as reports show it: ``partly_true`` reads ``Partly true``."""
-    return label.replace("_", " ").capitalize()
 
 # longest match first so "partly true" is not read as "true"
 _LABEL_PATTERNS: tuple[tuple[str, VerdictLabel], ...] = (

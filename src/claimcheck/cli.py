@@ -26,10 +26,10 @@ from pathlib import Path
 
 from . import corpus, evaluation, service
 from .agents import build_backend
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, typed
 from .embedding import build_embedder
 from .errors import ClaimcheckError, ConfigError, ValidationError
-from .pipeline import render_report
+from .pipeline import Report, render_report
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +110,8 @@ def _cmd_check(args, config: RunConfig) -> int:
     return EXIT_OPERATIONAL if report.warnings else EXIT_OK
 
 
-def _load_report_dicts(patterns: list[str]) -> list[dict]:
+def _load_reports(patterns: list[str]) -> list[Report]:
+    """Each report file ``patterns`` name, read into a ``Report`` key by key."""
     paths: list[Path] = []
     for pattern in patterns:
         p = Path(pattern)
@@ -125,28 +126,14 @@ def _load_report_dicts(patterns: list[str]) -> list[dict]:
     reports = []
     for path in paths:
         try:
-            report = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from exc
-        if not isinstance(report, dict):
-            raise ValidationError(f"report {path} is not a JSON object")
-        entries = report.get("entries") or []
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValidationError(f"report {path}: 'entries' must be a list of objects")
-        for e in entries:
-            if not isinstance(e.get("claim", {}), dict):
-                raise ValidationError(f"report {path}: an entry's 'claim' must be an object")
-            sources = e.get("sources") or []
-            if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
-                raise ValidationError(f"report {path}: an entry's 'sources' must be a list of objects")
-            if not all(isinstance(s.get(key, ""), str) for s in sources for key in ("title", "authors", "date")):
-                raise ValidationError(f"report {path}: a source's title, authors and date must be strings")
-        reports.append(report)
+        try:
+            reports.append(typed(data, Report, ""))
+        except (ConfigError, ValidationError) as exc:
+            raise ValidationError(f"report {path}: {exc}") from exc
     return reports
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
 
 
 def _evaluate_from_scores(args) -> int:
@@ -155,17 +142,10 @@ def _evaluate_from_scores(args) -> int:
         systems = payload["systems"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read scores file {args.scores}: {exc}") from exc
-    if not isinstance(systems, dict) or not all(
-        isinstance(scores, dict) and all(map(_is_number_list, scores.values()))
-        for scores in systems.values()
-    ):
-        raise ValidationError(
-            f"scores file {args.scores}: 'systems' must map each system to metric: [numbers]"
-        )
-    per_article = {
-        str(mode): {str(metric): [float(x) for x in vec] for metric, vec in scores.items()}
-        for mode, scores in systems.items()
-    }
+    try:
+        per_article = typed(systems, dict[str, dict[str, list[float]]], "systems")
+    except ConfigError as exc:
+        raise ValidationError(f"scores file {args.scores}: {exc}") from exc
     rows = evaluation.compare_systems(per_article)
     return _emit(evaluation.render_comparison(rows, fmt=args.format), args.out)
 
@@ -175,7 +155,7 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
         return _evaluate_from_scores(args)
     if not args.reports or not args.ground_truth:
         raise ConfigError("evaluate needs --reports and --ground-truth (or --scores)")
-    reports = _load_report_dicts(args.reports)
+    reports = _load_reports(args.reports)
     ground_truth = evaluation.load_ground_truth(args.ground_truth)
     embedder = build_embedder(config.embedders[0])
     eval_cfg = config.evaluation

@@ -9,11 +9,15 @@ holds the API key instead.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NewType
 
 import yaml
 
@@ -25,25 +29,70 @@ MODES = ("baseline", "lotr", "lotr_srag")
 ROLES = ("generator", "grader", "rewriter")
 
 
-def _typed(value, kind: str, path: str):
-    """``value`` checked against a field annotation of this package.
+FreeText = NewType("FreeText", str)
+"""A string that may be blank: free text a report carries, such as an
+explanation.  A ``str`` setting or key must hold a string that is not blank."""
 
-    ``int`` takes a YAML integer; ``float`` any finite number, returned as a
-    float; ``str`` a string that is not blank; ``str | None`` that or null.
-    A boolean is never a number.
+_hints = functools.cache(typing.get_type_hints)
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def typed(value, kind, path: str):
+    """``value``, plain data of a config file or a report's JSON, read as the
+    resolved annotation ``kind``; an error names ``path``.
+
+    ``str`` takes a string that is not blank and ``FreeText`` any string,
+    neither one that UTF-8 cannot encode, such as the lone surrogate
+    ``"\\ud800"``.  ``bool`` takes a boolean, ``int`` an integer, ``float``
+    any finite number, returned as a float; ``X | None`` null or an ``X``;
+    an ``Enum`` one of its values; a dataclass a mapping of its fields (see
+    ``_load``); ``dict[K, V]`` a mapping, and a bare ``dict`` any mapping,
+    as it is; ``list[X]``, ``tuple[X, ...]`` and a NamedTuple a list.
     """
-    if kind in ("str", "str | None"):
-        if (isinstance(value, str) and value.strip()) or (value is None and kind == "str | None"):
-            return value
-        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind == "float" else int):
-        raise ConfigError(f"{path} must be {'a number' if kind == 'float' else 'an integer'}, got {value!r}")
-    if kind == "int":
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return None if value is None else typed(value, inner, path)
+    if kind is str or kind is FreeText:
+        if not isinstance(value, str) or not (kind is FreeText or value.strip()):
+            raise ConfigError(f"{path} must be a {'' if kind is FreeText else 'non-empty '}string, got {value!r}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"{path} must be text UTF-8 can encode: {exc}") from None
         return value
-    # false for NaN, the infinities and integers too large for a float
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
+    if kind in (bool, int, float):
+        # a boolean is never a number
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+        # false for NaN, the infinities and integers too large for a float
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+        return kind(value)
+    if kind is dict or origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a mapping, got {value!r}")
+        if not args:
+            return value
+        key_kind, item_kind = args
+        return {
+            typed(key, key_kind, f"{path} key"): typed(item, item_kind, f"{path}.{key}") for key, item in value.items()
+        }
+    if dataclasses.is_dataclass(kind):
+        return _load(kind, value, path)
+    if origin is None and issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            raise ConfigError(f"{path} must be one of {[m.value for m in kind]}, got {value!r}") from None
+    # what is left reads a list: list[X], tuple[X, ...] or a NamedTuple's fields
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    kinds = list(_hints(kind).values()) if origin is None else [args[0]] * len(value)
+    if len(value) != len(kinds):
+        raise ConfigError(f"{path} must list {len(kinds)} items, got {value!r}")
+    items = [typed(item, k, f"{path}[{i}]") for i, (item, k) in enumerate(zip(value, kinds))]
+    return items if origin is list else tuple(items) if origin is tuple else kind(*items)
 
 
 @dataclass(frozen=True)
@@ -127,7 +176,7 @@ class EvaluationConfig:
 class RunConfig:
     corpus_path: str
     index_dir: str
-    embedders: tuple[EmbedderSpec, EmbedderSpec]
+    embedders: tuple[EmbedderSpec, ...]
     generator: LlmBackendConfig
     grader: LlmBackendConfig
     rewriter: LlmBackendConfig
@@ -197,72 +246,62 @@ def plain(value):
 def _mapping(data, where: str, known) -> dict:
     """``data``, checked to be a mapping whose keys are all in ``known``."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be a mapping, got {data!r}")
+        raise ConfigError(f"{where or 'the top level'} must be a mapping, got {data!r}")
     unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+        raise ConfigError(f"{where or 'the top level'}: unknown keys {sorted(unknown, key=str)}")
     return data
 
 
 def _require(data: dict, key: str, where: str):
     if key not in data:
-        raise ConfigError(f"{where}: missing required key {key!r}")
+        raise ConfigError(f"{where or 'the top level'}: missing required key {key!r}")
     return data[key]
 
 
 def _load(cls, data, where: str, **given):
-    """The settings object ``cls`` read from the mapping at ``where`` in the file.
+    """The dataclass ``cls`` read from the mapping at ``where`` ("" for the
+    top level of the file).
 
     A key is a field name without its trailing ``_``, so YAML's ``lambda`` is
-    ``lambda_``; each value is checked against its field's annotation.  A
-    missing or null mapping takes every default.  The caller sets the fields
-    in ``given``: the file may repeat them but not change them.
+    ``lambda_``; each value is read with ``typed``.  A key may be left out
+    only where its field has a default.  The caller sets the fields in
+    ``given``: the file may repeat them but not change them.
     """
-    fields = {f.name.rstrip("_"): f for f in dataclasses.fields(cls)}
-    data = _mapping({} if data is None else data, where, fields)
+    fields, kinds = {f.name.rstrip("_"): f for f in dataclasses.fields(cls)}, _hints(cls)
+    data = _mapping(data, where, fields)
     values = dict(given)
     for key, f in fields.items():
-        if key not in data:
-            if f.name not in given and f.default is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing required key {key!r}")
-            continue
-        value = _typed(data[key], f.type, f"{where}.{key}")
-        if given.get(f.name, value) != value:
-            raise ConfigError(f"{where}.{key} must be {given[f.name]!r}, got {value!r}")
-        values[f.name] = value
+        if key in data:
+            value = typed(data[key], kinds[f.name], f"{where}.{key}" if where else key)
+            if given.get(f.name, value) != value:
+                raise ConfigError(f"{where}.{key} must be {given[f.name]!r}, got {value!r}")
+            values[f.name] = value
+        elif f.name not in given and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where or 'the top level'}: missing required key {key!r}")
     return cls(**values)
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
-    root = {f.name: f for f in dataclasses.fields(RunConfig)}
-    _mapping(data, "config root", {*root, "backends"} - set(ROLES))
-    embedders = _require(data, "embedders", "config")
-    if not isinstance(embedders, (list, tuple)) or len(embedders) != 2:
-        raise ConfigError("config: 'embedders' must list exactly two specs")
+    """The run config in ``data``; relative paths resolve against ``base_dir``."""
+    kinds = _hints(RunConfig)
+    _mapping(data, "config root", {*kinds, "backends"} - set(ROLES))
     backends = _mapping(_require(data, "backends", "config"), "backends", ROLES)
-
-    def path(key: str, value) -> str | None:
-        """The path setting ``key``, resolved against ``base_dir`` when relative."""
-        value = _typed(value, root[key].type, key)
-        if value is None or base_dir is None or Path(value).is_absolute():
-            return value
-        return str((base_dir / value).resolve())
-
-    return RunConfig(
-        corpus_path=path("corpus_path", _require(data, "corpus_path", "config")),
-        index_dir=path("index_dir", _require(data, "index_dir", "config")),
-        embedders=tuple(_load(EmbedderSpec, spec, f"embedders[{i}]") for i, spec in enumerate(embedders)),
-        **{
-            role: _load(LlmBackendConfig, _require(backends, role, "backends"), f"backends.{role}", role=role)
-            for role in ROLES
-        },
-        chunking=_load(ChunkingConfig, data.get("chunking"), "chunking"),
-        retrieval=_load(RetrievalConfig, data.get("retrieval"), "retrieval"),
-        refinement=_load(RefinementConfig, data.get("refinement"), "refinement"),
-        evaluation=_load(EvaluationConfig, data.get("evaluation"), "evaluation"),
-        mock_fixtures=path("mock_fixtures", data.get("mock_fixtures")),
-        concurrency=_typed(data.get("concurrency", RunConfig.concurrency), root["concurrency"].type, "concurrency"),
-    )
+    roles = {
+        role: _load(LlmBackendConfig, _require(backends, role, "backends"), f"backends.{role}", role=role)
+        for role in ROLES
+    }
+    # a null section takes every default, as a missing one does
+    settings = {
+        key: value for key, value in data.items()
+        if key != "backends" and not (value is None and dataclasses.is_dataclass(kinds[key]))
+    }
+    if base_dir is not None:
+        for key in ("corpus_path", "index_dir", "mock_fixtures"):
+            value = typed(settings[key], kinds[key], key) if key in settings else None
+            if value is not None and not Path(value).is_absolute():
+                settings[key] = str((base_dir / value).resolve())
+    return _load(RunConfig, settings, "", **roles)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import prompts
 from .agents import LlmBackend, list_with_retry, score_with_retry
+from .config import plain
 from .embedding import cosine_similarity
-from .pipeline import entry_response_text
+from .pipeline import Report, entry_response_text
 from .errors import (
     DegenerateSampleError,
     ExtractionError,
@@ -49,7 +50,6 @@ SYSTEM_DISPLAY = {
 PREFERRED_PAIRS = (("baseline", "lotr"), ("lotr", "lotr_srag"), ("baseline", "lotr_srag"))
 
 WILCOXON_EXACT_LIMIT = 25
-GT_LABELS = ("true", "partly_true", "false", "partly_false", "misleading")
 DEFAULT_MATCH_THRESHOLD = 0.75
 
 
@@ -410,21 +410,10 @@ def _fmt_p(p: float | None) -> str:
 def render_comparison(rows: Sequence[ComparisonRow], fmt: str = "markdown") -> str:
     """Comparison table as markdown or JSON."""
     if fmt == "json":
+        # each row's fields in order, floats to 6 places, with stars named significance
         payload = [
-            {
-                "system_a": r.system_a,
-                "system_b": r.system_b,
-                "metric": r.metric,
-                "mean_a": round(r.mean_a, 6),
-                "mean_b": round(r.mean_b, 6),
-                "delta": round(r.delta, 6),
-                "t_statistic": round(r.t_statistic, 6) if r.t_statistic is not None else None,
-                "p_t": round(r.p_t, 6) if r.p_t is not None else None,
-                "w_statistic": round(r.w_statistic, 6) if r.w_statistic is not None else None,
-                "p_w": round(r.p_w, 6) if r.p_w is not None else None,
-                "n": r.n,
-                "significance": r.stars,
-            }
+            {"significance" if key == "stars" else key: round(v, 6) if isinstance(v, float) else v
+             for key, v in plain(r).items()}
             for r in rows
         ]
         return json.dumps({"comparisons": payload}, ensure_ascii=False, indent=2) + "\n"
@@ -459,7 +448,7 @@ class GroundTruthEntry:
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    """Line-delimited JSON; labels outside the five-way scheme become 'other'."""
+    """Line-delimited JSON, one entry per line; each value a string that UTF-8 can encode."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"ground truth file not found: {path}")
@@ -472,14 +461,13 @@ def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
             try:
                 row = json.loads(line.decode("utf-8"))
                 values = [row[key] for key in keys]
+                if not all(isinstance(value, str) for value in values):
+                    raise TypeError(f"{', '.join(keys)} must be strings")
+                for value in values:
+                    value.encode("utf-8")  # JSON can escape a lone surrogate, which has no UTF-8 form
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{path}: bad ground-truth line {lineno}: {exc}") from exc
-            if not all(isinstance(value, str) for value in values):
-                raise ValidationError(f"{path}: bad ground-truth line {lineno}: {', '.join(keys)} must be strings")
-            article_id, claim, label_raw, reference = values
-            label = label_raw.strip().lower().replace(" ", "_").replace("-", "_")
-            if label not in GT_LABELS:
-                label = "other"
+            article_id, claim, label, reference = values
             if not claim.strip() or not reference.strip():
                 raise ValidationError(f"{path}: line {lineno}: empty claim or reference_response")
             entries.append(GroundTruthEntry(article_id, claim, label, reference))
@@ -528,14 +516,14 @@ class EvalRunResult:
 
 
 def evaluate_run(
-    reports: Sequence[dict],
+    reports: Sequence[Report],
     ground_truth: Sequence[GroundTruthEntry],
     embed: Callable[[list[str]], np.ndarray],
     statements_fn: Callable[[str], list[str]],
     judge_fn: Callable[[str, str], bool],
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> EvalRunResult:
-    """Score report dicts against ground truth and compare the systems.
+    """Score reports against ground truth and compare the systems.
 
     Every system (report mode) must cover exactly the ground truth's
     article ids.  Unmatched ground-truth claims contribute 0 to both
@@ -548,16 +536,12 @@ def evaluate_run(
         gt_by_article.setdefault(entry.article_id, []).append(entry)
     article_ids = sorted(gt_by_article)
 
-    by_system: dict[str, dict[str, dict]] = {}
+    by_system: dict[str, dict[str, Report]] = {}
     for report in reports:
-        mode = str(report.get("mode", ""))
-        article_id = str(report.get("article_id", ""))
-        if not mode or not article_id:
-            raise ValidationError("report is missing mode or article_id")
-        by_system.setdefault(mode, {})
-        if article_id in by_system[mode]:
-            raise ValidationError(f"duplicate report for system {mode!r}, article {article_id!r}")
-        by_system[mode][article_id] = report
+        articles = by_system.setdefault(report.mode, {})
+        if report.article_id in articles:
+            raise ValidationError(f"duplicate report for system {report.mode!r}, article {report.article_id!r}")
+        articles[report.article_id] = report
     if not by_system:
         raise ValidationError("no reports supplied")
 
@@ -579,11 +563,10 @@ def evaluate_run(
     for mode in per_article:
         for article_id in article_ids:
             gt_entries = gt_by_article[article_id]
-            report = by_system[mode][article_id]
-            predictions = list(report.get("entries") or [])
+            predictions = by_system[mode][article_id].entries
             matched = _greedy_match(
                 [g.claim for g in gt_entries],
-                [str(p.get("claim", {}).get("text", "")) for p in predictions],
+                [p.claim.text for p in predictions],
                 embed,
                 match_threshold,
             )

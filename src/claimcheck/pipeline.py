@@ -25,8 +25,8 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, display_label, parse_verdict
-from .config import MODES, RunConfig, plain
+from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, parse_verdict
+from .config import MODES, FreeText, RunConfig, plain
 from .corpus import ArticleText, ChunkKey, chunk_text
 from .errors import ClaimcheckError, ConfigError, GradingError, ValidationError
 from .lotr import EvidenceBundle, MergingRetriever
@@ -44,9 +44,9 @@ TERMINAL_ERROR = "error"
 class Source:
     """A citation resolved against evidence metadata (or kept as free text)."""
 
-    title: str
-    authors: str = ""
-    date: str = ""
+    title: FreeText
+    authors: FreeText = ""
+    date: FreeText = ""
 
 
 @dataclass
@@ -66,7 +66,7 @@ class SragTrace:
 class FactCheckEntry:
     claim: Claim
     label: VerdictLabel
-    explanation: str
+    explanation: FreeText
     sources: tuple[Source, ...]
     evidence_keys: tuple[ChunkKey, ...]
     trace: SragTrace
@@ -75,13 +75,13 @@ class FactCheckEntry:
 @dataclass
 class Report:
     """One article's fact-check.  The fields, in order, are the keys of the
-    report's JSON (``report_to_dict``); no timing is kept, so repeated runs
-    give identical bytes."""
+    report's JSON (``plain``), which ``evaluate`` reads back with ``typed``;
+    no timing is kept, so repeated runs give identical bytes."""
 
     article_id: str
     mode: str
     config: dict
-    token_usage: dict
+    token_usage: dict[str, int]
     warnings: list[str]
     entries: list[FactCheckEntry]
 
@@ -364,26 +364,15 @@ class FactCheckPipeline:
 # -- rendering --------------------------------------------------------------
 
 
-def report_to_dict(report: Report) -> dict:
-    """Canonical plain-data form: every field of the report's dataclasses,
-    in field order; deterministic, no timestamps."""
-    return plain(report)
-
-
-def entry_response_text(entry: dict) -> str:
-    """The response to an entry's plain form: the text the markdown table
-    shows and the text ``evaluate`` scores against the reference."""
-    label = display_label(str(entry.get("label", "unverifiable")))
-    parts = [f"{label}."]
-    explanation = str(entry.get("explanation", "")).strip()
+def entry_response_text(entry: FactCheckEntry) -> str:
+    """The response to an entry: the text the markdown table shows and the
+    text ``evaluate`` scores against the reference."""
+    parts = [f"{entry.label.display}."]
+    explanation = entry.explanation.strip()
     if explanation:
         parts.append(explanation)
-    sources = entry.get("sources") or []
-    if sources:
-        cited = "; ".join(
-            ", ".join(x for x in (s.get("title", ""), s.get("authors", ""), s.get("date", "")) if x)
-            for s in sources
-        )
+    if entry.sources:
+        cited = "; ".join(", ".join(x for x in (s.title, s.authors, s.date) if x) for s in entry.sources)
         parts.append(f"Source: {cited}")
     return " ".join(parts)
 
@@ -394,9 +383,8 @@ def _md_escape(text: str) -> str:
 
 def render_report(report: Report, fmt: str = "json") -> str:
     """Serialize a report as canonical JSON or a two-column markdown table."""
-    data = report_to_dict(report)
     if fmt == "json":
-        return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(plain(report), ensure_ascii=False, indent=2) + "\n"
     if fmt != "markdown":
         raise ConfigError(f"unknown report format {fmt!r}, expected 'json' or 'markdown'")
     lines = [
@@ -407,8 +395,8 @@ def render_report(report: Report, fmt: str = "json") -> str:
         "| Extracted claims | Response of fact-checking |",
         "| --- | --- |",
     ]
-    for i, e in enumerate(data["entries"], start=1):
-        lines.append(f"| {i}. {_md_escape(e['claim']['text'])} | {i}. {_md_escape(entry_response_text(e))} |")
+    for i, e in enumerate(report.entries, start=1):
+        lines.append(f"| {i}. {_md_escape(e.claim.text)} | {i}. {_md_escape(entry_response_text(e))} |")
     if report.warnings:
         lines += ["", "## Warnings", ""]
         lines += [f"- {w}" for w in report.warnings]

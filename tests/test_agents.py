@@ -674,6 +674,30 @@ def test_extract_claims_raises_when_every_chunk_call_failed():
         )
 
 
+def test_extract_claims_skips_a_chunk_whose_answer_utf8_cannot_encode(http_stub):
+    """A chat answer holding a lone surrogate, which JSON escapes in ASCII, is
+    a malformed answer: that chunk is skipped after one request, and the
+    other chunks' claims are deduped and kept."""
+
+    def answer(body):
+        prompt = body["messages"][0]["content"]
+        word = next(w for w in ("first", "second", "third") if f"{w} chunk" in prompt)
+        text = "Zinc shortens colds \ud83d by days." if word == "second" else f"The {word} claim holds."
+        return 200, chat_payload(text)
+
+    http_stub.default = answer
+    generator = RemoteChatBackend(chat_config(http_stub.url), base_delay=0.001)
+    warnings: list[str] = []
+    claims = agents_with(generator=generator).extract_claims("a1", THREE_CHUNKS, warnings=warnings)
+    assert [(c.id, c.text) for c in claims] == [
+        ("a1:c1", "The first claim holds."),
+        ("a1:c2", "The third claim holds."),
+    ]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("chunk ('a1', 1): claim extraction failed: malformed chat response: 'utf-8' codec")
+    assert len(http_stub.requests) == 3  # no retry
+
+
 class FailingEmbedder:
     def __init__(self, error: Exception):
         self.error = error

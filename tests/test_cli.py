@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from claimcheck import agents, cli, corpus, embedding, evaluation, prompts
+from claimcheck import agents, cli, corpus, embedding, evaluation, prompts, service
 from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
+from claimcheck.pipeline import render_report
 from conftest import RuleBackend
 
 
@@ -245,6 +246,23 @@ def test_check_matches_golden_report(bundle, capsys, mode):
     assert code == 0
     golden = bundle / "golden" / f"report_{mode.replace('-', '_')}.json"
     assert out_path.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["baseline", "lotr", "lotr_srag"])
+def test_golden_reports_read_back_as_the_reports_check_makes(bundle, mode):
+    """A golden report read the way evaluate reads it is the Report that check
+    makes, and renders again to its golden bytes."""
+    build_index(bundle)
+    config = load_config(bundle / "config.yaml")
+    article = corpus.load_article(bundle / "immune-boosters.md")
+    made = service.build_pipeline(config, mode).check_article(article, mode)
+    golden = bundle / "golden" / f"report_{mode}.json"
+    [read] = cli._load_reports([str(golden)])
+    assert read == made
+    assert render_report(read) == golden.read_text(encoding="utf-8")
+    if mode == "lotr_srag":
+        markdown = (bundle / "golden" / "report_lotr_srag.md").read_text(encoding="utf-8")
+        assert render_report(read, fmt="markdown") == markdown
 
 
 def test_check_markdown_to_stdout(bundle, capsys):
@@ -650,22 +668,48 @@ def test_evaluate_bad_scores_file(bundle, capsys):
     assert "cannot read scores file" in capsys.readouterr().err
 
 
+DROP = object()  # the key is left out
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "key,value,message",
     [
-        [1, 2],
-        {"mode": "lotr", "article_id": "immune-boosters", "entries": "none"},
-        {"mode": "lotr", "article_id": "immune-boosters", "entries": [1]},
-        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": "text"}]},
-        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": {"text": "t"}, "sources": ["a"]}]},
-        {"mode": "lotr", "article_id": "immune-boosters", "entries": [{"claim": {"text": "t"}, "sources": [{"title": 5}]}]},
+        ((), [1, 2], "the top level must be a mapping, got [1, 2]"),
+        (("entries",), "none", "entries must be a list, got 'none'"),
+        (("entries", 0), 1, "entries[0] must be a mapping, got 1"),
+        (("entries", 0, "claim"), "text", "entries[0].claim must be a mapping, got 'text'"),
+        (("entries", 0, "sources", 0), "a", "entries[0].sources[0] must be a mapping, got 'a'"),
+        (("entries", 0, "sources", 0, "title"), 5, "entries[0].sources[0].title must be a string, got 5"),
+        (("entries",), DROP, "the top level: missing required key 'entries'"),
+        (("entries", 0, "label"), 5, "entries[0].label must be one of ['true', 'partly_true', 'false', "
+                                     "'partly_false', 'misleading', 'unverifiable'], got 5"),
+        (("entries", 0, "label"), "bogus", "entries[0].label must be one of ['true', "),
+        (("mode",), 5, "mode must be a non-empty string, got 5"),
+        (("mode",), " ", "mode must be a non-empty string, got ' '"),
+        (("entries", 1, "explanation"), None, "entries[1].explanation must be a string, got None"),
+        (("entries", 2, "trace"), DROP, "entries[2]: missing required key 'trace'"),
+        (("entries", 0, "explanation"), "Vitamin D \ud800 helps.",
+         "entries[0].explanation must be text UTF-8 can encode: 'utf-8' codec can't encode character '\\ud800'"),
     ],
     ids=["report-not-an-object", "entries-not-a-list", "entry-not-an-object", "claim-not-an-object",
-         "source-not-an-object", "source-title-not-a-string"],
+         "source-not-an-object", "source-title-not-a-string", "no-entries", "label-5", "label-bogus",
+         "mode-5", "mode-blank", "explanation-null", "no-trace", "explanation-surrogate"],
 )
-def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
+def test_evaluate_report_of_the_wrong_shape(bundle, capsys, key, value, message):
+    """Each key of a report is read through its dataclass field: a report
+    whose value at ``key`` does not fit exits 2, naming the key's path."""
+    report = json.loads((bundle / "golden" / "report_lotr_srag.json").read_text(encoding="utf-8"))
+    parent = report
+    for step in key[:-1]:
+        parent = parent[step]
+    if not key:
+        report = value
+    elif value is DROP:
+        del parent[key[-1]]
+    else:
+        parent[key[-1]] = value
     bad = bundle / "bad.json"
-    bad.write_text(json.dumps(payload), encoding="utf-8")
+    bad.write_text(json.dumps(report), encoding="utf-8")  # ASCII: a surrogate is written as its escape
     code = run(
         "--config", str(bundle / "config.yaml"),
         "evaluate",
@@ -673,7 +717,7 @@ def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
         "--ground-truth", str(bundle / "ground_truth.jsonl"),
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: report {bad}")
+    assert capsys.readouterr().err.startswith(f"error: report {bad}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -684,9 +728,10 @@ def test_evaluate_report_of_the_wrong_shape(bundle, capsys, payload):
         {"systems": {"lotr": [0.5]}},
         {"systems": {"lotr": {"consistency": 0.5}}},
         {"systems": {"lotr": {"consistency": ["high"]}}},
+        {"systems": {"lotr": {"consistency": [True]}}},
     ],
     ids=["root-not-an-object", "systems-not-a-mapping", "system-not-a-mapping",
-         "scores-not-a-list", "score-not-a-number"],
+         "scores-not-a-list", "score-not-a-number", "score-a-boolean"],
 )
 def test_evaluate_scores_of_the_wrong_shape(bundle, capsys, payload):
     bad = bundle / "scores.json"
@@ -718,6 +763,34 @@ def test_a_file_that_is_not_utf8_is_refused(bundle, capsys, monkeypatch, name, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert "'utf-8' codec can't decode byte 0xff in position 0" in err
+
+
+@pytest.mark.parametrize(
+    "name,old,new,command,message",
+    [
+        ("config.yaml", "model_id: scripted-grader", 'model_id: "scripted-grader \\ud800"', ["ingest"],
+         "config.yaml: backends.grader.model_id must be text UTF-8 can encode: "),
+        ("ground_truth.jsonl", '"claim": "', '"claim": "\\ud800',
+         ["evaluate", "--reports", "golden/report_lotr.json", "--ground-truth", "ground_truth.jsonl"],
+         "ground_truth.jsonl: bad ground-truth line 1: 'utf-8' codec can't encode character '\\ud800'"),
+        ("mock_responses.jsonl", '"response": "', '"response": "\\ud800',
+         ["check", "--article", "immune-boosters.md", "--mode", "baseline"],
+         "mock_responses.jsonl: bad fixture line 1: 'utf-8' codec can't encode character '\\ud800'"),
+    ],
+    ids=["config", "ground-truth", "mock-fixtures"],
+)
+def test_a_lone_surrogate_is_refused(bundle, capsys, monkeypatch, name, old, new, command, message):
+    """JSON and YAML write a lone surrogate such as "\\ud800" as an ASCII
+    escape, but the string it reads back as has no UTF-8 form: the file is
+    refused with exit 2, naming the key's path or the line."""
+    monkeypatch.chdir(bundle)
+    path = bundle / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert run("--config", "config.yaml", *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 # -- top level ----------------------------------------------------------------

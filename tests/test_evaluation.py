@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from claimcheck.agents import Claim, VerdictLabel
+from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
 from claimcheck.errors import (
     DegenerateSampleError,
@@ -38,6 +40,7 @@ from claimcheck.evaluation import (
     split_sentences,
     wilcoxon_signed_rank,
 )
+from claimcheck.pipeline import FactCheckEntry, Report, Source, SragTrace
 from conftest import QueueBackend
 
 YES = '{"score": "yes"}'
@@ -465,7 +468,7 @@ def gt_row(article_id="a1", claim="Zinc shortens colds.", label="partly true", r
     }
 
 
-def test_load_ground_truth_normalizes_labels(tmp_path):
+def test_load_ground_truth_keeps_labels_as_given(tmp_path):
     path = tmp_path / "gt.jsonl"
     write_ground_truth(
         path,
@@ -476,7 +479,7 @@ def test_load_ground_truth_normalizes_labels(tmp_path):
         ],
     )
     entries = load_ground_truth(path)
-    assert [e.label for e in entries] == ["partly_true", "partly_false", "other"]
+    assert [e.label for e in entries] == ["Partly True", "PARTLY-FALSE", "half true"]
 
 
 def test_load_ground_truth_errors(tmp_path):
@@ -509,19 +512,16 @@ def test_load_ground_truth_errors(tmp_path):
 
 
 def test_entry_response_text():
-    entry = {
-        "label": "partly_true",
-        "explanation": "It helps a bit.",
-        "sources": [
-            {"title": "T1", "authors": "A. One", "date": "2020-01-01"},
-            {"title": "T2", "authors": "", "date": ""},
-        ],
-    }
+    entry = make_entry(
+        "Zinc helps.",
+        "partly_true",
+        "It helps a bit.",
+        sources=(Source("T1", "A. One", "2020-01-01"), Source("T2")),
+    )
     assert entry_response_text(entry) == (
         "Partly true. It helps a bit. Source: T1, A. One, 2020-01-01; T2"
     )
-    assert entry_response_text({"label": "true"}) == "True."
-    assert entry_response_text({}) == "Unverifiable."
+    assert entry_response_text(make_entry("Zinc helps.", "true", "")) == "True."
 
 
 def test_greedy_match_is_one_to_one():
@@ -541,17 +541,19 @@ def test_greedy_match_is_one_to_one():
     assert matched[0] == 0
 
 
-def report_dict(mode, article_id, entries):
-    return {"mode": mode, "article_id": article_id, "entries": entries}
+def make_report(mode, article_id, entries):
+    return Report(article_id=article_id, mode=mode, config={}, token_usage={}, warnings=[], entries=entries)
 
 
-def entry_dict(claim_text, label, explanation):
-    return {
-        "claim": {"text": claim_text},
-        "label": label,
-        "explanation": explanation,
-        "sources": [],
-    }
+def make_entry(claim_text, label, explanation, sources=()):
+    return FactCheckEntry(
+        claim=Claim(id="a:c1", text=claim_text, source_chunk=ChunkKey("a", 0)),
+        label=VerdictLabel(label),
+        explanation=explanation,
+        sources=sources,
+        evidence_keys=(),
+        trace=SragTrace(),
+    )
 
 
 GT_ROWS = [
@@ -562,8 +564,8 @@ GT_ROWS = [
 
 def matching_entry(article: str):
     if article == "a1":
-        return entry_dict("Zinc shortens colds.", "partly_true", "Zinc shortens colds modestly.")
-    return entry_dict("Garlic prevents flu.", "false", "Garlic does not prevent flu.")
+        return make_entry("Zinc shortens colds.", "partly_true", "Zinc shortens colds modestly.")
+    return make_entry("Garlic prevents flu.", "false", "Garlic does not prevent flu.")
 
 
 def test_evaluate_run_scores_and_warnings(tmp_path):
@@ -571,10 +573,10 @@ def test_evaluate_run_scores_and_warnings(tmp_path):
     write_ground_truth(gt_path, GT_ROWS)
     ground_truth = load_ground_truth(gt_path)
     reports = [
-        report_dict("lotr", "a1", [matching_entry("a1")]),
-        report_dict("lotr", "a2", [matching_entry("a2")]),
-        report_dict("baseline", "a1", [matching_entry("a1")]),
-        report_dict("baseline", "a2", [entry_dict("Weather patterns over the Atlantic.", "true", "Unrelated.")]),
+        make_report("lotr", "a1", [matching_entry("a1")]),
+        make_report("lotr", "a2", [matching_entry("a2")]),
+        make_report("baseline", "a1", [matching_entry("a1")]),
+        make_report("baseline", "a2", [make_entry("Weather patterns over the Atlantic.", "true", "Unrelated.")]),
     ]
     result = evaluate_run(reports, ground_truth, hash_embed, split_sentences, lexical_judge)
     assert result.article_ids == ["a1", "a2"]
@@ -596,7 +598,7 @@ def test_evaluate_run_validates_article_coverage(tmp_path):
     ground_truth = load_ground_truth(gt_path)
     with pytest.raises(ValidationError, match="missing articles: a2"):
         evaluate_run(
-            [report_dict("lotr", "a1", [])],
+            [make_report("lotr", "a1", [])],
             ground_truth,
             hash_embed,
             split_sentences,
@@ -605,9 +607,9 @@ def test_evaluate_run_validates_article_coverage(tmp_path):
     with pytest.raises(ValidationError, match="without ground truth: a9"):
         evaluate_run(
             [
-                report_dict("lotr", "a1", []),
-                report_dict("lotr", "a2", []),
-                report_dict("lotr", "a9", []),
+                make_report("lotr", "a1", []),
+                make_report("lotr", "a2", []),
+                make_report("lotr", "a9", []),
             ],
             ground_truth,
             hash_embed,
@@ -622,14 +624,12 @@ def test_evaluate_run_rejects_duplicates_and_empties(tmp_path):
     ground_truth = load_ground_truth(gt_path)
     with pytest.raises(ValidationError, match="duplicate report"):
         evaluate_run(
-            [report_dict("lotr", "a1", []), report_dict("lotr", "a1", [])],
+            [make_report("lotr", "a1", []), make_report("lotr", "a1", [])],
             ground_truth,
             hash_embed,
             split_sentences,
             lexical_judge,
         )
-    with pytest.raises(ValidationError, match="missing mode or article_id"):
-        evaluate_run([{"entries": []}], ground_truth, hash_embed, split_sentences, lexical_judge)
     with pytest.raises(ValidationError, match="no reports"):
         evaluate_run([], ground_truth, hash_embed, split_sentences, lexical_judge)
     with pytest.raises(ValidationError, match="ground truth is empty"):

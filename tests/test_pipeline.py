@@ -22,7 +22,7 @@ from claimcheck.agents import (
     VerdictLabel,
     build_backend,
 )
-from claimcheck.config import RefinementConfig, load_config
+from claimcheck.config import RefinementConfig, load_config, plain, typed
 from claimcheck.corpus import ArticleText, ChunkKey, load_article
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
@@ -33,8 +33,8 @@ from claimcheck.pipeline import (
     TERMINAL_EXHAUSTED,
     FactCheckPipeline,
     Report,
+    Source,
     render_report,
-    report_to_dict,
 )
 from claimcheck.prompts import SCORE_RETRY_SUFFIX
 from claimcheck.vecindex import Hit, VectorIndex
@@ -1012,8 +1012,8 @@ def sample_report(tmp_path) -> Report:
     )
 
 
-def test_report_to_dict_shape(tmp_path):
-    data = report_to_dict(sample_report(tmp_path))
+def test_report_json_shape(tmp_path):
+    data = plain(sample_report(tmp_path))
     assert list(data) == ["article_id", "mode", "config", "token_usage", "warnings", "entries"]
     entry = data["entries"][0]
     assert list(entry) == ["claim", "label", "explanation", "sources", "evidence_keys", "trace"]
@@ -1024,11 +1024,23 @@ def test_report_to_dict_shape(tmp_path):
     assert entry["trace"]["doc_grades"] == [[True]]
 
 
+def test_report_reads_back_from_its_json(tmp_path):
+    # a report reads back as itself, blank free text included: a baseline
+    # answer that cites "Source: ." keeps a source whose title is blank
+    gen = QueueBackend(["True. Source: ."])
+    pipeline, _ = make_pipeline(tmp_path, gen, QueueBackend([]))
+    entry = pipeline.verify_claim_baseline(claim(), ARTICLE)
+    assert (entry.explanation, entry.sources) == ("", (Source(title=""),))
+    report = sample_report(tmp_path)
+    report.entries.append(entry)
+    assert typed(json.loads(render_report(report)), Report, "") == report
+
+
 def test_render_json_is_canonical(tmp_path):
     report = sample_report(tmp_path)
     text = render_report(report, fmt="json")
     assert text.endswith("\n")
-    assert json.loads(text) == report_to_dict(report)
+    assert json.loads(text) == plain(report)
     # timing is intentionally absent from the canonical form
     assert "timing" not in text
 
@@ -1053,7 +1065,7 @@ def test_markdown_cell_is_the_scored_response_text(tmp_path):
     text = render_report(report, fmt="markdown")
     line = next(l for l in text.splitlines() if l.startswith("| 1."))
     cell = line.split(" | 1. ", 1)[1].removesuffix(" |")
-    scored = pipeline_module.entry_response_text(report_to_dict(report)["entries"][0])
+    scored = pipeline_module.entry_response_text(report.entries[0])
     assert cell == pipeline_module._md_escape(scored)
     assert cell == "True. Padded explanation. Source: Study A, A. A, 2021-01-01"
 
