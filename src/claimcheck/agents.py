@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
 from . import prompts
+from .config import FreeText, LlmBackendConfig, plain, read_json_lines
 from .corpus import Chunk, ChunkKey
 from .embedding import cosine_similarity
 from .errors import (
@@ -42,28 +43,6 @@ CHAT_MEMO_ENTRIES = 4096
 def prompt_fingerprint(prompt: str) -> str:
     """SHA-256 hex digest of the rendered prompt."""
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class LlmBackendConfig:
-    """Transport settings for one agent role."""
-
-    model_id: str
-    endpoint: str
-    role: str = "generator"
-    temperature: float = 0.0
-    max_output_tokens: int = 512
-    api_key_env: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.model_id:
-            raise ConfigError("backend config needs a model_id")
-        if not self.endpoint:
-            raise ConfigError(f"backend {self.model_id!r} ({self.role}) has no endpoint configured")
-        if self.temperature < 0:
-            raise ConfigError(f"backends.{self.role}.temperature must be >= 0, got {self.temperature}")
-        if self.max_output_tokens < 1:
-            raise ConfigError(f"backends.{self.role}.max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
 
 @dataclass(frozen=True)
@@ -132,12 +111,21 @@ class RemoteChatBackend:
         )
 
 
+@dataclass(frozen=True)
+class MockAnswer:
+    """One line of a mock-fixtures file."""
+
+    fingerprint: str
+    response: FreeText
+
+
 class ScriptedBackend:
     """Replays responses keyed by prompt fingerprint from a fixtures file.
 
-    The file is line-delimited JSON: {"fingerprint": ..., "response": ...}.
-    Unknown fingerprints raise immediately; silent fallbacks would hide a
-    prompt drift from the recorded script.
+    The file is line-delimited JSON, one :class:`MockAnswer` per line:
+    {"fingerprint": ..., "response": ...}.  Unknown fingerprints raise
+    immediately; silent fallbacks would hide a prompt drift from the
+    recorded script.
     """
 
     def __init__(self, responses: dict[str, str] | None = None, model_id: str = "scripted"):
@@ -146,36 +134,13 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedBackend":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"scripted backend fixtures not found: {path}")
-        responses: dict[str, str] = {}
-        with path.open("rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line.decode("utf-8"))
-                    fingerprint, response = row["fingerprint"], row["response"]
-                    for key, value in (("fingerprint", fingerprint), ("response", response)):
-                        if not isinstance(value, str):
-                            raise TypeError(f"{key} must be a string, got {value!r}")
-                        value.encode("utf-8")  # JSON can escape a lone surrogate, which has no UTF-8 form
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}: bad fixture line {lineno}: {exc}") from exc
-                responses[fingerprint] = response
-        return cls(responses, model_id=model_id)
+        answers = read_json_lines(path, MockAnswer, "fixture", ConfigError)
+        return cls({a.fingerprint: a.response for a in answers}, model_id=model_id)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for fingerprint in sorted(self._responses):
-                fh.write(
-                    json.dumps(
-                        {"fingerprint": fingerprint, "response": self._responses[fingerprint]},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        answers = (MockAnswer(*item) for item in sorted(self._responses.items()))
+        lines = (json.dumps(plain(answer), ensure_ascii=False) + "\n" for answer in answers)
+        Path(path).write_text("".join(lines), encoding="utf-8")
 
     def complete(self, prompt: str) -> RawAnswer:
         fingerprint = prompt_fingerprint(prompt)
@@ -330,7 +295,7 @@ def parse_verdict(text: str) -> ParsedVerdict:
     if marker:
         body = raw[: marker.start()].strip()
         tail = raw[marker.end() :].strip()
-        sources = tuple(s.strip().rstrip(".").strip() for s in tail.split(";") if s.strip())
+        sources = tuple(filter(None, (s.strip().rstrip(".").strip() for s in tail.split(";"))))
 
     lead = body.lstrip(" \t\r\n\"'“‘([*-")
     lowered = lead.lower()

@@ -20,6 +20,7 @@ import datetime as _dt
 import glob
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -89,8 +90,7 @@ def _cmd_check(args, config: RunConfig) -> int:
     rendered = render_report(report, fmt=args.format)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered, encoding="utf-8")
+        _write_whole(out, rendered)
         # wall time and timestamp live beside the report, not in it, so
         # repeated runs produce byte-identical reports
         meta = {
@@ -99,9 +99,7 @@ def _cmd_check(args, config: RunConfig) -> int:
             "elapsed_seconds": round(elapsed, 3),
             "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         }
-        Path(str(out) + ".meta.json").write_text(
-            json.dumps(meta, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_whole(Path(str(out) + ".meta.json"), json.dumps(meta, ensure_ascii=False, indent=2) + "\n")
         print(f"report written to {out}")
     else:
         sys.stdout.write(rendered)
@@ -185,12 +183,23 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
 def _emit(text: str, out: str | None) -> int:
     if out:
         path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_whole(path, text)
         print(f"written to {path}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _write_whole(path: Path, text: str) -> None:
+    """``text`` as the UTF-8 file ``path``, written to a temporary file and
+    moved into place, so a write that fails partway leaves ``path`` as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # -- parser / entry point ------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import re
 import sys
 import types
@@ -21,9 +22,7 @@ from typing import NewType
 
 import yaml
 
-from .agents import LlmBackendConfig
-from .embedding import EmbedderSpec
-from .errors import ConfigError
+from .errors import ClaimcheckError, ConfigError
 
 MODES = ("baseline", "lotr", "lotr_srag")
 ROLES = ("generator", "grader", "rewriter")
@@ -95,6 +94,57 @@ def typed(value, kind, path: str):
     return items if origin is list else tuple(items) if origin is tuple else kind(*items)
 
 
+def read_json_lines(path: str | Path, kind, what: str, error: type[ClaimcheckError]) -> list:
+    """Each non-blank line of the UTF-8 JSONL file ``path``, read as ``kind``
+    with ``typed``; a missing file, a line that is not UTF-8 or JSON, and a
+    value ``typed`` refuses raise ``error`` naming the file (and the line)."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} file not found: {path}")
+    rows = []
+    with path.open("rb") as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(typed(json.loads(line.decode("utf-8")), kind, ""))
+                except (ValueError, ConfigError) as exc:
+                    raise error(f"{path}: bad {what} line {n}: {exc}") from None
+    return rows
+
+
+@dataclass(frozen=True)
+class LlmBackendConfig:
+    """Transport settings for one agent role."""
+
+    model_id: str
+    endpoint: str
+    role: str = "generator"
+    temperature: float = 0.0
+    max_output_tokens: int = 512
+    api_key_env: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+
+
+@dataclass(frozen=True)
+class EmbedderSpec:
+    """Configuration for one embedding model."""
+
+    model_id: str
+    dimension: int
+    endpoint: str
+    seed: int = 0
+    api_key_env: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.dimension <= 0:
+            raise ConfigError(f"dimension must be positive, got {self.dimension}")
+
+
 @dataclass(frozen=True)
 class ChunkingConfig:
     article_chunk_size: int = 2000
@@ -110,7 +160,7 @@ class ChunkingConfig:
             if not 0 <= overlap < size:
                 key = f"{what}_chunk_size" if size <= 0 else f"{what}_overlap"
                 raise ConfigError(
-                    f"chunking.{key} needs 0 <= overlap < {what}_chunk_size, "
+                    f"{key} needs 0 <= overlap < {what}_chunk_size, "
                     f"got {what}_chunk_size={size} {what}_overlap={overlap}"
                 )
 
@@ -125,16 +175,16 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_ <= 1.0:
-            raise ConfigError(f"retrieval.lambda must be within [0, 1], got {self.lambda_}")
+            raise ConfigError(f"lambda must be within [0, 1], got {self.lambda_}")
         if not -1.0 <= self.min_similarity <= 1.0:
-            raise ConfigError(f"retrieval.min_similarity must be within [-1, 1], got {self.min_similarity}")
+            raise ConfigError(f"min_similarity must be within [-1, 1], got {self.min_similarity}")
         if self.k <= 0 or self.pool_size < self.k:
             key = "k" if self.k <= 0 else "pool_size"
             raise ConfigError(
-                f"retrieval.{key} needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
+                f"{key} needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
             )
         if self.reorder not in ("ends", "none"):
-            raise ConfigError(f"retrieval.reorder must be 'ends' or 'none', got {self.reorder!r}")
+            raise ConfigError(f"reorder must be 'ends' or 'none', got {self.reorder!r}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +198,10 @@ class RefinementConfig:
     def __post_init__(self) -> None:
         for key in ("max_rewrites", "max_regenerations"):
             if getattr(self, key) < 0:
-                raise ConfigError(f"refinement.{key} must be non-negative, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not 0.0 <= self.min_relevant_fraction <= 1.0:
             raise ConfigError(
-                f"refinement.min_relevant_fraction must be within [0, 1], got {self.min_relevant_fraction}"
+                f"min_relevant_fraction must be within [0, 1], got {self.min_relevant_fraction}"
             )
 
 
@@ -163,13 +213,13 @@ class EvaluationConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.match_threshold <= 1.0:
-            raise ConfigError(f"evaluation.match_threshold must be within [0, 1], got {self.match_threshold}")
+            raise ConfigError(f"match_threshold must be within [0, 1], got {self.match_threshold}")
         if self.statement_source not in ("backend", "sentences"):
             raise ConfigError(
-                f"evaluation.statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
+                f"statement_source must be 'backend' or 'sentences', got {self.statement_source!r}"
             )
         if self.judge not in ("backend", "lexical"):
-            raise ConfigError(f"evaluation.judge must be 'backend' or 'lexical', got {self.judge!r}")
+            raise ConfigError(f"judge must be 'backend' or 'lexical', got {self.judge!r}")
 
 
 @dataclass(frozen=True)
@@ -266,7 +316,8 @@ def _load(cls, data, where: str, **given):
     A key is a field name without its trailing ``_``, so YAML's ``lambda`` is
     ``lambda_``; each value is read with ``typed``.  A key may be left out
     only where its field has a default.  The caller sets the fields in
-    ``given``: the file may repeat them but not change them.
+    ``given``: the file may repeat them but not change them.  An error
+    ``cls`` raises names its own key, here prefixed with ``where``.
     """
     fields, kinds = {f.name.rstrip("_"): f for f in dataclasses.fields(cls)}, _hints(cls)
     data = _mapping(data, where, fields)
@@ -279,7 +330,10 @@ def _load(cls, data, where: str, **given):
             values[f.name] = value
         elif f.name not in given and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{where or 'the top level'}: missing required key {key!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:

@@ -25,6 +25,8 @@ KB_CHUNK_SIZE = 400
 KB_CHUNK_OVERLAP = 50
 
 _CSV_COLUMNS = ["id", "title", "abstract", "authors", "published_date", "keywords"]
+# the reason a JSONL line is rejected, by the error reading it raised; else "invalid json"
+_LINE_ERRORS = {UnicodeDecodeError: "invalid utf-8", UnicodeEncodeError: "lone surrogate escape: no UTF-8 form"}
 
 # A token is a run of word characters or a single non-space symbol, so
 # concatenating tokens with the whitespace between them restores the input.
@@ -229,16 +231,12 @@ def ingest_corpus(path: str | Path) -> tuple[list[CorpusRecord], list[RejectedRo
                     continue
                 try:
                     row = json.loads(line.decode("utf-8"))
-                except UnicodeDecodeError:
-                    consume(f"line {lineno}", None, "invalid utf-8")
+                    if b"\\u" in line:  # only an escape can stand for a lone surrogate
+                        json.dumps(row, ensure_ascii=False).encode("utf-8")
+                except ValueError as exc:
+                    consume(f"line {lineno}", None, _LINE_ERRORS.get(type(exc), "invalid json"))
                     continue
-                except json.JSONDecodeError:
-                    consume(f"line {lineno}", None, "invalid json")
-                    continue
-                if not isinstance(row, dict):
-                    consume(f"line {lineno}", None, "row is not an object")
-                    continue
-                consume(f"line {lineno}", row, None)
+                consume(f"line {lineno}", row, None if isinstance(row, dict) else "row is not an object")
     else:
         try:
             with path.open(encoding="utf-8", newline="") as fh:

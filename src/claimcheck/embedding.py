@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EmbedderSpec
 from .errors import ConfigError, ProtocolError, ValidationError
 from .transport import JsonEndpoint, LruMap, run_all
 
@@ -26,25 +26,6 @@ DETERMINISTIC_ENDPOINT = "deterministic-test"
 MAX_BATCH = 64
 # about 12 MiB of rows per memo at 1 536 dimensions
 EMBEDDING_MEMO_ENTRIES = 1024
-
-
-@dataclass(frozen=True)
-class EmbedderSpec:
-    """Configuration for one embedding model."""
-
-    model_id: str
-    dimension: int
-    endpoint: str
-    seed: int = 0
-    api_key_env: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.model_id:
-            raise ConfigError("embedder spec needs a model_id")
-        if self.dimension <= 0:
-            raise ConfigError(f"embedder dimension must be positive, got {self.dimension}")
-        if not self.endpoint:
-            raise ConfigError(f"embedder {self.model_id!r} needs an endpoint")
 
 
 def _as_array(vec) -> np.ndarray:

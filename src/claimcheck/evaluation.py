@@ -23,7 +23,7 @@ import numpy as np
 
 from . import prompts
 from .agents import LlmBackend, list_with_retry, score_with_retry
-from .config import plain
+from .config import FreeText, plain, read_json_lines
 from .embedding import cosine_similarity
 from .pipeline import Report, entry_response_text
 from .errors import (
@@ -443,34 +443,13 @@ def render_comparison(rows: Sequence[ComparisonRow], fmt: str = "markdown") -> s
 class GroundTruthEntry:
     article_id: str
     claim: str
-    label: str
+    label: FreeText
     reference_response: str
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    """Line-delimited JSON, one entry per line; each value a string that UTF-8 can encode."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"ground truth file not found: {path}")
-    keys = ("article_id", "claim", "label", "reference_response")
-    entries: list[GroundTruthEntry] = []
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line.decode("utf-8"))
-                values = [row[key] for key in keys]
-                if not all(isinstance(value, str) for value in values):
-                    raise TypeError(f"{', '.join(keys)} must be strings")
-                for value in values:
-                    value.encode("utf-8")  # JSON can escape a lone surrogate, which has no UTF-8 form
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}: bad ground-truth line {lineno}: {exc}") from exc
-            article_id, claim, label, reference = values
-            if not claim.strip() or not reference.strip():
-                raise ValidationError(f"{path}: line {lineno}: empty claim or reference_response")
-            entries.append(GroundTruthEntry(article_id, claim, label, reference))
+    """Line-delimited JSON, one :class:`GroundTruthEntry` per line."""
+    entries = read_json_lines(path, GroundTruthEntry, "ground-truth", ValidationError)
     if not entries:
         raise ValidationError(f"{path}: ground truth file holds no entries")
     return entries

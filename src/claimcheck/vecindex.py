@@ -257,6 +257,15 @@ def _json_line(obj) -> bytes:
     return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _encoded(obj) -> bytes | None:
+    """``_json_line(obj)``, or None where a string has no UTF-8 form: JSON's
+    escapes can stand for a lone surrogate such as ``"\\ud800"``."""
+    try:
+        return _json_line(obj)
+    except UnicodeEncodeError:
+        return None
+
+
 def _digest(header: dict, metadata: bytes, matrix: np.ndarray) -> str:
     h = hashlib.sha256(_json_line({k: v for k, v in header.items() if k != "sha256"}))
     h.update(metadata)
@@ -284,7 +293,7 @@ def _parse_header(path: Path, line: bytes) -> dict:
     sizes = ("count", "dimension", "metadata_bytes")
     if (
         set(header) != _HEADER_FIELDS
-        or _json_line(header) != line
+        or _encoded(header) != line
         or any(type(header[k]) is not int or header[k] < 0 for k in sizes)
         or header["dimension"] == 0
         or not isinstance(header["model_id"], str)
@@ -336,6 +345,7 @@ def _parse_entries(
         raise IndexFormatError(f"{path}: bad entry {n}: {exc}") from exc
     # the C scanner json.loads ends in: one value at an offset, no whitespace skipped
     scan = json.JSONDecoder().scan_once
+    escaped = b"\\" in metadata
     keys: list[ChunkKey] = []
     metas: list[dict] = []
     start = 0
@@ -353,6 +363,7 @@ def _parse_entries(
             and type(entry["seq"]) is int
             and type(entry["metadata"]) is dict
             and all(type(v) is str for v in entry["metadata"].values())
+            and not (escaped and text.find("\\u", start, end) >= 0 and _encoded(entry) is None)
         ):
             raise _bad_entry(path, n, text[start:end])
         key = ChunkKey(entry["parent_id"], entry["seq"])

@@ -3,6 +3,7 @@ and small scripted backends used across the suite."""
 
 from __future__ import annotations
 
+import hashlib
 import http.server
 import json
 import shutil
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck.agents import LlmBackendConfig, RawAnswer, prompt_fingerprint
-from claimcheck.config import RunConfig
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.agents import RawAnswer, prompt_fingerprint
+from claimcheck.config import EmbedderSpec, LlmBackendConfig, RunConfig
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,6 +31,23 @@ def bundle(tmp_path: Path) -> Path:
     dest = tmp_path / "bundle"
     shutil.copytree(FIXTURES, dest)
     return dest
+
+
+def split_sections(data: bytes) -> tuple[dict, bytes, bytes]:
+    """(header, metadata section, matrix section) of a version 2 file."""
+    header_line, rest = data.split(b"\n", 1)
+    header = json.loads(header_line)
+    return header, rest[: header["metadata_bytes"]], rest[header["metadata_bytes"] :]
+
+
+def write_sealed(path, header: dict, metadata: bytes, matrix: bytes) -> None:
+    """Write a version 2 file with a valid digest, computed as the format documents."""
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    header["metadata_bytes"] = len(metadata)
+    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
+    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    path.write_bytes(line + metadata + matrix)
 
 
 class StubHttpServer:

@@ -25,9 +25,9 @@ import scipy.stats
 
 from claimcheck import cli, prompts
 from claimcheck.agents import Claim, FactCheckAgents, RawAnswer, VerdictLabel
-from claimcheck.config import RefinementConfig
+from claimcheck.config import EmbedderSpec, RefinementConfig
 from claimcheck.corpus import ChunkKey, chunk_text
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder
 from claimcheck.evaluation import (
     ConsistencyScore,
     compare_systems,

@@ -15,7 +15,6 @@ from claimcheck.agents import (
     ChatMemo,
     Claim,
     FactCheckAgents,
-    LlmBackendConfig,
     RemoteChatBackend,
     ScriptedBackend,
     VerdictLabel,
@@ -25,11 +24,11 @@ from claimcheck.agents import (
     parse_verdict,
     prompt_fingerprint,
 )
+from claimcheck.config import EmbedderSpec, LlmBackendConfig, typed
 from claimcheck.corpus import ArticleText, Chunk, ChunkKey
 from claimcheck.embedding import (
     DETERMINISTIC_ENDPOINT,
     DeterministicEmbedder,
-    EmbedderSpec,
     EmbeddingMemo,
     build_embedder,
 )
@@ -114,6 +113,12 @@ def test_parse_verdict_strips_sources():
 def test_parse_verdict_splits_multiple_sources():
     parsed = parse_verdict("False. Refuted twice. Sources: A. One, 2020; B. Two, 2021")
     assert parsed.sources == ("A. One, 2020", "B. Two, 2021")
+
+
+def test_parse_verdict_drops_blank_sources():
+    # a "Source:" that names nothing once its full stop is stripped cites nothing
+    assert parse_verdict("True. It holds. Source: .").sources == ()
+    assert parse_verdict("True. It holds. Sources: A. One; . ;").sources == ("A. One",)
 
 
 def test_parse_verdict_dont_know_maps_to_unverifiable():
@@ -839,9 +844,10 @@ def test_rewrite_claim_empty_result():
 
 
 def test_backend_config_validation():
+    # a blank model_id or endpoint is refused where a config is read
     with pytest.raises(ConfigError, match="model_id"):
-        LlmBackendConfig(model_id="", endpoint="scripted")
-    with pytest.raises(ConfigError, match="no endpoint"):
-        LlmBackendConfig(model_id="m", endpoint="")
+        typed({"model_id": "", "endpoint": "scripted"}, LlmBackendConfig, "backend")
+    with pytest.raises(ConfigError, match="backend.endpoint must be a non-empty string"):
+        typed({"model_id": "m", "endpoint": ""}, LlmBackendConfig, "backend")
     with pytest.raises(ConfigError, match="temperature"):
         LlmBackendConfig(model_id="m", endpoint="scripted", temperature=-0.1)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
 from claimcheck.pipeline import render_report
-from conftest import RuleBackend
+from conftest import RuleBackend, split_sections, write_sealed
 
 
 def run(*argv: str) -> int:
@@ -81,6 +83,22 @@ def test_build_index_strict_on_rejects(bundle, capsys):
     corpus.write_text(corpus.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
     assert run("--config", str(bundle / "config.yaml"), "--strict", "build-index") == 2
     assert "rejected 1 corpus rows" in capsys.readouterr().err
+
+
+def test_a_corpus_row_with_a_lone_surrogate_escape_is_rejected(bundle, capsys):
+    config = str(bundle / "config.yaml")
+    path = bundle / "corpus.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = {**json.loads(first), "abstract": "Zinc \ud800 shortens colds."}
+    path.write_text(json.dumps(row) + "\n" + "".join(rest), encoding="utf-8")  # ASCII: the escape
+    assert run("--config", config, "ingest") == 0
+    out = capsys.readouterr().out
+    assert "accepted: 11" in out and "rejected: 1" in out
+    assert "line 1: lone surrogate escape: no UTF-8 form" in out
+    assert run("--config", config, "--strict", "build-index") == 2
+    assert not (bundle / "index").exists()
+    assert run("--config", config, "build-index") == 0
+    assert "indexed 11 chunks from 11 records" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -407,6 +425,45 @@ def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
     assert len(memos) == 2  # one per model: claim dedupe shares the first leg's
 
 
+def test_check_refuses_an_index_entry_with_a_lone_surrogate_escape(bundle, capsys):
+    build_index(bundle)
+    path = bundle / "index" / "hash-384.idx"
+    header, metadata, matrix = split_sections(path.read_bytes())
+    write_sealed(path, header, metadata.replace(b'"title": "', b'"title": "\\ud800', 1), matrix)
+    out = bundle / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr", "--out", str(out),
+    )
+    assert code == 1
+    assert f"error: {path}: bad entry 0: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--article", "immune-boosters.md", "--mode", "lotr"],
+        ["evaluate", "--scores", "pairwise_scores.json"],
+    ],
+    ids=["check", "evaluate"],
+)
+def test_a_write_that_fails_partway_leaves_no_output(bundle, monkeypatch, argv):
+    build_index(bundle)
+    monkeypatch.chdir(bundle)
+
+    def write_half(self, data, encoding=None, errors=None, newline=None):
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError) as raised:
+        run("--config", "config.yaml", *argv, "--out", "out/result")
+    assert raised.value.errno == errno.ENOSPC
+    assert list((bundle / "out").iterdir()) == []
+
+
 def test_check_corrupt_mock_fixtures(bundle, capsys):
     build_index(bundle)
     (bundle / "mock_responses.jsonl").write_text("{broken\n", encoding="utf-8")
@@ -444,7 +501,7 @@ def test_check_refuses_a_mock_fingerprint_that_is_not_a_string(bundle, capsys):
         "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
     )
     assert code == 2
-    assert f"{path}: bad fixture line 1: fingerprint must be a string, got 5" in capsys.readouterr().err
+    assert f"{path}: bad fixture line 1: fingerprint must be a non-empty string, got 5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -772,10 +829,12 @@ def test_a_file_that_is_not_utf8_is_refused(bundle, capsys, monkeypatch, name, c
          "config.yaml: backends.grader.model_id must be text UTF-8 can encode: "),
         ("ground_truth.jsonl", '"claim": "', '"claim": "\\ud800',
          ["evaluate", "--reports", "golden/report_lotr.json", "--ground-truth", "ground_truth.jsonl"],
-         "ground_truth.jsonl: bad ground-truth line 1: 'utf-8' codec can't encode character '\\ud800'"),
+         "ground_truth.jsonl: bad ground-truth line 1: claim must be text UTF-8 can encode: "
+         "'utf-8' codec can't encode character '\\ud800'"),
         ("mock_responses.jsonl", '"response": "', '"response": "\\ud800',
          ["check", "--article", "immune-boosters.md", "--mode", "baseline"],
-         "mock_responses.jsonl: bad fixture line 1: 'utf-8' codec can't encode character '\\ud800'"),
+         "mock_responses.jsonl: bad fixture line 1: response must be text UTF-8 can encode: "
+         "'utf-8' codec can't encode character '\\ud800'"),
     ],
     ids=["config", "ground-truth", "mock-fixtures"],
 )
@@ -831,18 +890,19 @@ MUTATIONS_PER_INPUT = 40
 
 
 def value_paths(value, path: tuple = ()):
-    """The path of every value nested in ``value``."""
+    """The path and value of every value nested in ``value``."""
     children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     for key, child in children:
-        yield path + (key,)
+        yield path + (key,), child
         yield from value_paths(child, path + (key,))
 
 
-def mutate(data, rng: random.Random):
-    """A copy of ``data`` with one nested value replaced, and a note of which."""
+def mutate(data, rng: random.Random, string: str | None = None):
+    """A copy of ``data`` with one nested value replaced by a draw from
+    ``MUTATIONS``, or one string value by ``string``, and a note of which."""
     data = copy.deepcopy(data)
-    path = rng.choice(list(value_paths(data)))
-    value = copy.deepcopy(rng.choice(MUTATIONS))
+    path = rng.choice([p for p, v in value_paths(data) if string is None or isinstance(v, str)])
+    value = copy.deepcopy(rng.choice(MUTATIONS)) if string is None else string
     parent = data
     for step in path[:-1]:
         parent = parent[step]
@@ -867,19 +927,25 @@ def csv_text(rows: list) -> str:
 
 
 def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
-    """One value of each file the CLI reads replaced at a time, then each
-    file with a byte that is not UTF-8: ``main`` returns 0, 1 or 2 and
-    raises nothing."""
+    """One value of each file the CLI reads replaced at a time, then one
+    string value by a lone surrogate, then each file with a byte that is
+    not UTF-8: ``main`` returns 0, 1 or 2 and raises nothing.  A corpus is
+    both ingested and indexed."""
     build_index(bundle)
-    rng = random.Random(16)
+    rng, surrogate_rng = random.Random(16), random.Random(27)
     config_path, mock_path = bundle / "config.yaml", bundle / "mock_responses.jsonl"
     mutated_config, mutated_report = bundle / "mutated.yaml", tmp_path / "mutated_report.json"
-    csv_config, csv_path = bundle / "csv.yaml", bundle / "corpus.csv"
+    corpus_config, csv_config, csv_path = bundle / "corpus.yaml", bundle / "csv.yaml", bundle / "corpus.csv"
     corpus_path, truth_path, scores_path = (
         bundle / "corpus.jsonl", bundle / "ground_truth.jsonl", bundle / "pairwise_scores.json"
     )
-    # the same corpus as CSV, with ;-separated lists
-    csv_config.write_text(config_path.read_text(encoding="utf-8").replace("corpus.jsonl", "corpus.csv"), encoding="utf-8")
+    # a mutated corpus is indexed beside the index that check reads; the
+    # same corpus as CSV has ;-separated lists
+    corpus_config.write_text(
+        config_path.read_text(encoding="utf-8").replace("index_dir: index", "index_dir: mutated-index"),
+        encoding="utf-8",
+    )
+    csv_config.write_text(corpus_config.read_text(encoding="utf-8").replace("corpus.jsonl", "corpus.csv"), encoding="utf-8")
     columns = ["id", "title", "abstract", "authors", "published_date", "keywords"]
     cells = [[row.get(c) for c in columns] for row in jsonl_rows(corpus_path.read_text(encoding="utf-8"))]
     csv_path.write_text(
@@ -890,39 +956,49 @@ def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
     check = ["check", "--article", str(article), "--mode", "lotr-srag", "--out", str(tmp_path / "report.json")]
     evaluate = ["evaluate", "--ground-truth", str(truth_path), "--reports"]
     inputs = [
-        # what, the file written, the file it starts from, its parse and dump (None: plain text), argv
-        ("config", mutated_config, config_path, yaml.safe_load, yaml.safe_dump, ["--config", str(mutated_config), *check]),
-        ("mock fixtures", mock_path, mock_path, jsonl_rows, jsonl_text, ["--config", str(config_path), *check]),
+        # what, the file written, the file it starts from, its parse and dump (None: plain text), each argv
+        ("config", mutated_config, config_path, yaml.safe_load, yaml.safe_dump, [["--config", str(mutated_config), *check]]),
+        ("mock fixtures", mock_path, mock_path, jsonl_rows, jsonl_text, [["--config", str(config_path), *check]]),
         ("report", mutated_report, bundle / "golden" / "report_lotr_srag.json", json.loads, json.dumps,
-         ["--config", str(config_path), *evaluate, str(mutated_report)]),
-        ("corpus", corpus_path, corpus_path, jsonl_rows, jsonl_text, ["--config", str(config_path), "ingest"]),
+         [["--config", str(config_path), *evaluate, str(mutated_report)]]),
+        ("corpus", corpus_path, corpus_path, jsonl_rows, jsonl_text,
+         [["--config", str(corpus_config), command] for command in ("ingest", "build-index")]),
         ("csv corpus", csv_path, csv_path, lambda t: list(csv.reader(io.StringIO(t))), csv_text,
-         ["--config", str(csv_config), "ingest"]),
+         [["--config", str(csv_config), command] for command in ("ingest", "build-index")]),
         ("ground truth", truth_path, truth_path, jsonl_rows, jsonl_text,
-         ["--config", str(config_path), *evaluate, str(bundle / "golden" / "report_lotr_srag.json")]),
+         [["--config", str(config_path), *evaluate, str(bundle / "golden" / "report_lotr_srag.json")]]),
         ("scores", scores_path, scores_path, json.loads, json.dumps,
-         ["--config", str(config_path), "evaluate", "--scores", str(scores_path)]),
-        ("article", article, article, None, None, ["--config", str(config_path), *check]),
+         [["--config", str(config_path), "evaluate", "--scores", str(scores_path)]]),
+        ("article", article, article, None, None, [["--config", str(config_path), *check]]),
     ]
 
-    def runs(what: str, argv: list[str]) -> str | None:
-        try:
-            code = run(*argv)
-        except Exception as exc:  # the finding this test exists for
-            return f"{what}: raised {exc!r}"
-        return None if code in (0, 1, 2) else f"{what}: exit {code!r}"
+    def runs(what: str, argvs: list[list[str]]) -> list[str | None]:
+        failures = []
+        for argv in argvs:
+            try:
+                code = run(*argv)
+            except Exception as exc:  # the finding this test exists for
+                failures.append(f"{what}: {argv[2]} raised {exc!r}")
+            else:
+                failures.append(None if code in (0, 1, 2) else f"{what}: {argv[2]} exit {code!r}")
+        return failures
 
     failures = []
-    for what, path, source, parse, dump, argv in inputs:
+    for what, path, source, parse, dump, argvs in inputs:
         pristine = source.read_bytes()
         if parse is not None:
             data = parse(pristine.decode("utf-8"))
             for _ in range(MUTATIONS_PER_INPUT):
                 mutated, where = mutate(data, rng)
                 path.write_text(dump(mutated), encoding="utf-8")
-                failures.append(runs(f"{what} {where}", argv))
+                failures += runs(f"{what} {where}", argvs)
+            # JSON and YAML write the surrogate as an ASCII escape; CSV, as the
+            # bytes UTF-8 would give it if it had a form
+            mutated, where = mutate(data, surrogate_rng, "\ud800")
+            path.write_bytes(dump(mutated).encode("utf-8", "surrogatepass"))
+            failures += runs(f"{what} {where}", argvs)
         path.write_bytes(pristine[: len(pristine) // 2] + b"\xff" + pristine[len(pristine) // 2 :])
-        failures.append(runs(f"{what} not UTF-8", argv))
+        failures += runs(f"{what} not UTF-8", argvs)
         path.write_bytes(pristine)
     assert [f for f in failures if f] == []
 

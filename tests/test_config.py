@@ -234,6 +234,7 @@ def within(data: dict, path: tuple):
         ),
         (("evaluation", "judge"), "vibes", r"^evaluation\.judge must be 'backend' or 'lexical', got 'vibes'$"),
         (("concurrency",), 0, r"^concurrency must be >= 1, got 0$"),
+        (("embedders", 0, "dimension"), 0, r"^embedders\[0\]\.dimension must be positive, got 0$"),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

@@ -236,6 +236,20 @@ def test_ingest_jsonl_rejects_a_line_that_is_not_utf8(tmp_path):
     assert [(r.location, r.reason) for r in rejects] == [("line 2", "invalid utf-8")]
 
 
+def test_ingest_jsonl_rejects_a_lone_surrogate_escape(tmp_path):
+    # JSON's escape stands for text with no UTF-8 form; a surrogate pair is one character
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(
+        b'{"id": "a", "title": "T1", "abstract": "A1 \\ud83d\\ude00"}\n'
+        b'{"id": "b", "title": "T2", "abstract": "A2 \\ud800"}\n'
+        b'{"id": "c", "title": "T3", "abstract": "A3", "authors": ["\\udfff"]}\n'
+    )
+    records, rejects = ingest_corpus(path)
+    assert [(r.id, r.abstract) for r in records] == [("a", "A1 \U0001f600")]
+    reason = "lone surrogate escape: no UTF-8 form"
+    assert [(r.location, r.reason) for r in rejects] == [("line 2", reason), ("line 3", reason)]
+
+
 def test_ingest_csv_that_is_not_utf8_is_a_validation_error(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_bytes(b"id,title,abstract,authors,published_date,keywords\nk1,caf\xe9,Abstract,,,\n")

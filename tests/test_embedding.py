@@ -11,11 +11,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from claimcheck.config import EmbedderSpec, typed
 from claimcheck.embedding import (
     DETERMINISTIC_ENDPOINT,
     MAX_BATCH,
     DeterministicEmbedder,
-    EmbedderSpec,
     EmbeddingMemo,
     RemoteEmbedder,
     build_embedder,
@@ -147,12 +147,13 @@ def test_build_embedder_dispatch():
 
 
 def test_spec_validation():
+    # a blank model_id or endpoint is refused where a config is read
     with pytest.raises(ConfigError):
-        EmbedderSpec(model_id="", dimension=8, endpoint=DETERMINISTIC_ENDPOINT)
+        typed({"model_id": "", "dimension": 8, "endpoint": DETERMINISTIC_ENDPOINT}, EmbedderSpec, "embedder")
     with pytest.raises(ConfigError):
         EmbedderSpec(model_id="m", dimension=0, endpoint=DETERMINISTIC_ENDPOINT)
     with pytest.raises(ConfigError):
-        EmbedderSpec(model_id="m", dimension=8, endpoint="")
+        typed({"model_id": "m", "dimension": 8, "endpoint": ""}, EmbedderSpec, "embedder")
 
 
 # -- remote client ------------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 import scipy.stats
 
 from claimcheck.agents import Claim, VerdictLabel
+from claimcheck.config import EmbedderSpec
 from claimcheck.corpus import ChunkKey
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder
 from claimcheck.errors import (
     DegenerateSampleError,
     ExtractionError,
@@ -493,14 +494,14 @@ def test_load_ground_truth_errors(tmp_path):
     with pytest.raises(ValidationError, match="line 1"):
         load_ground_truth(path)
     write_ground_truth(path, [gt_row(claim="  ")])
-    with pytest.raises(ValidationError, match="empty claim"):
+    with pytest.raises(ValidationError, match="line 1: claim must be a non-empty string, got '  '"):
         load_ground_truth(path)
     # a null or a number is refused, not read as the text 'None' or '5'
     write_ground_truth(path, [gt_row(), gt_row(ref=None)])
-    with pytest.raises(ValidationError, match="line 2: article_id, claim, label, reference_response must be strings"):
+    with pytest.raises(ValidationError, match="line 2: reference_response must be a non-empty string, got None"):
         load_ground_truth(path)
     write_ground_truth(path, [gt_row(claim=5)])
-    with pytest.raises(ValidationError, match="line 1: .* must be strings"):
+    with pytest.raises(ValidationError, match="line 1: claim must be a non-empty string, got 5"):
         load_ground_truth(path)
     write_ground_truth(path, [gt_row()])
     path.write_bytes(path.read_bytes() + b'{"claim": "\xff"}\n')

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from claimcheck.config import EmbedderSpec
 from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import (
     DETERMINISTIC_ENDPOINT,
     MAX_BATCH,
     DeterministicEmbedder,
-    EmbedderSpec,
     RemoteEmbedder,
 )
 from claimcheck.errors import ConfigError, TransportError

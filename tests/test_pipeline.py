@@ -17,14 +17,13 @@ from claimcheck.agents import (
     ChatMemo,
     Claim,
     FactCheckAgents,
-    LlmBackendConfig,
     RemoteChatBackend,
     VerdictLabel,
     build_backend,
 )
-from claimcheck.config import RefinementConfig, load_config, plain, typed
+from claimcheck.config import EmbedderSpec, LlmBackendConfig, RefinementConfig, load_config, plain, typed
 from claimcheck.corpus import ArticleText, ChunkKey, load_article
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbedderSpec, RemoteEmbedder
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
 from claimcheck.lotr import EvidenceBundle, MergingRetriever, RetrieverLeg
 from claimcheck.pipeline import (
@@ -179,11 +178,13 @@ def test_baseline_keeps_free_text_source(tmp_path):
 
 
 def test_baseline_uncited_verdict_downgrades(tmp_path):
-    gen = QueueBackend(["True. Because I said so."])
-    pipeline, _ = make_pipeline(tmp_path, gen, QueueBackend([]))
-    entry = pipeline.verify_claim_baseline(claim(), ArticleText(id="art", body="body"))
-    assert entry.label is VerdictLabel.UNVERIFIABLE
-    assert any("downgraded" in n for n in entry.trace.notes)
+    # a "Source:" that names nothing cites nothing
+    for answer in ("True. Because I said so.", "True. It holds. Source: ."):
+        gen = QueueBackend([answer])
+        pipeline, _ = make_pipeline(tmp_path, gen, QueueBackend([]))
+        entry = pipeline.verify_claim_baseline(claim(), ArticleText(id="art", body="body"))
+        assert (entry.label, entry.sources) == (VerdictLabel.UNVERIFIABLE, ())
+        assert any("downgraded" in n for n in entry.trace.notes)
 
 
 def test_baseline_unverifiable_passes_through(tmp_path):
@@ -1026,13 +1027,13 @@ def test_report_json_shape(tmp_path):
 
 def test_report_reads_back_from_its_json(tmp_path):
     # a report reads back as itself, blank free text included: a baseline
-    # answer that cites "Source: ." keeps a source whose title is blank
+    # answer with a blank explanation, given a source whose title is blank
     gen = QueueBackend(["True. Source: ."])
     pipeline, _ = make_pipeline(tmp_path, gen, QueueBackend([]))
     entry = pipeline.verify_claim_baseline(claim(), ARTICLE)
-    assert (entry.explanation, entry.sources) == ("", (Source(title=""),))
+    assert (entry.explanation, entry.sources) == ("", ())
     report = sample_report(tmp_path)
-    report.entries.append(entry)
+    report.entries.append(replace(entry, sources=(Source(title=""),)))
     assert typed(json.loads(render_report(report)), Report, "") == report
 
 

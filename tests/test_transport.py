@@ -19,8 +19,9 @@ from typing import Callable
 import pytest
 
 import claimcheck
-from claimcheck.agents import LlmBackendConfig, RemoteChatBackend
-from claimcheck.embedding import EmbedderSpec, RemoteEmbedder
+from claimcheck.agents import RemoteChatBackend
+from claimcheck.config import EmbedderSpec, LlmBackendConfig
+from claimcheck.embedding import RemoteEmbedder
 from claimcheck.errors import TransportError
 from claimcheck.transport import MAX_ATTEMPTS, MAX_RETRY_AFTER, USER_AGENT, JsonEndpoint, LruMap, run_all
 from conftest import FakeResponse, StubHttpServer

@@ -19,6 +19,7 @@ from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import unit_normalize
 from claimcheck.errors import ConfigError, IndexFormatError, ValidationError
 from claimcheck.vecindex import NO_THRESHOLD, VectorIndex
+from conftest import split_sections, write_sealed
 
 
 def basis_index(dimension=4, model_id="m") -> VectorIndex:
@@ -266,23 +267,6 @@ def test_persist_leaves_no_tmp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["test.idx"]
 
 
-def split_sections(data: bytes) -> tuple[dict, bytes, bytes]:
-    """(header, metadata section, matrix section) of a version 2 file."""
-    header_line, rest = data.split(b"\n", 1)
-    header = json.loads(header_line)
-    return header, rest[: header["metadata_bytes"]], rest[header["metadata_bytes"] :]
-
-
-def write_sealed(path, header: dict, metadata: bytes, matrix: bytes) -> None:
-    """Write a version 2 file with a valid digest, computed as the format documents."""
-    header = {k: v for k, v in header.items() if k != "sha256"}
-    header["metadata_bytes"] = len(metadata)
-    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
-    line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    path.write_bytes(line + metadata + matrix)
-
-
 def test_header_contents(tmp_path):
     path = tmp_path / "test.idx"
     index = populated_index()
@@ -385,6 +369,20 @@ def test_load_rejects_equivalent_but_altered_header(tmp_path):
         path.write_bytes(pristine.replace(old, new, 1))
         with pytest.raises(IndexFormatError, match="damaged header"):
             VectorIndex.load(path)
+
+
+def test_a_header_holding_a_lone_surrogate_escape_is_damaged(tmp_path):
+    # JSON can escape a lone surrogate, which has no UTF-8 form; the header
+    # line is sealed as JSON's ASCII escapes write it
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    header, metadata, matrix = split_sections(path.read_bytes())
+    header = {k: v for k, v in header.items() if k != "sha256"} | {"model_id": "m\ud800"}
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
+    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode("ascii") + metadata + matrix)
+    with pytest.raises(IndexFormatError, match="damaged header"):
+        VectorIndex.load(path)
 
 
 def test_load_refuses_version_1_files(tmp_path):
@@ -613,6 +611,15 @@ def test_bad_entries_are_named_by_their_line(tmp_path):
         VectorIndex.load(path)
     sealed_with(6, lines[6].replace(b"{", b"{oops", 1))
     with pytest.raises(IndexFormatError, match="bad entry 6: Expecting property name"):
+        VectorIndex.load(path)
+    # JSON can escape a lone surrogate, which has no UTF-8 form; a pair is one character
+    sealed_with(7, lines[7].replace(b'"title": "', b'"title": "\\ud83d\\ude00', 1))
+    assert len(VectorIndex.load(path)) == 12
+    sealed_with(7, lines[7].replace(b'"title": "', b'"title": "\\ud800', 1))
+    with pytest.raises(IndexFormatError, match="bad entry 7: "):
+        VectorIndex.load(path)
+    sealed_with(2, lines[2].replace(b'"parent_id": "', b'"parent_id": "\\udfff', 1))
+    with pytest.raises(IndexFormatError, match="bad entry 2: "):
         VectorIndex.load(path)
 
 
