@@ -2,10 +2,10 @@
 """Regenerate the offline fixture bundle.
 
 Runs the real pipeline against rule-driven backends that compute a
-response for every prompt they see and record the (fingerprint,
-response) pair.  The recordings become ``mock_responses.jsonl``; the
-resulting reports, comparison tables, and rendered prompts become the
-golden files under ``fixtures/golden/``.
+response for every prompt they see, each behind a ``ChatMemo`` that
+keeps the answers.  The kept answers become ``mock_responses.jsonl``;
+the resulting reports, comparison tables, and rendered prompts become
+the golden files under ``fixtures/golden/``.
 
 Run from the repository root:
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from claimcheck import corpus, evaluation, prompts, service  # noqa: E402
-from claimcheck.agents import RawAnswer, ScriptedBackend, prompt_fingerprint  # noqa: E402
-from claimcheck.config import load_config  # noqa: E402
+from claimcheck.agents import ChatMemo, RawAnswer, prompt_fingerprint  # noqa: E402
+from claimcheck.config import MODES, ROLES, load_config  # noqa: E402
 from claimcheck.embedding import cosine_similarity  # noqa: E402
 from claimcheck.pipeline import FactCheckPipeline, render_report  # noqa: E402
 
@@ -169,29 +168,16 @@ BASELINE_ANSWERS = {
 }
 
 
-class RecordingBackend:
-    """Computes responses by rule and records fingerprint -> response."""
+class RuleBackend:
+    """Computes each response by rule, with word counts for its tokens."""
 
-    def __init__(self, rule, recorded: dict[str, str], lock: threading.Lock, model_id: str):
+    def __init__(self, rule, model_id: str):
         self.rule = rule
-        self.recorded = recorded
-        self.lock = lock
         self.model_id = model_id
 
     def complete(self, prompt: str) -> RawAnswer:
-        response = self.rule(prompt)
-        fp = prompt_fingerprint(prompt)
-        with self.lock:
-            if fp in self.recorded and self.recorded[fp] != response:
-                raise AssertionError(f"rule produced two responses for one prompt: {fp}")
-            self.recorded[fp] = response
-        return RawAnswer(
-            text=response,
-            prompt_fingerprint=fp,
-            model_id=self.model_id,
-            prompt_tokens=len(prompt.split()),
-            completion_tokens=len(response.split()),
-        )
+        text = self.rule(prompt)
+        return RawAnswer(text, prompt_fingerprint(prompt), self.model_id, len(prompt.split()), len(text.split()))
 
 
 def _between(text: str, start: str, end: str) -> str:
@@ -372,6 +358,19 @@ def write_golden_prompts():
     print(f"wrote {len(rendered)} golden prompts")
 
 
+def record(config, embedders, retriever, article, rules) -> tuple[dict, ChatMemo]:
+    """The report of each mode, checked through one fresh memo per role over
+    its rule, and one memo holding every answer those memos kept."""
+    memos = {role: ChatMemo(RuleBackend(rule, f"scripted-{role}")) for role, rule in zip(ROLES, rules)}
+    pipeline = FactCheckPipeline(config, service.build_agents(config, embedders, **memos), retriever)
+    reports = {mode: pipeline.check_article(article, mode) for mode in MODES}
+    answers = [answer for memo in memos.values() for answer in memo.answers()]
+    kept = ChatMemo(None, answers)
+    if len(kept.answers()) != len(answers):
+        raise AssertionError("two roles were asked one prompt")
+    return reports, kept
+
+
 def main() -> None:
     config = load_config(FIXTURES / "config.yaml")
     records, rejected = corpus.ingest_corpus(config.corpus_path)
@@ -386,25 +385,17 @@ def main() -> None:
     check_retrieval_coverage(config, retriever)
 
     article = corpus.load_article(FIXTURES / "immune-boosters.md")
-    recorded: dict[str, str] = {}
-    lock = threading.Lock()
-    gen_rule, grade_rule, rewrite_rule = make_rules({r.id: r for r in records})
-    agents = service.build_agents(
-        config,
-        embedders,
-        generator=RecordingBackend(gen_rule, recorded, lock, "scripted-generator"),
-        grader=RecordingBackend(grade_rule, recorded, lock, "scripted-grader"),
-        rewriter=RecordingBackend(rewrite_rule, recorded, lock, "scripted-rewriter"),
-    )
-    pipeline = FactCheckPipeline(config, agents, retriever)
+    rules = make_rules({r.id: r for r in records})
+    reports, kept = record(config, embedders, retriever, article, rules)
+    # a memo asks its rule once per prompt, so record again through fresh
+    # memos: a rule that answers one prompt two ways, or a mode that is
+    # not deterministic, fails here
+    again, kept_again = record(config, embedders, retriever, article, rules)
+    if kept.answers() != kept_again.answers():
+        raise AssertionError("a rule answered one prompt two ways")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-
-    reports = {}
-    for mode in ("baseline", "lotr", "lotr_srag"):
-        report = pipeline.check_article(article, mode)
-        again = pipeline.check_article(article, mode)
-        assert render_report(report) == render_report(again), f"{mode} not deterministic"
-        reports[mode] = report
+    for mode, report in reports.items():
+        assert render_report(report) == render_report(again[mode]), f"{mode} not deterministic"
         path = GOLDEN / f"report_{mode}.json"
         path.write_text(render_report(report, fmt="json"), encoding="utf-8")
         labels = [e.label.value for e in report.entries]
@@ -427,8 +418,8 @@ def main() -> None:
     assert base_first.label.value == "unverifiable", "uncited baseline verdict must downgrade"
 
     mock_path = FIXTURES / "mock_responses.jsonl"
-    ScriptedBackend(recorded).save(mock_path)
-    print(f"recorded {len(recorded)} scripted responses -> {mock_path}")
+    kept.save(mock_path)
+    print(f"recorded {len(kept.answers())} scripted responses -> {mock_path}")
 
     # evaluation golden over the three reports (one article, offline judges)
     gt = evaluation.load_ground_truth(FIXTURES / "ground_truth.jsonl")

@@ -1,8 +1,11 @@
 """LLM backends and the agent operations built on them.
 
 Every completion is keyed by the SHA-256 fingerprint of its rendered
-prompt.  The scripted backend replays a committed fingerprint-to-response
-table and fails loudly on anything unknown, which is what makes whole
+prompt.  One store, :class:`ChatMemo`, keeps answers by that key: in
+front of a remote temperature-0 backend it reuses the answers it was
+given, and with nothing behind it (the ``scripted`` endpoint) it
+replays a committed mock-fixtures file, answer text and token counts,
+and fails loudly on anything unknown, which is what makes whole
 pipeline runs reproducible byte for byte.
 """
 
@@ -20,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
 from . import prompts
-from .config import FreeText, LlmBackendConfig, plain, read_json_lines
+from .config import LlmBackendConfig, plain, read_json_lines
 from .corpus import Chunk, ChunkKey
 from .embedding import cosine_similarity
 from .errors import (
@@ -113,75 +116,62 @@ class RemoteChatBackend:
 
 @dataclass(frozen=True)
 class MockAnswer:
-    """One line of a mock-fixtures file."""
+    """One line of a mock-fixtures file: a kept answer and its token counts."""
 
     fingerprint: str
-    response: FreeText
+    prompt_tokens: int
+    completion_tokens: int
+    response: str
 
-
-class ScriptedBackend:
-    """Replays responses keyed by prompt fingerprint from a fixtures file.
-
-    The file is line-delimited JSON, one :class:`MockAnswer` per line:
-    {"fingerprint": ..., "response": ...}.  Unknown fingerprints raise
-    immediately; silent fallbacks would hide a prompt drift from the
-    recorded script.
-    """
-
-    def __init__(self, responses: dict[str, str] | None = None, model_id: str = "scripted"):
-        self.model_id = model_id
-        self._responses = dict(responses or {})
-
-    @classmethod
-    def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedBackend":
-        answers = read_json_lines(path, MockAnswer, "fixture", ConfigError)
-        return cls({a.fingerprint: a.response for a in answers}, model_id=model_id)
-
-    def save(self, path: str | Path) -> None:
-        answers = (MockAnswer(*item) for item in sorted(self._responses.items()))
-        lines = (json.dumps(plain(answer), ensure_ascii=False) + "\n" for answer in answers)
-        Path(path).write_text("".join(lines), encoding="utf-8")
-
-    def complete(self, prompt: str) -> RawAnswer:
-        fingerprint = prompt_fingerprint(prompt)
-        if fingerprint not in self._responses:
-            head = prompt[:120].replace("\n", "\\n")
-            raise BackendError(
-                f"scripted backend has no response for fingerprint {fingerprint} "
-                f"(prompt starts: {head!r})"
-            )
-        text = self._responses[fingerprint]
-        if not text.strip():
-            raise BackendError(f"scripted backend returned an empty completion for {fingerprint}")
-        return RawAnswer(
-            text=text,
-            prompt_fingerprint=fingerprint,
-            model_id=self.model_id,
-            prompt_tokens=len(prompt.split()),
-            completion_tokens=len(text.split()),
-        )
+    def __post_init__(self) -> None:
+        for key in ("prompt_tokens", "completion_tokens"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 class ChatMemo:
-    """Reuses a deterministic backend's answers to identical prompts.
+    """Answers kept by prompt fingerprint, in front of an optional backend.
 
-    Every answer the inner backend returns is kept by prompt fingerprint
-    in an :class:`LruMap` of at most ``CHAT_MEMO_ENTRIES`` entries; a call
-    that raises keeps nothing, so it is asked again the next time.  A
-    reused answer is the stored :class:`RawAnswer`, token counts
-    included, so callers that count calls above the memo count the same
-    calls and tokens whether or not it hit.
+    A miss asks ``inner`` and keeps its :class:`RawAnswer`, token counts
+    included, in an :class:`LruMap` of at most ``CHAT_MEMO_ENTRIES``; a
+    call that raises keeps nothing.  A hit counts as a call, so usage
+    totals do not depend on it.  With no inner backend the memo replays
+    ``answers`` (a mock-fixtures file, see :meth:`from_file`), evicts none
+    of them, and a miss raises: a silent fallback would hide prompt drift.
     """
 
-    def __init__(self, inner: LlmBackend):
+    def __init__(self, inner: LlmBackend | None, answers: Sequence[RawAnswer] = ()):
         self.inner = inner
         self.endpoint = remote_endpoint(inner)
-        self._answers = LruMap(CHAT_MEMO_ENTRIES)
+        self._answers = LruMap(max(CHAT_MEMO_ENTRIES, len(answers)))
+        for answer in answers:
+            self._answers.keep(answer.prompt_fingerprint, answer)
+
+    @classmethod
+    def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ChatMemo":
+        """A memo with nothing behind it, replaying the :class:`MockAnswer`
+        lines of the JSONL file ``path`` as answers of ``model_id``."""
+        lines = read_json_lines(path, MockAnswer, "fixture", ConfigError)
+        answers = [RawAnswer(a.response, a.fingerprint, model_id, a.prompt_tokens, a.completion_tokens) for a in lines]
+        return cls(None, answers)
+
+    def answers(self) -> list[RawAnswer]:
+        """The kept answers, in fingerprint order."""
+        return sorted(self._answers.values(), key=lambda a: a.prompt_fingerprint)
+
+    def save(self, path: str | Path) -> None:
+        """The kept answers as a mock-fixtures file."""
+        lines = (MockAnswer(a.prompt_fingerprint, a.prompt_tokens, a.completion_tokens, a.text) for a in self.answers())
+        text = "".join(json.dumps(plain(line), ensure_ascii=False) + "\n" for line in lines)
+        Path(path).write_text(text, encoding="utf-8")
 
     def complete(self, prompt: str) -> RawAnswer:
         key = prompt_fingerprint(prompt)
         answer = self._answers.get(key)
         if answer is None:
+            if self.inner is None:
+                head = prompt[:120].replace("\n", "\\n")
+                raise BackendError(f"scripted backend has no response for fingerprint {key} (prompt starts: {head!r})")
             answer = self.inner.complete(prompt)
             self._answers.keep(key, answer)
         return answer
@@ -227,10 +217,11 @@ def _complete(backend: LlmBackend, prompt: str) -> RawAnswer:
 def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = None) -> LlmBackend:
     """Pick the transport implied by the config's endpoint.
 
-    A remote backend at temperature 0 answers an identical prompt
-    identically, whatever its role, so it comes with a :class:`ChatMemo`
-    of its own.  The in-process scripted backend, and a remote one at a
-    higher temperature, which samples anew each time, are never wrapped.
+    A scripted backend is a :class:`ChatMemo` with nothing behind it,
+    replaying ``mock_fixtures``.  A remote backend at temperature 0
+    answers an identical prompt identically, whatever its role, so it
+    comes with a :class:`ChatMemo` of its own; one at a higher
+    temperature, which samples anew each time, is never wrapped.
     """
     if config.endpoint != SCRIPTED_ENDPOINT:
         backend = RemoteChatBackend(config)
@@ -239,7 +230,7 @@ def build_backend(config: LlmBackendConfig, mock_fixtures: str | Path | None = N
         raise ConfigError(
             f"backend {config.model_id!r} is scripted but no mock-fixtures path is configured"
         )
-    return ScriptedBackend.from_file(mock_fixtures, model_id=config.model_id)
+    return ChatMemo.from_file(mock_fixtures, model_id=config.model_id)
 
 
 class VerdictLabel(str, Enum):

@@ -20,14 +20,13 @@ import datetime as _dt
 import glob
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import corpus, evaluation, service
 from .agents import build_backend
-from .config import RunConfig, load_config, typed
+from .config import RunConfig, load_config, typed, write_whole
 from .embedding import build_embedder
 from .errors import ClaimcheckError, ConfigError, ValidationError
 from .pipeline import Report, render_report
@@ -70,7 +69,6 @@ def _cmd_build_index(args, config: RunConfig) -> int:
     chunks = corpus.chunk_corpus(
         records, chunk_size=config.chunking.kb_chunk_size, overlap=config.chunking.kb_overlap
     )
-    Path(config.index_dir).mkdir(parents=True, exist_ok=True)
     for index in service.build_indexes(config, chunks, service.build_embedders(config)):
         path = service.index_path(config, index.model_id)
         index.persist(path)
@@ -90,7 +88,7 @@ def _cmd_check(args, config: RunConfig) -> int:
     rendered = render_report(report, fmt=args.format)
     if args.out:
         out = Path(args.out)
-        _write_whole(out, rendered)
+        write_whole(out, [rendered.encode("utf-8")])
         # wall time and timestamp live beside the report, not in it, so
         # repeated runs produce byte-identical reports
         meta = {
@@ -99,7 +97,7 @@ def _cmd_check(args, config: RunConfig) -> int:
             "elapsed_seconds": round(elapsed, 3),
             "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         }
-        _write_whole(Path(str(out) + ".meta.json"), json.dumps(meta, ensure_ascii=False, indent=2) + "\n")
+        write_whole(f"{out}.meta.json", [json.dumps(meta, ensure_ascii=False, indent=2).encode("utf-8") + b"\n"])
         print(f"report written to {out}")
     else:
         sys.stdout.write(rendered)
@@ -183,23 +181,11 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
 def _emit(text: str, out: str | None) -> int:
     if out:
         path = Path(out)
-        _write_whole(path, text)
+        write_whole(path, [text.encode("utf-8")])
         print(f"written to {path}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _write_whole(path: Path, text: str) -> None:
-    """``text`` as the UTF-8 file ``path``, written to a temporary file and
-    moved into place, so a write that fails partway leaves ``path`` as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # -- parser / entry point ------------------------------------------------------

@@ -3,7 +3,9 @@
 Relative paths are resolved against the config file's directory, so a
 bundle of fixtures stays self-contained wherever it is copied.  Secrets
 never live here; backend entries name the environment variable that
-holds the API key instead.
+holds the API key instead.  The reader of the config, ``typed``, reads
+every other file of outside data too, and ``write_whole`` writes every
+output file.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 import types
@@ -18,7 +21,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NewType
+from typing import Iterable, NewType
 
 import yaml
 
@@ -36,9 +39,9 @@ _hints = functools.cache(typing.get_type_hints)
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
 
-def typed(value, kind, path: str):
+def typed(value, kind, path: str | None):
     """``value``, plain data of a config file or a report's JSON, read as the
-    resolved annotation ``kind``; an error names ``path``.
+    resolved annotation ``kind``; an error names ``path`` (see ``_at``).
 
     ``str`` takes a string that is not blank and ``FreeText`` any string,
     neither one that UTF-8 cannot encode, such as the lone surrogate
@@ -106,10 +109,28 @@ def read_json_lines(path: str | Path, kind, what: str, error: type[ClaimcheckErr
         for n, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(typed(json.loads(line.decode("utf-8")), kind, ""))
+                    rows.append(typed(json.loads(line.decode("utf-8")), kind, None))
                 except (ValueError, ConfigError) as exc:
                     raise error(f"{path}: bad {what} line {n}: {exc}") from None
     return rows
+
+
+def write_whole(path: str | Path, parts: Iterable[bytes]) -> None:
+    """``parts`` as the file ``path``, written to a temporary file beside it and
+    moved into place, so a write that fails partway leaves ``path`` as it was;
+    an ``OSError``, such as a full disk, raises ``ClaimcheckError`` naming ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ClaimcheckError(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -293,25 +314,30 @@ def plain(value):
     return value
 
 
-def _mapping(data, where: str, known) -> dict:
+def _at(where: str | None, message: str, sep: str = ": ") -> str:
+    """``message`` about the value at the key path ``where``: "" is the top
+    level of a file, and None a whole JSONL line, which its reader names."""
+    return message if where is None else f"{where or 'the top level'}{sep}{message}"
+
+
+def _mapping(data, where: str | None, known) -> dict:
     """``data``, checked to be a mapping whose keys are all in ``known``."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where or 'the top level'} must be a mapping, got {data!r}")
+        raise ConfigError(_at(where, f"must be a mapping, got {data!r}", " "))
     unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"{where or 'the top level'}: unknown keys {sorted(unknown, key=str)}")
+        raise ConfigError(_at(where, f"unknown keys {sorted(unknown, key=str)}"))
     return data
 
 
 def _require(data: dict, key: str, where: str):
     if key not in data:
-        raise ConfigError(f"{where or 'the top level'}: missing required key {key!r}")
+        raise ConfigError(_at(where, f"missing required key {key!r}"))
     return data[key]
 
 
-def _load(cls, data, where: str, **given):
-    """The dataclass ``cls`` read from the mapping at ``where`` ("" for the
-    top level of the file).
+def _load(cls, data, where: str | None, **given):
+    """The dataclass ``cls`` read from the mapping at ``where`` (see ``_at``).
 
     A key is a field name without its trailing ``_``, so YAML's ``lambda`` is
     ``lambda_``; each value is read with ``typed``.  A key may be left out
@@ -329,7 +355,7 @@ def _load(cls, data, where: str, **given):
                 raise ConfigError(f"{where}.{key} must be {given[f.name]!r}, got {value!r}")
             values[f.name] = value
         elif f.name not in given and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where or 'the top level'}: missing required key {key!r}")
+            raise ConfigError(_at(where, f"missing required key {key!r}"))
     try:
         return cls(**values)
     except ConfigError as exc:

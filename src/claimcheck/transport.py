@@ -319,6 +319,10 @@ class LruMap:
                 self._entries.move_to_end(key)
             return self._entries.get(key)
 
+    def values(self) -> list:
+        with self._lock:
+            return list(self._entries.values())
+
     def keep(self, key, value) -> None:
         with self._lock:
             self._entries.pop(key, None)

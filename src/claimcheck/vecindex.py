@@ -50,6 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
+from .config import write_whole
 from .corpus import ChunkKey
 from .embedding import checked_norm, unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
@@ -181,7 +182,7 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index to ``path`` atomically in format version 2."""
+        """Write the index to ``path`` whole (see ``config.write_whole``) in format version 2."""
         path = Path(path)
         keys, matrix, metas = self._snapshot
         metadata = b"".join(
@@ -204,12 +205,7 @@ class VectorIndex:
             "metadata_bytes": len(metadata),
         }
         header["sha256"] = _digest(header, metadata, matrix)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(_json_line(header))
-            fh.write(metadata)
-            fh.write(matrix.data)
-        os.replace(tmp, path)
+        write_whole(path, (_json_line(header), metadata, matrix.data))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -15,8 +15,8 @@ from claimcheck.agents import (
     ChatMemo,
     Claim,
     FactCheckAgents,
+    RawAnswer,
     RemoteChatBackend,
-    ScriptedBackend,
     VerdictLabel,
     build_backend,
     count_usage,
@@ -179,47 +179,98 @@ def test_parse_score(text, expected):
     assert parse_score(text) is expected
 
 
-# -- ScriptedBackend ----------------------------------------------------------
+# -- scripted replay: a ChatMemo with nothing behind it -----------------------
 
 
-def test_scripted_complete_replays_by_fingerprint():
-    backend = ScriptedBackend({prompt_fingerprint("hello"): "world and more"}, model_id="m")
-    answer = backend.complete("hello")
-    assert answer.text == "world and more"
-    assert answer.model_id == "m"
-    assert answer.prompt_fingerprint == prompt_fingerprint("hello")
-    assert answer.prompt_tokens == 1
-    assert answer.completion_tokens == 3
+def mock_line(prompt: str, response: str, prompt_tokens: int = 1, completion_tokens: int = 3) -> dict:
+    return {
+        "fingerprint": prompt_fingerprint(prompt),
+        "prompt_tokens": prompt_tokens,
+        "completion_tokens": completion_tokens,
+        "response": response,
+    }
 
 
-def test_scripted_unknown_fingerprint():
-    backend = ScriptedBackend()
-    with pytest.raises(BackendError, match="no response for fingerprint"):
-        backend.complete("never registered")
+def replay(tmp_path, lines: list, model_id: str = "scripted") -> ChatMemo:
+    path = tmp_path / "mock.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return ChatMemo.from_file(path, model_id=model_id)
 
 
-def test_scripted_empty_completion():
-    backend = ScriptedBackend({prompt_fingerprint("p"): "   "})
-    with pytest.raises(BackendError, match="empty completion"):
-        backend.complete("p")
+def test_scripted_complete_replays_by_fingerprint(tmp_path):
+    memo = replay(tmp_path, [mock_line("hello", "world and more", 4, 9)], model_id="m")
+    answer = memo.complete("hello")
+    assert answer == RawAnswer("world and more", prompt_fingerprint("hello"), "m", 4, 9)
+    assert memo.complete("hello") is answer
+    assert memo.inner is None and memo.endpoint is None
+
+
+def test_scripted_unknown_fingerprint(tmp_path):
+    memo = replay(tmp_path, [mock_line("known", "yes")])
+    for _ in range(2):
+        with pytest.raises(BackendError, match="no response for fingerprint") as raised:
+            memo.complete("never\nregistered")
+        assert "(prompt starts: 'never\\\\nregistered')" in str(raised.value)
+    # a miss keeps nothing: the file's answer is all there is
+    assert memo.answers() == [memo.complete("known")]
+
+
+def test_scripted_replay_calls_nothing_past_the_file(tmp_path, monkeypatch):
+    """Replay answers from the file alone and evicts none of it, however
+    many answers it holds beyond the memo's usual size."""
+    monkeypatch.setattr("claimcheck.agents.CHAT_MEMO_ENTRIES", 2)
+    asked = [f"prompt {i}" for i in range(5)]
+    memo = replay(tmp_path, [mock_line(p, f"answer {i}") for i, p in enumerate(asked)])
+    for _ in range(2):
+        assert [memo.complete(p).text for p in asked] == [f"answer {i}" for i in range(5)]
+    assert len(memo.answers()) == 5
+
+
+def test_scripted_empty_completion(tmp_path):
+    # a blank response is refused where the file is read, not when replayed
+    with pytest.raises(ConfigError, match="bad fixture line 1: response must be a non-empty string, got '   '"):
+        replay(tmp_path, [mock_line("p", "   ")])
 
 
 def test_scripted_save_round_trip(tmp_path):
-    backend = ScriptedBackend({prompt_fingerprint("p1"): "r1", prompt_fingerprint("p2"): "r2"})
+    recorded = ChatMemo(RuleBackend(lambda prompt: prompt.upper() + " and more"))
+    for prompt in ("say p1", "p2"):
+        recorded.complete(prompt)
     path = tmp_path / "mock.jsonl"
-    backend.save(path)
-    reloaded = ScriptedBackend.from_file(path)
-    assert reloaded.complete("p1").text == "r1"
-    assert reloaded.complete("p2").text == "r2"
+    recorded.save(path)
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == sorted(
+        [mock_line("say p1", "SAY P1 and more", 2, 4), mock_line("p2", "P2 and more", 1, 3)],
+        key=lambda line: line["fingerprint"],
+    )
+    # text and counts come back as they were kept
+    assert ChatMemo.from_file(path, model_id="rule").answers() == recorded.answers()
 
 
 def test_scripted_from_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        ScriptedBackend.from_file(tmp_path / "absent.jsonl")
+        ChatMemo.from_file(tmp_path / "absent.jsonl")
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"fingerprint": "x"}\n', encoding="utf-8")
-    with pytest.raises(ConfigError, match="bad fixture line 1"):
-        ScriptedBackend.from_file(bad)
+    bad.write_text('{"fingerprint": "x", "response": "r"}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad fixture line 1: missing required key 'prompt_tokens'"):
+        ChatMemo.from_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (5, "must be a mapping, got 5"),
+        ({**mock_line("p", "r"), "extra": 1}, "unknown keys ['extra']"),
+        ({**mock_line("p", "r"), "prompt_tokens": -1}, "prompt_tokens must be >= 0, got -1"),
+        ({**mock_line("p", "r"), "completion_tokens": 2.5}, "completion_tokens must be an integer, got 2.5"),
+        ({**mock_line("p", "r"), "prompt_tokens": True}, "prompt_tokens must be an integer, got True"),
+        ({**mock_line("p", "r"), "response": ""}, "response must be a non-empty string, got ''"),
+    ],
+    ids=["not-an-object", "unknown-key", "negative-count", "real-count", "boolean-count", "empty-response"],
+)
+def test_a_bad_fixture_line_names_its_key(tmp_path, line, message):
+    with pytest.raises(ConfigError) as raised:
+        replay(tmp_path, [mock_line("ok", "fine"), line])
+    assert str(raised.value) == f"{tmp_path / 'mock.jsonl'}: bad fixture line 2: {message}"
 
 
 # -- RemoteChatBackend --------------------------------------------------------
@@ -379,11 +430,10 @@ def test_build_backend_dispatch(tmp_path, http_stub):
     with pytest.raises(ConfigError, match="no\\s+mock-fixtures path"):
         build_backend(scripted_cfg)
     path = tmp_path / "mock.jsonl"
-    path.write_text(
-        json.dumps({"fingerprint": prompt_fingerprint("p"), "response": "r"}) + "\n",
-        encoding="utf-8",
-    )
-    assert isinstance(build_backend(scripted_cfg, mock_fixtures=path), ScriptedBackend)
+    path.write_text(json.dumps(mock_line("p", "r")) + "\n", encoding="utf-8")
+    scripted = build_backend(scripted_cfg, mock_fixtures=path)
+    assert isinstance(scripted, ChatMemo) and scripted.inner is None
+    assert scripted.complete("p").model_id == "m"
     remote = build_backend(chat_config(http_stub.url))
     assert isinstance(remote, ChatMemo) and isinstance(remote.inner, RemoteChatBackend)
     assert isinstance(build_backend(chat_config(http_stub.url, temperature=0.7)), RemoteChatBackend)
@@ -464,8 +514,9 @@ def test_grade_memo_evicts_the_least_recently_used(monkeypatch):
 
 @pytest.mark.parametrize("endpoint", ["scripted", "http://chat.invalid/v1"])
 def test_build_backend_memoizes_graders_at_temperature_zero_only(tmp_path, endpoint):
-    """Every remote role at temperature 0 comes with its own memo; a higher
-    temperature and the in-process scripted backend never do."""
+    """Every remote role at temperature 0 comes with its own memo, and every
+    scripted role is one with nothing behind it; a higher remote
+    temperature never comes with one."""
     fixtures = tmp_path / "mock.jsonl"
     fixtures.write_text("", encoding="utf-8")
 
@@ -474,14 +525,12 @@ def test_build_backend_memoizes_graders_at_temperature_zero_only(tmp_path, endpo
         return build_backend(config, mock_fixtures=fixtures)
 
     roles = ("generator", "grader", "rewriter")
-    if endpoint == "scripted":
-        assert all(isinstance(built(role), ScriptedBackend) for role in roles)
-    else:
-        memos = [built(role) for role in roles]
-        assert all(isinstance(m, ChatMemo) and isinstance(m.inner, RemoteChatBackend) for m in memos)
-        assert len({id(m._answers) for m in memos}) == 3
+    memos = [built(role) for role in roles]
+    inner = type(None) if endpoint == "scripted" else RemoteChatBackend
+    assert all(isinstance(m, ChatMemo) and isinstance(m.inner, inner) for m in memos)
+    assert len({id(m._answers) for m in memos}) == 3
     for role in roles:
-        assert not isinstance(built(role, temperature=0.7), ChatMemo)
+        assert isinstance(built(role, temperature=0.7), ChatMemo) == (endpoint == "scripted")
 
 
 def test_grade_memo_stays_consistent_under_threads(monkeypatch):

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from claimcheck import agents, cli, corpus, embedding, evaluation, prompts, service
+from claimcheck import agents, cli, corpus, embedding, errors, evaluation, pipeline, prompts, service
 from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
 from claimcheck.pipeline import render_report
-from conftest import RuleBackend, split_sections, write_sealed
+from conftest import RuleBackend, chat_payload, split_sections, write_sealed
 
 
 def run(*argv: str) -> int:
@@ -30,6 +31,9 @@ def run(*argv: str) -> int:
 
 def build_index(bundle: Path) -> None:
     assert run("--config", str(bundle / "config.yaml"), "build-index") == 0
+
+
+DROP = object()  # the key is left out
 
 
 # -- ingest -------------------------------------------------------------------
@@ -313,7 +317,7 @@ def test_check_missing_article(bundle, capsys):
 def test_check_unknown_fingerprint_is_operational(bundle, capsys):
     build_index(bundle)
     (bundle / "mock_responses.jsonl").write_text(
-        json.dumps({"fingerprint": "0" * 64, "response": "never used"}) + "\n",
+        json.dumps({"fingerprint": "0" * 64, "prompt_tokens": 1, "completion_tokens": 2, "response": "never used"}) + "\n",
         encoding="utf-8",
     )
     code = run(
@@ -440,28 +444,51 @@ def test_check_refuses_an_index_entry_with_a_lone_surrogate_escape(bundle, capsy
     assert not out.exists()
 
 
+class FillsUp:
+    """An open file on a disk that fills up partway through the first write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,out",
     [
-        ["check", "--article", "immune-boosters.md", "--mode", "lotr"],
-        ["evaluate", "--scores", "pairwise_scores.json"],
+        (["check", "--article", "immune-boosters.md", "--mode", "lotr", "--out", "out/result"], "out/result"),
+        (["evaluate", "--scores", "pairwise_scores.json", "--out", "out/result"], "out/result"),
+        (["build-index"], "index/hash-256.idx"),
     ],
-    ids=["check", "evaluate"],
+    ids=["check", "evaluate", "build-index"],
 )
-def test_a_write_that_fails_partway_leaves_no_output(bundle, monkeypatch, argv):
-    build_index(bundle)
+def test_a_write_that_fails_partway_leaves_no_output(bundle, monkeypatch, capsys, argv, out):
+    """A full disk while writing a report, a comparison or an index leg exits
+    1 naming the file, and leaves nothing in the output directory."""
+    if argv[0] != "build-index":
+        build_index(bundle)
     monkeypatch.chdir(bundle)
+    capsys.readouterr()
+    real_open = Path.open
 
-    def write_half(self, data, encoding=None, errors=None, newline=None):
-        with open(self, "w", encoding=encoding) as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+    def open_on_a_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return FillsUp(fh) if "w" in mode else fh
 
-    monkeypatch.setattr(Path, "write_text", write_half)
-    with pytest.raises(OSError) as raised:
-        run("--config", "config.yaml", *argv, "--out", "out/result")
-    assert raised.value.errno == errno.ENOSPC
-    assert list((bundle / "out").iterdir()) == []
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+    assert run("--config", "config.yaml", *argv) == 1
+    err = capsys.readouterr().err
+    # the index path is resolved against the config's directory
+    assert err.startswith("error: ") and err.endswith(f"{out}: No space left on device\n")
+    assert list((bundle / out).parent.iterdir()) == []
 
 
 def test_check_corrupt_mock_fixtures(bundle, capsys):
@@ -486,7 +513,7 @@ def test_check_refuses_a_mock_response_that_is_not_a_string(bundle, capsys):
         "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
     )
     assert code == 2
-    assert f"{path}: bad fixture line 1: response must be a string, got 5" in capsys.readouterr().err
+    assert f"{path}: bad fixture line 1: response must be a non-empty string, got 5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -502,6 +529,34 @@ def test_check_refuses_a_mock_fingerprint_that_is_not_a_string(bundle, capsys):
     )
     assert code == 2
     assert f"{path}: bad fixture line 1: fingerprint must be a non-empty string, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("prompt_tokens", DROP, "missing required key 'prompt_tokens'"),
+        ("completion_tokens", -1, "completion_tokens must be >= 0, got -1"),
+        ("prompt_tokens", "12", "prompt_tokens must be an integer, got '12'"),
+        ("response", " ", "response must be a non-empty string, got ' '"),
+    ],
+    ids=["no-prompt-tokens", "negative-completion-tokens", "string-prompt-tokens", "blank-response"],
+)
+def test_check_refuses_a_mock_line_with_bad_counts_or_a_blank_response(bundle, capsys, key, value, message):
+    """A replayed answer carries its token counts and a response that is not
+    blank: a line without them is refused before anything is checked."""
+    build_index(bundle)
+    path = bundle / "mock_responses.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    line = {k: v for k, v in {**json.loads(first), key: value}.items() if v is not DROP}
+    path.write_text(json.dumps(line) + "\n" + "".join(rest), encoding="utf-8")
+    out = bundle / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: bad fixture line 1: {message}\n"
     assert not out.exists()
 
 
@@ -723,9 +778,6 @@ def test_evaluate_bad_scores_file(bundle, capsys):
     code = run("--config", str(bundle / "config.yaml"), "evaluate", "--scores", str(bad))
     assert code == 2
     assert "cannot read scores file" in capsys.readouterr().err
-
-
-DROP = object()  # the key is left out
 
 
 @pytest.mark.parametrize(
@@ -1001,6 +1053,100 @@ def test_mutated_inputs_end_with_an_exit_code(bundle, tmp_path):
         failures += runs(f"{what} not UTF-8", argvs)
         path.write_bytes(pristine)
     assert [f for f in failures if f] == []
+
+
+# -- mutated model answers ----------------------------------------------------
+
+# every prompt kind, told apart by the fixed text its template starts with
+PROMPT_KINDS = (
+    prompts.EXTRACT_CLAIMS, prompts.GRADE_DOCUMENT, prompts.GRADE_ANSWER, prompts.GENERATE_ANSWER,
+    prompts.REWRITE_CLAIM, prompts.BASELINE_CHECK, prompts.EXTRACT_STATEMENTS, prompts.NLI_JUDGE,
+)
+SCORED_KINDS = ("grade_document", "grade_answer", "nli_judge")
+# str.splitlines also breaks lines at \x0b, \x0c, \x85 and \u2028
+CONTROL_CHARACTERS = "\x00\x07\x08\x0b\x0c\r\x1b\x7f\x85\u2028"
+ANSWER_MUTATIONS = {
+    "blank": lambda text, rng: rng.choice(["", " \n\t "]),
+    "none": lambda text, rng: rng.choice(["NONE", "none.", "- NONE"]),
+    "very long": lambda text, rng: " ".join([text] * (40_000 // len(text) + 1)),
+    "mistyped score": lambda text, rng: rng.choice([
+        '{"score": 5}', '{"score": null}', '{"score": ["yes"]}', '{"score": {"yes": true}}',
+        '{"score": true}', '["score", "yes"]', '{"score": "maybe"}',
+    ]),
+    "bare source": lambda text, rng: re.split(r"\bSources?:", text)[0] + rng.choice([" Source:", "\nSource:  "]),
+    "control characters": lambda text, rng: "".join(
+        ch + (rng.choice(CONTROL_CHARACTERS) if rng.random() < 0.2 else "") for ch in text
+    ),
+    # the stub sends it as a JSON escape, which has no UTF-8 form once decoded
+    "surrogate escape": lambda text, rng: (
+        text[: len(text) // 2] + rng.choice(["\ud800", "\udfff", "\ud83d"]) + text[len(text) // 2 :]
+    ),
+}
+ANSWER_FUZZ_SEEDS = 12
+
+
+def test_mutated_model_answers_end_in_a_terminal_state(bundle, http_stub, tmp_path):
+    """Seeded model-answer fuzz: over HTTP, each prompt gets the fixture's
+    answer (or a plausible one), or half the time a mutation of it drawn
+    from the seed, the command and the prompt's fingerprint.  Every check
+    and evaluate returns 0, 1 or 2 and every report entry ends in a
+    terminal state.  The draws are fixed, so whether every prompt kind
+    meets every mutation is fixed too; if a change to the prompts leaves
+    a pair unmet, more seeds meet it."""
+    build_index(bundle)
+    kept = agents.ChatMemo.from_file(bundle / "mock_responses.jsonl")
+    config_path = bundle / "config.yaml"
+    config_path.write_text(
+        config_path.read_text(encoding="utf-8")
+        .replace("endpoint: scripted", f"endpoint: {http_stub.url}")
+        .replace("statement_source: sentences", "statement_source: backend")
+        .replace("judge: lexical", "judge: backend"),
+        encoding="utf-8",
+    )
+    met: set[tuple[str, str]] = set()
+    draw = ""  # the seed and the command now running
+
+    def answer(body: dict) -> tuple[int, dict]:
+        prompt = body["messages"][0]["content"]
+        (kind,) = (t.name for t in PROMPT_KINDS if prompt.startswith(t.template.split("{")[0]))
+        rng = random.Random(f"{draw}/{prompt_fingerprint(prompt)}")
+        try:
+            text = kept.complete(prompt).text
+        except errors.BackendError:
+            text = '{"score": "yes"}' if kind in SCORED_KINDS else "Partly true. It is mixed. Source: A Trial, 2020"
+        if rng.random() < 0.5:
+            mutation = rng.choice(list(ANSWER_MUTATIONS))
+            met.add((kind, mutation))
+            text = ANSWER_MUTATIONS[mutation](text, rng)
+        return 200, chat_payload(text)
+
+    http_stub.default = answer
+    terminal = {pipeline.TERMINAL_DONE, pipeline.TERMINAL_EXHAUSTED, pipeline.TERMINAL_ERROR}
+    failures = []
+    for seed in range(ANSWER_FUZZ_SEEDS):
+        reports = []
+        for mode in ("baseline", "lotr", "lotr-srag"):
+            draw = f"{seed}/{mode}"
+            out = tmp_path / f"{seed}-{mode}.json"
+            code = run("--config", str(config_path), "check", "--article", str(bundle / "immune-boosters.md"),
+                       "--mode", mode, "--out", str(out))
+            if code not in (0, 1, 2):
+                failures.append(f"seed {seed} check {mode}: exit {code!r}")
+            if out.exists():
+                reports.append(str(out))
+                entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
+                failures += [
+                    f"seed {seed} {mode} {e['claim']['id']}: {e['trace']['terminal_state']!r}"
+                    for e in entries if e["trace"]["terminal_state"] not in terminal
+                ]
+        if reports:
+            draw = f"{seed}/evaluate"
+            code = run("--config", str(config_path), "evaluate", "--reports", *reports,
+                       "--ground-truth", str(bundle / "ground_truth.jsonl"))
+            if code not in (0, 1, 2):
+                failures.append(f"seed {seed} evaluate: exit {code!r}")
+    assert failures == []
+    assert met == {(t.name, m) for t in PROMPT_KINDS for m in ANSWER_MUTATIONS}
 
 
 def test_module_entry_point(bundle):

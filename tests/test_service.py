@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 from claimcheck import cli, service
+from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from conftest import QueueBackend, make_run_config
 
@@ -26,10 +29,11 @@ def test_pipeline_shares_one_embedder_per_model(bundle, capsys):
 
 def test_backends_passed_by_role_replace_the_configured_ones(tmp_path):
     config = make_run_config(tmp_path, mock_fixtures=str(tmp_path / "mock.jsonl"))
-    (tmp_path / "mock.jsonl").write_text("", encoding="utf-8")
+    line = {"fingerprint": prompt_fingerprint("p"), "prompt_tokens": 1, "completion_tokens": 1, "response": "r"}
+    (tmp_path / "mock.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
     grader = QueueBackend([])
     embedders = service.build_embedders(config)
     agents = service.build_agents(config, embedders, grader=grader)
     assert agents.grader is grader
-    assert agents.generator.model_id == "gen"
+    assert agents.generator.complete("p").model_id == "gen"
     assert agents.embedder is embedders[0]
