@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import struct
 
 import numpy as np
 
@@ -65,19 +64,16 @@ def cosine_similarity(a, b) -> float:
 
 @functools.lru_cache(maxsize=200_000)
 def _hash_direction(key: str, dimension: int) -> np.ndarray:
-    """A pseudo-random unit-scale direction derived from SHA-256 of ``key``."""
-    out = np.empty(dimension, dtype=np.float64)
-    block = 0
-    filled = 0
-    while filled < dimension:
-        digest = hashlib.sha256(f"{key}\x1f{block}".encode("utf-8")).digest()
-        for (u,) in struct.iter_unpack(">Q", digest):
-            if filled >= dimension:
-                break
-            # map uint64 onto [-1, 1)
-            out[filled] = (u / 2.0**63) - 1.0
-            filled += 1
-        block += 1
+    """A pseudo-random unit-scale direction derived from SHA-256 of ``key``.
+
+    Component i is the i-th big-endian uint64 of the digests of
+    ``key\x1f0``, ``key\x1f1``, ..., mapped onto [-1, 1).
+    """
+    digests = b"".join(
+        hashlib.sha256(f"{key}\x1f{block}".encode("utf-8")).digest()
+        for block in range(-(-dimension // 4))
+    )
+    out = np.frombuffer(digests, ">u8", dimension).astype(np.float64) / 2.0**63 - 1.0
     out.flags.writeable = False
     return out
 
@@ -94,7 +90,7 @@ def deterministic_test_embedder(text: str, dimension: int, seed: int = 0) -> np.
     tokens = text.lower().split()
     acc = np.zeros(dimension, dtype=np.float64)
     for tok in tokens:
-        acc = acc + _hash_direction(f"{seed}\x1ftok\x1f{tok}", dimension)
+        acc += _hash_direction(f"{seed}\x1ftok\x1f{tok}", dimension)
     if not tokens or float(np.linalg.norm(acc)) < 1e-12:
         acc = _hash_direction(f"{seed}\x1fraw\x1f{text}", dimension).copy()
     return unit_normalize(acc)

@@ -27,9 +27,11 @@ from .config import FreeText, plain, read_json_lines
 from .embedding import cosine_similarity
 from .pipeline import Report, entry_response_text
 from .errors import (
+    BackendError,
     DegenerateSampleError,
     ExtractionError,
     GradingError,
+    ProtocolError,
     ValidationError,
 )
 
@@ -127,7 +129,9 @@ def consistency(
 
     TP: answer statements the reference supports; FP: answer statements
     it does not; FN: reference statements the answer does not support.
-    Judge failures count as unsupported rather than aborting the run.
+    An unusable answer (blank, malformed or unparseable) counts as no
+    statements or as unsupported rather than aborting the run; a
+    ``TransportError`` still does.
     """
 
     def statements(text: str) -> list[str]:
@@ -135,14 +139,14 @@ def consistency(
             return []
         try:
             return statements_fn(text)
-        except ExtractionError as exc:
+        except (ExtractionError, BackendError, ProtocolError) as exc:
             logger.warning("statement extraction failed, treating as empty: %s", exc)
             return []
 
     def supported(premise: str, hypothesis: str) -> bool:
         try:
             return judge_fn(premise, hypothesis)
-        except GradingError as exc:
+        except (GradingError, BackendError, ProtocolError) as exc:
             logger.warning("judge failed, treating as unsupported: %s", exc)
             return False
 

@@ -6,6 +6,11 @@
 Tie-breaking contract shared by every kernel: candidates are presented
 in ascending chunk-key order, and exact score ties resolve to the lowest
 index, i.e. the lowest chunk key.
+
+The index's matrix is float32 (see ``vecindex``), so a scan reads half the
+bytes a float64 one does.  Similarities are widened to float64 as they
+leave the mat-vec: the threshold test, the sort and every MMR score run in
+float64, whatever the matrix dtype.
 """
 
 from __future__ import annotations
@@ -21,17 +26,18 @@ def topk_scan(matrix: np.ndarray, query: np.ndarray, k: int, min_sim: float):
     """Top-k dot products of ``query`` against rows of ``matrix``.
 
     Returns (indices, sims) sorted by similarity descending, row index
-    ascending on ties, keeping only sims >= min_sim.
+    ascending on ties, keeping only sims >= min_sim; ``sims`` are the
+    mat-vec's values widened to float64.
     """
     if matrix.shape[0] == 0 or k <= 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
-    sims = matrix @ query
+    sims = (matrix @ query).astype(np.float64, copy=False)
     keep = np.nonzero(sims >= min_sim)[0]
     if keep.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     order = np.lexsort((keep, -sims[keep]))[:k]
     chosen = keep[order]
-    return chosen.astype(np.int64), sims[chosen].astype(np.float64)
+    return chosen.astype(np.int64), sims[chosen]
 
 
 def mmr_greedy(cand_sims: np.ndarray, pairwise: np.ndarray, lam: float, k: int) -> np.ndarray:

@@ -6,16 +6,22 @@ key replaces its vector.  The index holds one immutable snapshot, the
 key-sorted (keys, matrix, metadata) triple: searches read it without
 locking, and an upsert swaps in a new one under the upsert lock.
 
-On-disk format (version 2), one file in three sections:
+The matrix is float32, in memory as on disk: every search reads the whole
+matrix, so its bytes bound the scan.  Vectors are checked and normalized
+in float64 and rounded once into their float32 row; a query is
+normalized in float64 and rounded the same way, and the kernels widen
+similarities to float64 before any threshold, sort or MMR score.
+
+On-disk format (version 3), one file in three sections:
 
     header    one UTF-8 JSON line, keys sorted:
               {"count": int, "dimension": int, "format": "claimcheck-index",
                "metadata_bytes": int, "model_id": str, "sha256": str,
-               "version": 2}
+               "version": 3}
     metadata  ``metadata_bytes`` bytes, one UTF-8 JSON line per entry in
               ascending chunk-key order:
               {"metadata": {str: str}, "parent_id": str, "seq": int}
-    matrix    ``count * dimension`` little-endian float64 (``<f8``),
+    matrix    ``count * dimension`` little-endian float32 (``<f4``),
               row-major, row i being the vector of metadata line i
 
 Each metadata line is exactly one JSON value, as ``persist`` writes it:
@@ -27,8 +33,8 @@ fails the load with :class:`IndexFormatError` rather than yielding a
 partial index.  The matrix bytes are written and read exactly, with no
 renormalizing, so a rebuild from identical inputs is byte-identical and
 a loaded index scores exactly as the one that was persisted.  Version 1
-files (vectors as JSON floats) are refused; ``claimcheck build-index``
-rebuilds them.
+files (vectors as JSON floats) and version 2 files (float64 matrix) are
+refused; ``claimcheck build-index`` rebuilds them.
 
 Indexes loaded in one process from byte-identical metadata sections,
 such as the two legs of one corpus, share one parsed copy of the keys
@@ -56,8 +62,8 @@ from .embedding import checked_norm, unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
 
 FORMAT_NAME = "claimcheck-index"
-FORMAT_VERSION = 2
-_MATRIX_DTYPE = np.dtype("<f8")
+FORMAT_VERSION = 3
+_MATRIX_DTYPE = np.dtype("<f4")
 _HEADER_FIELDS = frozenset(
     {"count", "dimension", "format", "metadata_bytes", "model_id", "sha256", "version"}
 )
@@ -90,7 +96,7 @@ class VectorIndex:
         # the only store: key-sorted keys, their rows, their metadata
         self._snapshot: tuple[tuple[ChunkKey, ...], np.ndarray, tuple[dict, ...]] = (
             (),
-            np.empty((0, dimension), np.float64),
+            np.empty((0, dimension), _MATRIX_DTYPE),
             (),
         )
         # the shared parse that a loaded snapshot's keys and metadata come from
@@ -102,10 +108,11 @@ class VectorIndex:
     def upsert(self, items: Iterable[tuple[ChunkKey, np.ndarray, dict]]) -> None:
         """Insert or replace entries; the whole batch validates before any write.
 
-        Each new vector is normalized straight into its row of the new
-        snapshot matrix, the only copy made of it, once the whole batch
-        has validated: a vector must not change until upsert returns.
-        Stored rows are copied bit for bit, never renormalized.
+        Each new vector is normalized in float64 and rounded straight
+        into its float32 row of the new snapshot matrix, the only copy
+        made of it, once the whole batch has validated: a vector must not
+        change until upsert returns.  Stored rows are copied bit for bit,
+        never renormalized.
         """
         batch: dict[ChunkKey, tuple[np.ndarray, float | None, dict]] = {}
         for key, vector, metadata in items:
@@ -124,7 +131,7 @@ class VectorIndex:
             merged = {key: (row, None, meta) for key, row, meta in zip(keys, matrix, metas)}
             merged.update(batch)
             keys = tuple(sorted(merged))
-            matrix = np.empty((len(keys), self.dimension), np.float64)
+            matrix = np.empty((len(keys), self.dimension), _MATRIX_DTYPE)
             for row, key in zip(matrix, keys):
                 vector, norm, _ = merged[key]
                 if norm is None:
@@ -135,11 +142,12 @@ class VectorIndex:
             self._entries = None
 
     def _prepare_query(self, query) -> np.ndarray:
+        """The query normalized in float64, then rounded as a stored row is."""
         arr = np.asarray(query, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != self.dimension:
             got = arr.shape[0] if arr.ndim == 1 else f"shape {arr.shape}"
             raise ValidationError(f"query has dimension {got}, index expects {self.dimension}")
-        return unit_normalize(arr)
+        return unit_normalize(arr).astype(_MATRIX_DTYPE)
 
     def mmr_select(
         self,
@@ -174,7 +182,7 @@ class VectorIndex:
         pool_rows = idx[order]
         cand_sims = sims[order]
         rows = matrix[pool_rows]
-        pairwise = rows @ rows.T
+        pairwise = (rows @ rows.T).astype(np.float64)
         chosen = kernels.mmr_greedy(cand_sims, pairwise, float(lambda_), int(k))
         return [
             Hit(keys[pool_rows[i]], float(cand_sims[i]), dict(metas[pool_rows[i]]))
@@ -182,7 +190,7 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index to ``path`` whole (see ``config.write_whole``) in format version 2."""
+        """Write the index to ``path`` whole (see ``config.write_whole``) in format version 3."""
         path = Path(path)
         keys, matrix, metas = self._snapshot
         metadata = b"".join(
@@ -195,7 +203,6 @@ class VectorIndex:
             )
             for key, meta in zip(keys, metas)
         )
-        matrix = np.ascontiguousarray(matrix, dtype=_MATRIX_DTYPE)  # no copy on little-endian hosts
         header = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -238,7 +245,10 @@ class VectorIndex:
         if _digest(header, metadata, matrix) != header["sha256"]:
             raise IndexFormatError(f"{path}: checksum mismatch, the file is damaged")
         entries = _shared_entries(path, metadata, count)
-        bad = ~(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1))
+        # each row's sum of squares in float64, summed without an n x d
+        # temporary: zero only for a zero row, finite only for a finite one
+        squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+        bad = ~(np.isfinite(squares) & (squares > 0.0))
         if bad.any():
             raise IndexFormatError(
                 f"{path}: entry {int(bad.argmax())} holds a zero or non-finite vector"

@@ -34,14 +34,14 @@ def bundle(tmp_path: Path) -> Path:
 
 
 def split_sections(data: bytes) -> tuple[dict, bytes, bytes]:
-    """(header, metadata section, matrix section) of a version 2 file."""
+    """(header, metadata section, matrix section) of an index file."""
     header_line, rest = data.split(b"\n", 1)
     header = json.loads(header_line)
     return header, rest[: header["metadata_bytes"]], rest[header["metadata_bytes"] :]
 
 
 def write_sealed(path, header: dict, metadata: bytes, matrix: bytes) -> None:
-    """Write a version 2 file with a valid digest, computed as the format documents."""
+    """Write an index file with a valid digest, computed as the format documents."""
     header = {k: v for k, v in header.items() if k != "sha256"}
     header["metadata_bytes"] = len(metadata)
     line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")

@@ -730,6 +730,52 @@ def test_evaluate_over_a_remote_grader_lists_each_text_once(bundle, http_stub, m
     assert set(memoized.values()) == {1}
 
 
+@pytest.mark.parametrize(
+    "unusable, warning",
+    [
+        ({"choices": [{"message": {"content": ""}}]}, "returned an empty completion"),
+        ({"choices": []}, "malformed chat response"),
+    ],
+    ids=["blank", "malformed"],
+)
+def test_evaluate_over_a_remote_grader_survives_one_unusable_answer(
+    bundle, http_stub, capsys, caplog, unusable, warning
+):
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    text = text.replace("statement_source: sentences", "statement_source: backend")
+    remote = text.replace(
+        "model_id: scripted-grader\n    endpoint: scripted",
+        f"model_id: scripted-grader\n    endpoint: {http_stub.url}",
+    )
+    assert remote != text
+    config.write_text(remote, encoding="utf-8")
+    answers = []
+
+    def answer(body):
+        answers.append(body)
+        if len(answers) == 3:
+            return 200, unusable
+        return 200, {"choices": [{"message": {"content": "A statement."}}]}
+
+    http_stub.default = answer
+    out = bundle / "comparison.md"
+    code = run(
+        "--config", str(config),
+        "evaluate",
+        "--reports", *(str(bundle / "golden" / f"report_{m}.json") for m in ("baseline", "lotr", "lotr_srag")),
+        "--ground-truth", str(bundle / "ground_truth.jsonl"),
+        "--out", str(out),
+    )
+    assert "error" not in capsys.readouterr().err
+    # the one unusable listing counts as no statements; the run goes on
+    assert code == 0
+    assert out.read_text(encoding="utf-8").startswith("|")
+    assert len(answers) > 3
+    failed = [r.getMessage() for r in caplog.records if "statement extraction failed" in r.getMessage()]
+    assert len(failed) == 1 and warning in failed[0]
+
+
 def test_evaluate_builds_one_grader_backend(bundle, capsys, monkeypatch):
     config = bundle / "config.yaml"
     text = config.read_text(encoding="utf-8")

@@ -3,6 +3,8 @@ embedding memo."""
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from claimcheck import embedding
 from claimcheck.config import EmbedderSpec, typed
 from claimcheck.embedding import (
     DETERMINISTIC_ENDPOINT,
@@ -86,6 +89,56 @@ def test_empty_string_falls_back_to_raw_hash():
 def test_bad_dimension():
     with pytest.raises(ConfigError):
         deterministic_test_embedder("text", 0)
+
+
+def hash_direction_oracle(key: str, dimension: int) -> np.ndarray:
+    """One uint64 at a time from SHA-256 of ``key\\x1f<block>``, mapped onto [-1, 1)."""
+    out = np.empty(dimension, dtype=np.float64)
+    block = 0
+    filled = 0
+    while filled < dimension:
+        digest = hashlib.sha256(f"{key}\x1f{block}".encode("utf-8")).digest()
+        for (u,) in struct.iter_unpack(">Q", digest):
+            if filled >= dimension:
+                break
+            out[filled] = (u / 2.0**63) - 1.0
+            filled += 1
+        block += 1
+    return out
+
+
+def embedder_oracle(text: str, dimension: int, seed: int) -> np.ndarray:
+    tokens = text.lower().split()
+    acc = np.zeros(dimension, dtype=np.float64)
+    for tok in tokens:
+        acc = acc + hash_direction_oracle(f"{seed}\x1ftok\x1f{tok}", dimension)
+    if not tokens or float(np.linalg.norm(acc)) < 1e-12:
+        acc = hash_direction_oracle(f"{seed}\x1fraw\x1f{text}", dimension)
+    return unit_normalize(acc)
+
+
+def test_hash_directions_match_the_one_word_at_a_time_oracle():
+    rng = np.random.default_rng(12)
+    alphabet = list("abcxyz é\x1f0123")
+    for n in range(1500):
+        key = "".join(rng.choice(alphabet, size=int(rng.integers(0, 12))))
+        # every dimension up to two digests, then any up to 1 536
+        dimension = n + 1 if n < 64 else int(rng.integers(1, 1537))
+        got = embedding._hash_direction.__wrapped__(key, dimension)
+        assert got.dtype == np.float64 and got.shape == (dimension,)
+        assert got.tobytes() == hash_direction_oracle(key, dimension).tobytes(), (key, dimension)
+
+
+def test_embedder_matches_its_oracle_bit_for_bit():
+    rng = np.random.default_rng(13)
+    words = ["vitamin", "D", "zinc", "colds", "trial", "dose", "the", "a", "Échinacée"]
+    texts = ["", "   ", "one"] + [
+        " ".join(rng.choice(words, size=int(rng.integers(1, 30)))) for _ in range(300)
+    ]
+    for n, text in enumerate(texts):
+        dimension, seed = (8, 32, 256, 384)[n % 4], n % 3
+        got = deterministic_test_embedder(text, dimension, seed)
+        assert got.tobytes() == embedder_oracle(text, dimension, seed).tobytes(), text
 
 
 def test_deterministic_provider_validates_texts():

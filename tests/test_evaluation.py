@@ -14,9 +14,12 @@ from claimcheck.config import EmbedderSpec
 from claimcheck.corpus import ChunkKey
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder
 from claimcheck.errors import (
+    BackendError,
     DegenerateSampleError,
     ExtractionError,
     GradingError,
+    ProtocolError,
+    TransportError,
     ValidationError,
 )
 from claimcheck.evaluation import (
@@ -168,6 +171,31 @@ def test_consistency_extraction_failure_treated_as_empty():
 
     score = consistency("something", "something", broken_statements, lexical_judge)
     assert score.f1 == 1.0  # both sides collapse to no statements
+
+
+@pytest.mark.parametrize("error", [BackendError, ProtocolError])
+def test_consistency_counts_an_unusable_grader_answer_as_a_failure(error):
+    # a blank or malformed answer reads as no statements, or as unsupported
+    def statements(text):
+        if text.startswith("B"):
+            raise error("blank")
+        return split_sentences(text)
+
+    def judge(premise, hypothesis):
+        raise error("blank")
+
+    assert consistency("A claim.", "B claim.", statements, lexical_judge) == ConsistencyScore(0, 1, 0)
+    assert consistency("One claim.", "One claim.", split_sentences, judge) == ConsistencyScore(0, 1, 1)
+
+
+def test_consistency_transport_error_ends_the_run():
+    def unreachable(*args):
+        raise TransportError("grader unreachable after retries")
+
+    with pytest.raises(TransportError):
+        consistency("One claim.", "One claim.", unreachable, lexical_judge)
+    with pytest.raises(TransportError):
+        consistency("One claim.", "One claim.", split_sentences, unreachable)
 
 
 # -- paired t-test ------------------------------------------------------------

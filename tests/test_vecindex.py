@@ -121,7 +121,8 @@ def test_stored_rows_equal_unit_normalize_bit_for_bit():
     for vectors in (raw, already_unit):
         index = VectorIndex("m", 16)
         index.upsert((ChunkKey("doc", i), v, {}) for i, v in enumerate(vectors))
-        expected = np.array([unit_normalize(v) for v in vectors])
+        # normalized in float64, then rounded once into the float32 row
+        expected = np.array([unit_normalize(v) for v in vectors]).astype("<f4")
         assert index._snapshot[1].tobytes() == expected.tobytes()
 
 
@@ -131,8 +132,8 @@ def test_second_upsert_leaves_earlier_rows_bytes_untouched():
     index.upsert((ChunkKey("b", i), rng.normal(size=8), {}) for i in range(50))
     keys, matrix, _ = index._snapshot
     before = {key: row.tobytes() for key, row in zip(keys, matrix)}
-    # renormalizing a stored row would move the bytes of at least one
-    assert any(unit_normalize(row).tobytes() != row.tobytes() for row in matrix)
+    # renormalizing a stored float32 row in float32 would move the bytes of at least one
+    assert any((row / np.linalg.norm(row)).tobytes() != row.tobytes() for row in matrix)
     index.upsert([(ChunkKey(p, 0), rng.normal(size=8), {}) for p in "ac"])
     keys, matrix, _ = index._snapshot
     after = {key: row.tobytes() for key, row in zip(keys, matrix)}
@@ -179,10 +180,11 @@ def test_mmr_lambda_one_equals_top_k():
     keys = [ChunkKey("d", i) for i in range(30)]
     index = VectorIndex("m", 8)
     index.upsert([(key, v, {"i": str(key.seq)}) for key, v in zip(keys, vectors)])
-    units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    # as the index computes it: float32 rows and query, the dot product widened
+    units = np.array([unit_normalize(v) for v in vectors]).astype("<f4")
     for _ in range(10):
         query = rng.normal(size=8)
-        sims = units @ (query / np.linalg.norm(query))
+        sims = (units @ unit_normalize(query).astype("<f4")).astype(np.float64)
         # brute force: similarity descending, then key ascending
         expected = sorted(range(30), key=lambda i: (-sims[i], keys[i]))[:6]
         hits = index.mmr_select(query, k=6, pool_size=30, lambda_=1.0)
@@ -275,7 +277,7 @@ def test_header_contents(tmp_path):
     digest = header.pop("sha256")
     assert header == {
         "format": "claimcheck-index",
-        "version": 2,
+        "version": 3,
         "model_id": "model/with-slash",
         "dimension": 5,
         "count": 12,
@@ -285,7 +287,7 @@ def test_header_contents(tmp_path):
     entries = [json.loads(line) for line in metadata.splitlines()]
     assert [(e["parent_id"], e["seq"]) for e in entries] == [tuple(k) for k in index._snapshot[0]]
     assert entries[0]["metadata"] == {"n": "0", "title": "T0"}
-    assert np.array_equal(np.frombuffer(matrix, "<f8").reshape(12, 5), index._snapshot[1])
+    assert np.array_equal(np.frombuffer(matrix, "<f4").reshape(12, 5), index._snapshot[1])
     # resealing the same sections reproduces the file: the digest is as documented
     write_sealed(tmp_path / "resealed.idx", {**header, "sha256": digest}, metadata, matrix)
     assert (tmp_path / "resealed.idx").read_bytes() == path.read_bytes()
@@ -305,7 +307,7 @@ def test_load_rejects_damaged_files(tmp_path):
     with pytest.raises(IndexFormatError, match="not valid JSON"):
         VectorIndex.load(path)
 
-    path.write_bytes(b'{"format": "something-else", "version": 2}\n')
+    path.write_bytes(b'{"format": "something-else", "version": 3}\n')
     with pytest.raises(IndexFormatError, match="not a claimcheck-index"):
         VectorIndex.load(path)
 
@@ -313,17 +315,25 @@ def test_load_rejects_damaged_files(tmp_path):
     pristine = path.read_bytes()
     header, metadata, matrix = split_sections(pristine)
 
-    path.write_bytes(pristine.replace(b'"version": 2', b'"version": 99', 1))
+    path.write_bytes(pristine.replace(b'"version": 3', b'"version": 99', 1))
     with pytest.raises(IndexFormatError, match="version 99"):
         VectorIndex.load(path)
 
-    path.write_bytes(pristine[:-8])  # the last row loses its last component
+    path.write_bytes(pristine[:-4])  # the last row loses its last component
     with pytest.raises(IndexFormatError, match="truncated"):
         VectorIndex.load(path)
 
     path.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
     with pytest.raises(IndexFormatError, match="checksum"):
         VectorIndex.load(path)
+
+    # a metadata byte flipped without resealing: the digest fails before any
+    # entry is parsed, so the damage reads as damage, not as a bad entry
+    start = len(pristine) - len(matrix) - len(metadata)
+    path.write_bytes(pristine[:start] + b"[" + pristine[start + 1 :])
+    with pytest.raises(IndexFormatError, match="checksum mismatch") as raised:
+        VectorIndex.load(path)
+    assert "bad entry" not in str(raised.value)
 
     write_sealed(path, header, metadata.replace(b"{", b"{bad json", 1), matrix)
     with pytest.raises(IndexFormatError, match="bad entry 0"):
@@ -352,7 +362,7 @@ def test_load_rejects_damaged_files(tmp_path):
         VectorIndex.load(path)
 
     for bad_value in (0.0, np.nan, np.inf):
-        rows = np.frombuffer(matrix, "<f8").reshape(12, 5).copy()
+        rows = np.frombuffer(matrix, "<f4").reshape(12, 5).copy()
         rows[3] = bad_value if bad_value else 0.0
         write_sealed(path, header, metadata, rows.tobytes())
         with pytest.raises(IndexFormatError, match="entry 3 holds a zero or non-finite"):
@@ -391,6 +401,17 @@ def test_load_refuses_version_1_files(tmp_path):
     entry = {"metadata": {}, "parent_id": "a", "seq": 0, "vector": [1.0, 0.0]}
     path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
     with pytest.raises(IndexFormatError, match="version 1 is not supported.*claimcheck build-index"):
+        VectorIndex.load(path)
+
+
+def test_load_refuses_version_2_files(tmp_path):
+    # a sealed version 2 file: the same sections with a float64 matrix
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    header, metadata, matrix = split_sections(path.read_bytes())
+    rows = np.frombuffer(matrix, "<f4").astype("<f8")
+    write_sealed(path, {**header, "version": 2}, metadata, rows.tobytes())
+    with pytest.raises(IndexFormatError, match="version 2 is not supported.*claimcheck build-index"):
         VectorIndex.load(path)
 
 
@@ -452,7 +473,7 @@ def test_load_peak_allocation_stays_near_one_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == n
-    assert peak < 1.5 * n * d * 8
+    assert peak < 1.5 * n * d * 4  # one float32 matrix
 
 
 def test_upsert_peak_allocation_stays_near_one_matrix():
@@ -468,7 +489,7 @@ def test_upsert_peak_allocation_stays_near_one_matrix():
     finally:
         tracemalloc.stop()
     assert len(index) == n
-    assert peak < 1.5 * n * d * 8
+    assert peak < 1.5 * n * d * 4  # one float32 matrix
 
 
 # -- one parse per metadata section -------------------------------------------
@@ -482,7 +503,7 @@ def sharing_files(tmp_path):
     populated_index().persist(first)
     header, metadata, matrix = split_sections(first.read_bytes())
     second = tmp_path / "second.idx"
-    rows = -np.frombuffer(matrix, "<f8")
+    rows = -np.frombuffer(matrix, "<f4")
     write_sealed(second, {**header, "model_id": "other"}, metadata, rows.tobytes())
     return first, second, (header, metadata, matrix), hashlib.sha256(metadata).digest()
 
@@ -531,7 +552,7 @@ def test_damaged_file_never_reuses_a_live_parse(tmp_path):
     second.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
     with pytest.raises(IndexFormatError, match="checksum"):
         VectorIndex.load(second)
-    rows = np.frombuffer(matrix, "<f8").reshape(12, 5).copy()
+    rows = np.frombuffer(matrix, "<f4").reshape(12, 5).copy()
     rows[7] = 0.0
     write_sealed(second, header, metadata, rows.tobytes())
     with pytest.raises(IndexFormatError, match="entry 7 holds a zero or non-finite"):
