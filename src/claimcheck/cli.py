@@ -175,7 +175,9 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return _emit(evaluation.render_comparison(result.comparisons, fmt=args.format), args.out)
+    _emit(evaluation.render_comparison(result.comparisons, fmt=args.format), args.out)
+    # like a partial report from check: written, but not a clean run
+    return EXIT_OPERATIONAL if result.grader_failures else EXIT_OK
 
 
 def _emit(text: str, out: str | None) -> int:

@@ -124,15 +124,23 @@ def consistency(
     reference: str,
     statements_fn: Callable[[str], list[str]],
     judge_fn: Callable[[str, str], bool],
+    failures: list[str] | None = None,
 ) -> ConsistencyScore:
     """Bidirectional statement entailment F1.
 
     TP: answer statements the reference supports; FP: answer statements
     it does not; FN: reference statements the answer does not support.
     An unusable answer (blank, malformed or unparseable) counts as no
-    statements or as unsupported rather than aborting the run; a
-    ``TransportError`` still does.
+    statements or as unsupported rather than aborting the run, with a
+    note appended to ``failures`` (logged when none is given); a
+    ``TransportError`` still aborts.
     """
+
+    def failed(note: str) -> None:
+        if failures is None:
+            logger.warning("%s", note)
+        else:
+            failures.append(note)
 
     def statements(text: str) -> list[str]:
         if not text.strip():
@@ -140,14 +148,14 @@ def consistency(
         try:
             return statements_fn(text)
         except (ExtractionError, BackendError, ProtocolError) as exc:
-            logger.warning("statement extraction failed, treating as empty: %s", exc)
+            failed(f"statement extraction failed, treated as empty: {exc}")
             return []
 
     def supported(premise: str, hypothesis: str) -> bool:
         try:
             return judge_fn(premise, hypothesis)
         except (GradingError, BackendError, ProtocolError) as exc:
-            logger.warning("judge failed, treating as unsupported: %s", exc)
+            failed(f"judge failed, treated as unsupported: {exc}")
             return False
 
     answer_statements = statements(answer)
@@ -496,6 +504,8 @@ class EvalRunResult:
     means: dict[str, dict[str, float]]
     comparisons: list[ComparisonRow]
     warnings: list[str] = field(default_factory=list)
+    # grader answers counted as no statements or unsupported, each also a warning
+    grader_failures: int = 0
 
 
 def evaluate_run(
@@ -510,7 +520,9 @@ def evaluate_run(
 
     Every system (report mode) must cover exactly the ground truth's
     article ids.  Unmatched ground-truth claims contribute 0 to both
-    metrics for their article.
+    metrics for their article.  Each unusable grader answer becomes a
+    warning and is counted in ``grader_failures``: the scores beside it
+    are partial.
     """
     if not ground_truth:
         raise ValidationError("ground truth is empty")
@@ -540,6 +552,7 @@ def evaluate_run(
         raise ValidationError("; ".join(problems))
 
     warnings: list[str] = []
+    grader_failures = 0
     per_article: dict[str, dict[str, list[float]]] = {
         mode: {metric: [] for metric in METRICS} for mode in by_system
     }
@@ -565,11 +578,14 @@ def evaluate_run(
                     continue
                 response = entry_response_text(predictions[matched[gi]])
                 sims.append(semantic_similarity(response, gt_entry.reference_response, embed))
+                failures: list[str] = []
                 cons.append(
                     consistency(
-                        response, gt_entry.reference_response, statements_fn, judge_fn
+                        response, gt_entry.reference_response, statements_fn, judge_fn, failures
                     ).f1
                 )
+                grader_failures += len(failures)
+                warnings.extend(f"{mode}/{article_id}: ground-truth claim {gi + 1}: {f}" for f in failures)
             per_article[mode]["semantic_similarity"].append(float(np.mean(sims)))
             per_article[mode]["consistency"].append(float(np.mean(cons)))
 
@@ -584,4 +600,5 @@ def evaluate_run(
         means=means,
         comparisons=comparisons,
         warnings=warnings,
+        grader_failures=grader_failures,
     )

@@ -739,7 +739,7 @@ def test_evaluate_over_a_remote_grader_lists_each_text_once(bundle, http_stub, m
     ids=["blank", "malformed"],
 )
 def test_evaluate_over_a_remote_grader_survives_one_unusable_answer(
-    bundle, http_stub, capsys, caplog, unusable, warning
+    bundle, http_stub, capsys, unusable, warning
 ):
     config = bundle / "config.yaml"
     text = config.read_text(encoding="utf-8")
@@ -767,13 +767,39 @@ def test_evaluate_over_a_remote_grader_survives_one_unusable_answer(
         "--ground-truth", str(bundle / "ground_truth.jsonl"),
         "--out", str(out),
     )
-    assert "error" not in capsys.readouterr().err
-    # the one unusable listing counts as no statements; the run goes on
-    assert code == 0
+    err = capsys.readouterr().err
+    assert "error" not in err
+    # the one unusable listing counts as no statements; the run goes on,
+    # writes the comparison and exits 1 because its scores are partial
+    assert code == 1
     assert out.read_text(encoding="utf-8").startswith("|")
     assert len(answers) > 3
-    failed = [r.getMessage() for r in caplog.records if "statement extraction failed" in r.getMessage()]
+    failed = [line for line in err.splitlines() if "statement extraction failed" in line]
     assert len(failed) == 1 and warning in failed[0]
+    assert failed[0].startswith("warning: ")
+
+
+def test_evaluate_with_a_grader_that_fails_every_answer_is_not_a_clean_run(bundle, capsys):
+    # the mock fixtures hold no statement listings: every scripted answer misses
+    config = bundle / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("statement_source: sentences", "statement_source: backend"), encoding="utf-8")
+    out = bundle / "comparison.json"
+    code = run(
+        "--config", str(config),
+        "evaluate",
+        "--reports", *(str(bundle / "golden" / f"report_{m}.json") for m in ("baseline", "lotr", "lotr_srag")),
+        "--ground-truth", str(bundle / "ground_truth.jsonl"),
+        "--format", "json",
+        "--out", str(out),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    misses = [line for line in err.splitlines() if "scripted backend has no response" in line]
+    assert misses and all(line.startswith("warning: ") for line in misses)
+    assert "statement extraction failed" in misses[0]
+    # every system reads as vacuous agreement, which the exit code disowns
+    assert out.exists()
 
 
 def test_evaluate_builds_one_grader_backend(bundle, capsys, monkeypatch):

@@ -188,6 +188,24 @@ def test_consistency_counts_an_unusable_grader_answer_as_a_failure(error):
     assert consistency("One claim.", "One claim.", split_sentences, judge) == ConsistencyScore(0, 1, 1)
 
 
+def test_consistency_notes_each_unusable_answer_in_failures():
+    def statements(text):
+        raise BackendError("blank")
+
+    def judge(premise, hypothesis):
+        raise ProtocolError("malformed")
+
+    failures: list[str] = []
+    assert consistency("A claim.", "B claim.", statements, lexical_judge, failures) == ConsistencyScore(0, 0, 0)
+    assert consistency("One claim.", "One claim.", split_sentences, judge, failures) == ConsistencyScore(0, 1, 1)
+    assert failures == [
+        "statement extraction failed, treated as empty: blank",
+        "statement extraction failed, treated as empty: blank",
+        "judge failed, treated as unsupported: malformed",
+        "judge failed, treated as unsupported: malformed",
+    ]
+
+
 def test_consistency_transport_error_ends_the_run():
     def unreachable(*args):
         raise TransportError("grader unreachable after retries")
@@ -619,6 +637,29 @@ def test_evaluate_run_scores_and_warnings(tmp_path):
     assert "baseline/a2" in result.warnings[0] and "unmatched" in result.warnings[0]
     assert result.comparisons
     assert {(r.system_a, r.system_b) for r in result.comparisons} == {("baseline", "lotr")}
+
+
+def test_evaluate_run_counts_unusable_grader_answers(tmp_path):
+    gt_path = tmp_path / "gt.jsonl"
+    write_ground_truth(gt_path, GT_ROWS)
+    reports = [
+        make_report(mode, article, [matching_entry(article)])
+        for mode in ("baseline", "lotr")
+        for article in ("a1", "a2")
+    ]
+
+    def statements(text):
+        raise BackendError("scripted backend has no response")
+
+    result = evaluate_run(reports, load_ground_truth(gt_path), hash_embed, statements, lexical_judge)
+    # every listing failed: each pair reads as vacuous agreement, and says so
+    assert result.per_article["lotr"]["consistency"] == [1.0, 1.0]
+    assert result.grader_failures == 8
+    assert len(result.warnings) == 8
+    assert result.warnings[0] == (
+        "baseline/a1: ground-truth claim 1: statement extraction failed, "
+        "treated as empty: scripted backend has no response"
+    )
 
 
 def test_evaluate_run_validates_article_coverage(tmp_path):

@@ -127,14 +127,15 @@ def test_stored_rows_equal_unit_normalize_bit_for_bit():
 
 
 def test_second_upsert_leaves_earlier_rows_bytes_untouched():
-    rng = np.random.default_rng(6)
-    index = VectorIndex("m", 8)
-    index.upsert((ChunkKey("b", i), rng.normal(size=8), {}) for i in range(50))
+    rng = np.random.default_rng(9)
+    index = VectorIndex("m", 4)
+    index.upsert((ChunkKey("b", i), rng.normal(size=4), {}) for i in range(50))
     keys, matrix, _ = index._snapshot
     before = {key: row.tobytes() for key, row in zip(keys, matrix)}
-    # renormalizing a stored float32 row in float32 would move the bytes of at least one
-    assert any((row / np.linalg.norm(row)).tobytes() != row.tobytes() for row in matrix)
-    index.upsert([(ChunkKey(p, 0), rng.normal(size=8), {}) for p in "ac"])
+    # renormalizing a stored row as upsert treats a new vector (in float64,
+    # then rounded to float32) would move the bytes of at least one
+    assert any(unit_normalize(row).astype("<f4").tobytes() != row.tobytes() for row in matrix)
+    index.upsert([(ChunkKey(p, 0), rng.normal(size=4), {}) for p in "ac"])
     keys, matrix, _ = index._snapshot
     after = {key: row.tobytes() for key, row in zip(keys, matrix)}
     assert len(after) == 52
