@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
 from . import prompts
-from .config import LlmBackendConfig, plain, read_json_lines
+from .config import LlmBackendConfig, plain, read_json_lines, write_whole
 from .corpus import Chunk, ChunkKey
 from .embedding import cosine_similarity
 from .errors import (
@@ -160,10 +160,10 @@ class ChatMemo:
         return sorted(self._answers.values(), key=lambda a: a.prompt_fingerprint)
 
     def save(self, path: str | Path) -> None:
-        """The kept answers as a mock-fixtures file."""
+        """The kept answers as a mock-fixtures file, written whole (see ``config.write_whole``)."""
         lines = (MockAnswer(a.prompt_fingerprint, a.prompt_tokens, a.completion_tokens, a.text) for a in self.answers())
         text = "".join(json.dumps(plain(line), ensure_ascii=False) + "\n" for line in lines)
-        Path(path).write_text(text, encoding="utf-8")
+        write_whole(path, (text.encode("utf-8"),))
 
     def complete(self, prompt: str) -> RawAnswer:
         key = prompt_fingerprint(prompt)

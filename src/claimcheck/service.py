@@ -38,8 +38,9 @@ def build_indexes(config: RunConfig, chunks: Sequence[Chunk], embedders: list) -
 def load_indexes(config: RunConfig) -> list[VectorIndex]:
     """The persisted index of every configured model, checked against its spec.
 
-    Each file passes its own checks; legs whose metadata sections are
-    byte-identical, as ``build_indexes`` writes them, share one parse.
+    Each leg is checked, and so is the one metadata file of ``index_dir``
+    against that leg's header; the legs of one directory share one parse
+    of that file.
     """
     indexes = []
     for spec in config.embedders:

@@ -12,34 +12,39 @@ in float64 and rounded once into their float32 row; a query is
 normalized in float64 and rounded the same way, and the kernels widen
 similarities to float64 before any threshold, sort or MMR score.
 
-On-disk format (version 3), one file in three sections:
+On-disk format (version 4): an index directory holds the legs of one
+chunk set, each leg file ``<slug>.idx`` beside one shared ``metadata.jsonl``.
 
-    header    one UTF-8 JSON line, keys sorted:
-              {"count": int, "dimension": int, "format": "claimcheck-index",
-               "metadata_bytes": int, "model_id": str, "sha256": str,
-               "version": 3}
-    metadata  ``metadata_bytes`` bytes, one UTF-8 JSON line per entry in
-              ascending chunk-key order:
-              {"metadata": {str: str}, "parent_id": str, "seq": int}
-    matrix    ``count * dimension`` little-endian float32 (``<f4``),
-              row-major, row i being the vector of metadata line i
+    metadata.jsonl  one UTF-8 JSON line per entry in ascending chunk-key
+                    order, the same for every leg in the directory:
+                    {"metadata": {str: str}, "parent_id": str, "seq": int}
+    leg header      one UTF-8 JSON line, keys sorted:
+                    {"count": int, "dimension": int, "format": "claimcheck-index",
+                     "metadata_bytes": int, "metadata_sha256": str,
+                     "model_id": str, "sha256": str, "version": 4}
+    leg matrix      ``count * dimension`` little-endian float32 (``<f4``),
+                    row-major, row i being the vector of metadata line i
 
 Each metadata line is exactly one JSON value, as ``persist`` writes it:
 a line with whitespace around its value, or a value that spans two
 lines, is a bad entry.  ``sha256`` is the hex SHA-256 of the header line
-without its ``sha256`` key, followed by the metadata and matrix
-sections, so a truncated file or any altered byte, header included,
-fails the load with :class:`IndexFormatError` rather than yielding a
-partial index.  The matrix bytes are written and read exactly, with no
+without its ``sha256`` key, followed by the matrix, so a truncated leg or
+any altered byte, header included, fails the load with
+:class:`IndexFormatError` rather than yielding a partial index.  The
+header binds the leg to its metadata: a ``metadata.jsonl`` whose length,
+SHA-256 (``metadata_sha256``) or line count differs from the leg's, as
+when it is missing, damaged, or rewritten by a later build over another
+chunk set, fails the load with a message to re-run ``claimcheck
+build-index``.  The matrix bytes are written and read exactly, with no
 renormalizing, so a rebuild from identical inputs is byte-identical and
-a loaded index scores exactly as the one that was persisted.  Version 1
-files (vectors as JSON floats) and version 2 files (float64 matrix) are
-refused; ``claimcheck build-index`` rebuilds them.
+a loaded index scores exactly as the one that was persisted.  Files of
+versions 1 (vectors as JSON floats), 2 (float64 matrix) and 3 (metadata
+inside each leg) are refused; ``claimcheck build-index`` rebuilds them.
 
-Indexes loaded in one process from byte-identical metadata sections,
-such as the two legs of one corpus, share one parsed copy of the keys
-and metadata while any of them is alive; each file still passes its own
-size, digest, line-count and vector checks.
+Indexes loaded in one process from byte-identical metadata, such as the
+legs of one index directory, share one parsed copy of the keys and
+metadata while any of them is alive; each load still checks its leg
+file and the metadata file against that leg's header.
 """
 
 from __future__ import annotations
@@ -62,10 +67,12 @@ from .embedding import checked_norm, unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
 
 FORMAT_NAME = "claimcheck-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+METADATA_FILE = "metadata.jsonl"
+_REBUILD = "re-run `claimcheck build-index` to rebuild the index"
 _MATRIX_DTYPE = np.dtype("<f4")
 _HEADER_FIELDS = frozenset(
-    {"count", "dimension", "format", "metadata_bytes", "model_id", "sha256", "version"}
+    {"count", "dimension", "format", "metadata_bytes", "metadata_sha256", "model_id", "sha256", "version"}
 )
 _ENTRY_FIELDS = frozenset({"metadata", "parent_id", "seq"})
 
@@ -190,7 +197,10 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index to ``path`` whole (see ``config.write_whole``) in format version 3."""
+        """Write the index in format version 4: the metadata to ``metadata.jsonl``
+        beside ``path``, then the leg to ``path``, each whole (see
+        ``config.write_whole``).  The metadata file is shared by every leg
+        in the directory, so it must hold the chunk set they were built from."""
         path = Path(path)
         keys, matrix, metas = self._snapshot
         metadata = b"".join(
@@ -210,41 +220,36 @@ class VectorIndex:
             "dimension": self.dimension,
             "count": len(keys),
             "metadata_bytes": len(metadata),
+            "metadata_sha256": hashlib.sha256(metadata).hexdigest(),
         }
-        header["sha256"] = _digest(header, metadata, matrix)
-        write_whole(path, (_json_line(header), metadata, matrix.data))
+        header["sha256"] = _digest(header, matrix)
+        write_whole(path.with_name(METADATA_FILE), (metadata,))
+        write_whole(path, (_json_line(header), matrix.data))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a persisted index; a damaged file never yields a partial index."""
+        """Read the leg ``path`` and its directory's metadata file; a damaged,
+        missing or mismatched file never yields a partial index."""
         path = Path(path)
-        try:
-            fh = path.open("rb")
-        except FileNotFoundError as exc:
-            raise IndexFormatError(f"index file not found: {path}") from exc
-        with fh:
+        with _open(path, f"index file not found: {path}") as fh:
             size = os.fstat(fh.fileno()).st_size
             header_line = fh.readline()
             header = _parse_header(path, header_line)
             count, dimension = header["count"], header["dimension"]
             # checked before allocating, so a damaged count cannot ask for more
             # memory than the file could fill
-            expected = (
-                len(header_line) + header["metadata_bytes"] + count * dimension * _MATRIX_DTYPE.itemsize
-            )
+            expected = len(header_line) + count * dimension * _MATRIX_DTYPE.itemsize
             if size != expected:
                 raise IndexFormatError(
                     f"{path}: file holds {size} bytes, but {count} entries of dimension "
                     f"{dimension} need {expected} (truncated?)"
                 )
-            metadata = fh.read(header["metadata_bytes"])
             matrix = np.empty((count, dimension), _MATRIX_DTYPE)
             read = fh.readinto(matrix.data)
-        if len(metadata) != header["metadata_bytes"] or read != matrix.nbytes:
+        if read != matrix.nbytes:
             raise IndexFormatError(f"{path}: file shrank while it was read (truncated?)")
-        if _digest(header, metadata, matrix) != header["sha256"]:
+        if _digest(header, matrix) != header["sha256"]:
             raise IndexFormatError(f"{path}: checksum mismatch, the file is damaged")
-        entries = _shared_entries(path, metadata, count)
         # each row's sum of squares in float64, summed without an n x d
         # temporary: zero only for a zero row, finite only for a finite one
         squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
@@ -253,10 +258,23 @@ class VectorIndex:
             raise IndexFormatError(
                 f"{path}: entry {int(bad.argmax())} holds a zero or non-finite vector"
             )
+        entries = _shared_entries(path, header)
         index = cls(model_id=header["model_id"], dimension=dimension)
         index._snapshot = (entries.keys, matrix, entries.metas)
         index._entries = entries
         return index
+
+
+def _open(path: Path, missing: str):
+    """``path`` opened for reading; a missing file raises
+    :class:`IndexFormatError` saying ``missing``, and so does one that cannot
+    be opened, such as a directory, naming the reason."""
+    try:
+        return path.open("rb")
+    except FileNotFoundError as exc:
+        raise IndexFormatError(missing) from exc
+    except OSError as exc:
+        raise IndexFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _json_line(obj) -> bytes:
@@ -272,9 +290,8 @@ def _encoded(obj) -> bytes | None:
         return None
 
 
-def _digest(header: dict, metadata: bytes, matrix: np.ndarray) -> str:
+def _digest(header: dict, matrix: np.ndarray) -> str:
     h = hashlib.sha256(_json_line({k: v for k, v in header.items() if k != "sha256"}))
-    h.update(metadata)
     h.update(matrix.data)
     return h.hexdigest()
 
@@ -291,8 +308,7 @@ def _parse_header(path: Path, line: bytes) -> dict:
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise IndexFormatError(
-            f"{path}: format version {version} is not supported (expected {FORMAT_VERSION}); "
-            "re-run `claimcheck build-index` to rebuild the index"
+            f"{path}: format version {version} is not supported (expected {FORMAT_VERSION}); {_REBUILD}"
         )
     # a header that parses but is not byte-for-byte the canonical line was
     # altered outside the digested values (whitespace, escapes, key order)
@@ -302,8 +318,7 @@ def _parse_header(path: Path, line: bytes) -> dict:
         or _encoded(header) != line
         or any(type(header[k]) is not int or header[k] < 0 for k in sizes)
         or header["dimension"] == 0
-        or not isinstance(header["model_id"], str)
-        or not isinstance(header["sha256"], str)
+        or not all(isinstance(header[k], str) for k in ("metadata_sha256", "model_id", "sha256"))
     ):
         raise IndexFormatError(f"{path}: damaged header")
     return header
@@ -319,31 +334,50 @@ class _Entries:
         self.metas = metas
 
 
-# SHA-256 of a metadata section -> its parse, for as long as an index holds it;
+# SHA-256 of a metadata file -> its parse, for as long as an index holds it;
 # neither tuple nor any metadata dict is ever mutated (upsert builds a new
 # snapshot and every Hit copies its metadata).  Two loads racing on one
-# section may each parse it; either parse is correct.
+# file may each parse it; either parse is correct.
 _PARSED: weakref.WeakValueDictionary[bytes, _Entries] = weakref.WeakValueDictionary()
 
 
-def _shared_entries(path: Path, metadata: bytes, count: int) -> _Entries:
-    """The entries of a metadata section whose file passed its own checks,
-    parsed once while any index loaded from the same bytes is alive."""
+def _shared_entries(leg: Path, header: dict) -> _Entries:
+    """The entries of the metadata file beside the leg ``leg``, which passed
+    its own checks, once the file matches the leg's header; parsed once
+    while any index loaded from the same bytes is alive."""
+    path = leg.with_name(METADATA_FILE)
+    count = header["count"]
+    with _open(path, f"{path}: metadata file of {leg.name} not found; {_REBUILD}") as fh:
+        # checked before reading, so a file of another size is never read
+        size = os.fstat(fh.fileno()).st_size
+        if size != header["metadata_bytes"]:
+            raise IndexFormatError(
+                f"{path}: holds {size} bytes, {leg.name} expects {header['metadata_bytes']} "
+                f"(damaged, or written for another chunk set); {_REBUILD}"
+            )
+        metadata = fh.read()
+    # a file that changed since it was sized fails here too
+    digest = hashlib.sha256(metadata)
+    if digest.hexdigest() != header["metadata_sha256"]:
+        raise IndexFormatError(
+            f"{path}: checksum does not match {leg.name} (damaged, or written for another chunk set); "
+            f"{_REBUILD}"
+        )
     lines = metadata.count(b"\n")
-    # an empty section, or one whose last line ends in its newline
+    # an empty file, or one whose last line ends in its newline
     if lines != count or metadata[-1:] not in (b"", b"\n"):
-        raise IndexFormatError(f"{path}: metadata holds {lines} lines for {count} entries")
-    digest = hashlib.sha256(metadata).digest()
-    entries = _PARSED.get(digest)
+        raise IndexFormatError(f"{path}: metadata holds {lines} lines for {count} entries; {_REBUILD}")
+    key = digest.digest()
+    entries = _PARSED.get(key)
     if entries is None:
-        entries = _PARSED[digest] = _Entries(*_parse_entries(path, metadata, count))
+        entries = _PARSED[key] = _Entries(*_parse_entries(path, metadata, count))
     return entries
 
 
 def _parse_entries(
     path: Path, metadata: bytes, count: int
 ) -> tuple[tuple[ChunkKey, ...], tuple[dict, ...]]:
-    """Every entry of a section of ``count`` whole lines, decoded and scanned in one pass."""
+    """Every entry of metadata of ``count`` whole lines, decoded and scanned in one pass."""
     try:
         text = metadata.decode("utf-8")
     except UnicodeDecodeError as exc:

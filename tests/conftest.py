@@ -3,9 +3,11 @@ and small scripted backends used across the suite."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import http.server
 import json
+import os
 import shutil
 import threading
 import time
@@ -33,21 +35,55 @@ def bundle(tmp_path: Path) -> Path:
     return dest
 
 
-def split_sections(data: bytes) -> tuple[dict, bytes, bytes]:
-    """(header, metadata section, matrix section) of an index file."""
-    header_line, rest = data.split(b"\n", 1)
-    header = json.loads(header_line)
-    return header, rest[: header["metadata_bytes"]], rest[header["metadata_bytes"] :]
+def split_sections(path) -> tuple[dict, bytes, bytes]:
+    """(header, metadata, matrix) of the index leg ``path``: its header and
+    matrix, and the metadata file beside it."""
+    path = Path(path)
+    header_line, matrix = path.read_bytes().split(b"\n", 1)
+    return json.loads(header_line), path.with_name("metadata.jsonl").read_bytes(), matrix
 
 
 def write_sealed(path, header: dict, metadata: bytes, matrix: bytes) -> None:
-    """Write an index file with a valid digest, computed as the format documents."""
+    """Write ``metadata`` as the metadata file beside ``path``, and ``path`` as
+    a leg sealed to it, with sizes and digests computed as the format documents."""
+    path = Path(path)
     header = {k: v for k, v in header.items() if k != "sha256"}
     header["metadata_bytes"] = len(metadata)
+    header["metadata_sha256"] = hashlib.sha256(metadata).hexdigest()
     line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
+    header["sha256"] = hashlib.sha256(line + matrix).hexdigest()
     line = (json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    path.write_bytes(line + metadata + matrix)
+    path.with_name("metadata.jsonl").write_bytes(metadata)
+    path.write_bytes(line + matrix)
+
+
+class FillsUp:
+    """An open file on a disk that fills up partway through the first write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+
+
+def fill_the_disk(monkeypatch) -> None:
+    """From now on, every file opened for writing through ``Path.open`` fills
+    the disk partway through its first write."""
+    real_open = Path.open
+
+    def open_on_a_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return FillsUp(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
 
 
 class StubHttpServer:

@@ -34,6 +34,7 @@ from claimcheck.embedding import (
 )
 from claimcheck.errors import (
     BackendError,
+    ClaimcheckError,
     ConfigError,
     GradingError,
     ProtocolError,
@@ -49,6 +50,7 @@ from conftest import (
     QueueBackend,
     RuleBackend,
     chat_payload,
+    fill_the_disk,
     make_run_config,
 )
 
@@ -244,6 +246,22 @@ def test_scripted_save_round_trip(tmp_path):
     )
     # text and counts come back as they were kept
     assert ChatMemo.from_file(path, model_id="rule").answers() == recorded.answers()
+
+
+def test_a_save_that_fails_partway_leaves_the_old_file(tmp_path, monkeypatch):
+    memo = ChatMemo(RuleBackend(lambda prompt: prompt.upper()))
+    memo.complete("p1")
+    path = tmp_path / "mock.jsonl"
+    memo.save(path)
+    before = path.read_bytes()
+    memo.complete("p2")
+    fill_the_disk(monkeypatch)
+    with pytest.raises(ClaimcheckError) as raised:
+        memo.save(path)
+    monkeypatch.undo()
+    assert str(raised.value) == f"{path}: No space left on device"
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_scripted_from_file_errors(tmp_path):

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import copy
 import csv
-import errno
 import io
 import json
-import os
 import random
 import re
 import subprocess
@@ -22,7 +20,7 @@ from claimcheck.agents import prompt_fingerprint
 from claimcheck.config import load_config
 from claimcheck.embedding import DeterministicEmbedder
 from claimcheck.pipeline import render_report
-from conftest import RuleBackend, chat_payload, split_sections, write_sealed
+from conftest import RuleBackend, chat_payload, fill_the_disk, split_sections, write_sealed
 
 
 def run(*argv: str) -> int:
@@ -69,17 +67,25 @@ def test_ingest_strict_rejects(bundle, capsys):
 def test_build_index_writes_one_index_per_embedder(bundle, capsys):
     build_index(bundle)
     out = capsys.readouterr().out
-    assert (bundle / "index" / "hash-256.idx").exists()
-    assert (bundle / "index" / "hash-384.idx").exists()
+    index_dir = bundle / "index"
+    # one metadata section for the directory, none inside a leg
+    assert sorted(p.name for p in index_dir.iterdir()) == ["hash-256.idx", "hash-384.idx", "metadata.jsonl"]
+    metadata = (index_dir / "metadata.jsonl").read_bytes()
+    assert metadata.count(b"\n") == 12
+    for dimension in (256, 384):
+        header, _, matrix = split_sections(index_dir / f"hash-{dimension}.idx")
+        assert header["metadata_bytes"] == len(metadata)
+        assert len(matrix) == header["count"] * dimension * 4
+        assert metadata not in (index_dir / f"hash-{dimension}.idx").read_bytes()
     assert "hash-256:" in out and "hash-384:" in out
     assert "indexed" in out
 
 
 def test_build_index_is_deterministic(bundle):
     build_index(bundle)
-    first = (bundle / "index" / "hash-256.idx").read_bytes()
+    first = {p.name: p.read_bytes() for p in (bundle / "index").iterdir()}
     build_index(bundle)
-    assert (bundle / "index" / "hash-256.idx").read_bytes() == first
+    assert {p.name: p.read_bytes() for p in (bundle / "index").iterdir()} == first
 
 
 def test_build_index_strict_on_rejects(bundle, capsys):
@@ -431,34 +437,70 @@ def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
 
 def test_check_refuses_an_index_entry_with_a_lone_surrogate_escape(bundle, capsys):
     build_index(bundle)
-    path = bundle / "index" / "hash-384.idx"
-    header, metadata, matrix = split_sections(path.read_bytes())
-    write_sealed(path, header, metadata.replace(b'"title": "', b'"title": "\\ud800', 1), matrix)
+    metadata = (bundle / "index" / "metadata.jsonl").read_bytes()
+    bad = metadata.replace(b'"title": "', b'"title": "\\ud800', 1)
+    # both legs resealed to the one metadata file of their directory
+    for dimension in (256, 384):
+        leg = bundle / "index" / f"hash-{dimension}.idx"
+        header, _, matrix = split_sections(leg)
+        write_sealed(leg, header, bad, matrix)
     out = bundle / "report.json"
     code = run(
         "--config", str(bundle / "config.yaml"),
         "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr", "--out", str(out),
     )
     assert code == 1
-    assert f"error: {path}: bad entry 0: " in capsys.readouterr().err
+    assert f"error: {bundle / 'index' / 'metadata.jsonl'}: bad entry 0: " in capsys.readouterr().err
     assert not out.exists()
 
 
-class FillsUp:
-    """An open file on a disk that fills up partway through the first write."""
+def rewrite_version_3(index_dir: Path) -> None:
+    leg = index_dir / "hash-256.idx"
+    header, newline, rest = leg.read_bytes().partition(b"\n")
+    leg.write_bytes(header.replace(b'"version": 4}', b'"version": 3}') + newline + rest)
 
-    def __init__(self, fh):
-        self.fh = fh
 
-    def __enter__(self):
-        return self
+def flip_a_metadata_byte(index_dir: Path) -> None:
+    path = index_dir / "metadata.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:100] + bytes([data[100] ^ 1]) + data[101:])
 
-    def __exit__(self, *exc):
-        self.fh.close()
 
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+def leave_a_stale_leg(index_dir: Path) -> None:
+    """A later build over another corpus that failed after its first leg:
+    the second leg still names the earlier corpus's metadata."""
+    stale = (index_dir / "hash-384.idx").read_bytes()
+    corpus = index_dir.parent / "corpus.jsonl"
+    corpus.write_text("".join(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[1:]), encoding="utf-8")
+    build_index(index_dir.parent)
+    (index_dir / "hash-384.idx").write_bytes(stale)
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (rewrite_version_3, r"hash-256.idx: format version 3 is not supported"),
+        (lambda index_dir: (index_dir / "metadata.jsonl").unlink(), "metadata file of hash-256.idx not found"),
+        (flip_a_metadata_byte, "checksum does not match hash-256.idx"),
+        (leave_a_stale_leg, r"metadata.jsonl: holds \d+ bytes, hash-384.idx expects \d+ "),
+    ],
+    ids=["version-3", "metadata-missing", "metadata-damaged", "metadata-stale"],
+)
+def test_check_refuses_an_index_its_metadata_file_does_not_match(bundle, capsys, damage, message):
+    build_index(bundle)
+    damage(bundle / "index")
+    capsys.readouterr()
+    out = bundle / "report.json"
+    code = run(
+        "--config", str(bundle / "config.yaml"),
+        "check", "--article", str(bundle / "immune-boosters.md"), "--mode", "lotr-srag", "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err)
+    assert "re-run `claimcheck build-index`" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -466,24 +508,18 @@ class FillsUp:
     [
         (["check", "--article", "immune-boosters.md", "--mode", "lotr", "--out", "out/result"], "out/result"),
         (["evaluate", "--scores", "pairwise_scores.json", "--out", "out/result"], "out/result"),
-        (["build-index"], "index/hash-256.idx"),
+        (["build-index"], "index/metadata.jsonl"),
     ],
     ids=["check", "evaluate", "build-index"],
 )
 def test_a_write_that_fails_partway_leaves_no_output(bundle, monkeypatch, capsys, argv, out):
-    """A full disk while writing a report, a comparison or an index leg exits
-    1 naming the file, and leaves nothing in the output directory."""
+    """A full disk while writing a report, a comparison or an index's first
+    file exits 1 naming the file, and leaves nothing in the output directory."""
     if argv[0] != "build-index":
         build_index(bundle)
     monkeypatch.chdir(bundle)
     capsys.readouterr()
-    real_open = Path.open
-
-    def open_on_a_full_disk(self, mode="r", *args, **kwargs):
-        fh = real_open(self, mode, *args, **kwargs)
-        return FillsUp(fh) if "w" in mode else fh
-
-    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+    fill_the_disk(monkeypatch)
     assert run("--config", "config.yaml", *argv) == 1
     err = capsys.readouterr().err
     # the index path is resolved against the config's directory

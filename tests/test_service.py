@@ -27,6 +27,15 @@ def test_pipeline_shares_one_embedder_per_model(bundle, capsys):
     assert [leg.retriever_id for leg in legs] == ["hash-256", "hash-384"]
 
 
+def test_loaded_legs_share_one_parse_of_their_directory_metadata(bundle, capsys):
+    assert cli.main(["--config", str(bundle / "config.yaml"), "build-index"]) == 0
+    a, b = service.load_indexes(load_config(bundle / "config.yaml"))
+    assert (a.model_id, b.model_id) == ("hash-256", "hash-384")
+    assert a._snapshot[0] is b._snapshot[0]
+    assert a._snapshot[2] is b._snapshot[2]
+    assert len(a) == len(b) == 12
+
+
 def test_backends_passed_by_role_replace_the_configured_ones(tmp_path):
     config = make_run_config(tmp_path, mock_fixtures=str(tmp_path / "mock.jsonl"))
     line = {"fingerprint": prompt_fingerprint("p"), "prompt_tokens": 1, "completion_tokens": 1, "response": "r"}

@@ -252,14 +252,15 @@ def test_persist_load_round_trip(tmp_path):
 
 def test_persist_is_deterministic_and_reload_stable(tmp_path):
     index = populated_index()
-    first = tmp_path / "a.idx"
-    second = tmp_path / "b.idx"
+    first = tmp_path / "a" / "test.idx"
+    second = tmp_path / "b" / "test.idx"
     index.persist(first)
     index.persist(second)
     assert first.read_bytes() == second.read_bytes()
+    assert (tmp_path / "a" / "metadata.jsonl").read_bytes() == (tmp_path / "b" / "metadata.jsonl").read_bytes()
     # persist(load(persist(x))) is byte-stable: the matrix bytes are written
     # and read exactly, with no renormalizing on load
-    third = tmp_path / "c.idx"
+    third = tmp_path / "a" / "c.idx"
     VectorIndex.load(first).persist(third)
     assert third.read_bytes() == first.read_bytes()
 
@@ -267,38 +268,50 @@ def test_persist_is_deterministic_and_reload_stable(tmp_path):
 def test_persist_leaves_no_tmp_file(tmp_path):
     path = tmp_path / "test.idx"
     populated_index().persist(path)
-    assert [p.name for p in tmp_path.iterdir()] == ["test.idx"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metadata.jsonl", "test.idx"]
 
 
 def test_header_contents(tmp_path):
     path = tmp_path / "test.idx"
     index = populated_index()
     index.persist(path)
-    header, metadata, matrix = split_sections(path.read_bytes())
+    header, metadata, matrix = split_sections(path)
     digest = header.pop("sha256")
     assert header == {
         "format": "claimcheck-index",
-        "version": 3,
+        "version": 4,
         "model_id": "model/with-slash",
         "dimension": 5,
         "count": 12,
         "metadata_bytes": len(metadata),
+        "metadata_sha256": hashlib.sha256(metadata).hexdigest(),
     }
     assert len(digest) == 64
     entries = [json.loads(line) for line in metadata.splitlines()]
     assert [(e["parent_id"], e["seq"]) for e in entries] == [tuple(k) for k in index._snapshot[0]]
     assert entries[0]["metadata"] == {"n": "0", "title": "T0"}
+    # the leg is its header line and the matrix alone
+    assert path.read_bytes().index(b"\n") + 1 + len(matrix) == path.stat().st_size
     assert np.array_equal(np.frombuffer(matrix, "<f4").reshape(12, 5), index._snapshot[1])
-    # resealing the same sections reproduces the file: the digest is as documented
-    write_sealed(tmp_path / "resealed.idx", {**header, "sha256": digest}, metadata, matrix)
-    assert (tmp_path / "resealed.idx").read_bytes() == path.read_bytes()
+    # resealing the same sections reproduces both files: the digests are as documented
+    resealed = tmp_path / "resealed" / "test.idx"
+    resealed.parent.mkdir()
+    write_sealed(resealed, {**header, "sha256": digest}, metadata, matrix)
+    assert resealed.read_bytes() == path.read_bytes()
+    assert resealed.with_name("metadata.jsonl").read_bytes() == metadata
 
 
 def test_load_rejects_damaged_files(tmp_path):
     path = tmp_path / "test.idx"
+    metadata_path = tmp_path / "metadata.jsonl"
 
     with pytest.raises(IndexFormatError, match="not found"):
         VectorIndex.load(path)
+
+    path.mkdir()  # a path that cannot be read as a file
+    with pytest.raises(IndexFormatError, match="test.idx: Is a directory"):
+        VectorIndex.load(path)
+    path.rmdir()
 
     path.write_bytes(b"")
     with pytest.raises(IndexFormatError, match="missing header"):
@@ -308,15 +321,15 @@ def test_load_rejects_damaged_files(tmp_path):
     with pytest.raises(IndexFormatError, match="not valid JSON"):
         VectorIndex.load(path)
 
-    path.write_bytes(b'{"format": "something-else", "version": 3}\n')
+    path.write_bytes(b'{"format": "something-else", "version": 4}\n')
     with pytest.raises(IndexFormatError, match="not a claimcheck-index"):
         VectorIndex.load(path)
 
     populated_index().persist(path)
     pristine = path.read_bytes()
-    header, metadata, matrix = split_sections(pristine)
+    header, metadata, matrix = split_sections(path)
 
-    path.write_bytes(pristine.replace(b'"version": 3', b'"version": 99', 1))
+    path.write_bytes(pristine.replace(b'"version": 4', b'"version": 99', 1))
     with pytest.raises(IndexFormatError, match="version 99"):
         VectorIndex.load(path)
 
@@ -327,18 +340,20 @@ def test_load_rejects_damaged_files(tmp_path):
     path.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
     with pytest.raises(IndexFormatError, match="checksum"):
         VectorIndex.load(path)
+    path.write_bytes(pristine)
 
-    # a metadata byte flipped without resealing: the digest fails before any
-    # entry is parsed, so the damage reads as damage, not as a bad entry
-    start = len(pristine) - len(matrix) - len(metadata)
-    path.write_bytes(pristine[:start] + b"[" + pristine[start + 1 :])
-    with pytest.raises(IndexFormatError, match="checksum mismatch") as raised:
+    # a metadata byte flipped without resealing: the leg's metadata digest
+    # fails before any entry is parsed, so the damage reads as damage, not
+    # as a bad entry
+    metadata_path.write_bytes(b"[" + metadata[1:])
+    with pytest.raises(IndexFormatError, match="checksum does not match.*claimcheck build-index") as raised:
         VectorIndex.load(path)
     assert "bad entry" not in str(raised.value)
 
     write_sealed(path, header, metadata.replace(b"{", b"{bad json", 1), matrix)
-    with pytest.raises(IndexFormatError, match="bad entry 0"):
+    with pytest.raises(IndexFormatError, match="bad entry 0") as raised:
         VectorIndex.load(path)
+    assert str(raised.value).startswith(f"{metadata_path}: bad entry 0: ")
 
     write_sealed(path, header, metadata.replace(b'"seq": 0', b'"seq": "0"', 1), matrix)
     with pytest.raises(IndexFormatError, match="bad entry 0"):
@@ -370,6 +385,43 @@ def test_load_rejects_damaged_files(tmp_path):
             VectorIndex.load(path)
 
 
+def test_load_refuses_a_leg_whose_metadata_file_does_not_match(tmp_path):
+    path = tmp_path / "test.idx"
+    metadata_path = tmp_path / "metadata.jsonl"
+    populated_index().persist(path)
+    metadata = metadata_path.read_bytes()
+
+    metadata_path.unlink()
+    with pytest.raises(IndexFormatError, match="metadata file of test.idx not found.*claimcheck build-index"):
+        VectorIndex.load(path)
+    metadata_path.mkdir()
+    with pytest.raises(IndexFormatError, match="metadata.jsonl: Is a directory"):
+        VectorIndex.load(path)
+    metadata_path.rmdir()
+
+    for wrong_length in (metadata[:-1], metadata + b"\n", metadata + metadata):
+        metadata_path.write_bytes(wrong_length)
+        with pytest.raises(
+            IndexFormatError, match=f"holds {len(wrong_length)} bytes, test.idx expects {len(metadata)}.*claimcheck build-index"
+        ):
+            VectorIndex.load(path)
+
+    # a later build over another chunk set of the same size rewrote the
+    # metadata file, and this leg was left behind
+    other = tmp_path / "other" / "test.idx"
+    other.parent.mkdir()
+    populated_index().persist(other)
+    header, other_metadata, matrix = split_sections(other)
+    write_sealed(other, header, other_metadata.replace(b'"T0"', b'"X0"', 1), matrix)
+    metadata_path.write_bytes(other.with_name("metadata.jsonl").read_bytes())
+    with pytest.raises(IndexFormatError, match="checksum does not match test.idx.*claimcheck build-index"):
+        VectorIndex.load(path)
+    assert len(VectorIndex.load(other)) == 12
+
+    metadata_path.write_bytes(metadata)
+    assert len(VectorIndex.load(path)) == 12
+
+
 def test_load_rejects_equivalent_but_altered_header(tmp_path):
     # each edit keeps the header's JSON values, so only the canonical-form
     # check can catch it: the digest covers the values, not the spelling
@@ -387,11 +439,11 @@ def test_a_header_holding_a_lone_surrogate_escape_is_damaged(tmp_path):
     # line is sealed as JSON's ASCII escapes write it
     path = tmp_path / "test.idx"
     populated_index().persist(path)
-    header, metadata, matrix = split_sections(path.read_bytes())
+    header, _, matrix = split_sections(path)
     header = {k: v for k, v in header.items() if k != "sha256"} | {"model_id": "m\ud800"}
     line = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
-    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
-    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode("ascii") + metadata + matrix)
+    header["sha256"] = hashlib.sha256(line + matrix).hexdigest()
+    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode("ascii") + matrix)
     with pytest.raises(IndexFormatError, match="damaged header"):
         VectorIndex.load(path)
 
@@ -405,56 +457,90 @@ def test_load_refuses_version_1_files(tmp_path):
         VectorIndex.load(path)
 
 
+def write_single_file(path, version: int, metadata: bytes, matrix: bytes) -> None:
+    """A sealed file of format version 2 or 3: header, metadata and matrix in one file."""
+    header = {
+        "count": metadata.count(b"\n"),
+        "dimension": len(matrix) // metadata.count(b"\n") // (8 if version == 2 else 4),
+        "format": "claimcheck-index",
+        "metadata_bytes": len(metadata),
+        "model_id": "m",
+        "version": version,
+    }
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+    header["sha256"] = hashlib.sha256(line + metadata + matrix).hexdigest()
+    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + metadata + matrix)
+
+
 def test_load_refuses_version_2_files(tmp_path):
-    # a sealed version 2 file: the same sections with a float64 matrix
+    # a sealed version 2 file: one file holding the metadata and a float64 matrix
     path = tmp_path / "test.idx"
     populated_index().persist(path)
-    header, metadata, matrix = split_sections(path.read_bytes())
-    rows = np.frombuffer(matrix, "<f4").astype("<f8")
-    write_sealed(path, {**header, "version": 2}, metadata, rows.tobytes())
+    _, metadata, matrix = split_sections(path)
+    write_single_file(path, 2, metadata, np.frombuffer(matrix, "<f4").astype("<f8").tobytes())
     with pytest.raises(IndexFormatError, match="version 2 is not supported.*claimcheck build-index"):
         VectorIndex.load(path)
 
 
+def test_load_refuses_version_3_files(tmp_path):
+    # a sealed version 3 file: one file holding the metadata and the float32
+    # matrix, the metadata file beside it intact
+    path = tmp_path / "test.idx"
+    populated_index().persist(path)
+    _, metadata, matrix = split_sections(path)
+    write_single_file(path, 3, metadata, matrix)
+    with pytest.raises(IndexFormatError, match="version 3 is not supported.*claimcheck build-index"):
+        VectorIndex.load(path)
+
+
 @pytest.fixture(scope="module")
-def pristine_file(tmp_path_factory):
+def pristine_files(tmp_path_factory):
+    """An index leg and its metadata file, each with its pristine bytes."""
     path = tmp_path_factory.mktemp("damage") / "test.idx"
     populated_index().persist(path)
-    return path, path.read_bytes()
+    metadata_path = path.with_name("metadata.jsonl")
+    return path, [(path, path.read_bytes()), (metadata_path, metadata_path.read_bytes())]
 
 
-def test_every_truncation_raises_index_format_error(pristine_file):
-    path, pristine = pristine_file
-    try:
-        for end in range(len(pristine)):
-            path.write_bytes(pristine[:end])
-            with pytest.raises(IndexFormatError):
-                VectorIndex.load(path)
-    finally:
-        path.write_bytes(pristine)
+def test_every_truncation_raises_index_format_error(pristine_files):
+    path, files = pristine_files
+    for damaged, pristine in files:
+        try:
+            for end in range(len(pristine)):
+                damaged.write_bytes(pristine[:end])
+                with pytest.raises(IndexFormatError):
+                    VectorIndex.load(path)
+        finally:
+            damaged.write_bytes(pristine)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_any_damage_raises_index_format_error(pristine_file, data):
-    path, pristine = pristine_file
-    header_end = pristine.index(b"\n") + 1
-    metadata_end = header_end + split_sections(pristine)[0]["metadata_bytes"]
-    section = data.draw(
-        st.sampled_from([(0, header_end), (header_end, metadata_end), (metadata_end, len(pristine))])
+def test_any_damage_raises_index_format_error(pristine_files, data):
+    path, files = pristine_files
+    leg, metadata = files
+    header_end = leg[1].index(b"\n") + 1
+    damaged, pristine, (start, stop) = data.draw(
+        st.sampled_from(
+            [
+                (*leg, (0, header_end)),
+                (*leg, (header_end, len(leg[1]))),
+                (*metadata, (0, len(metadata[1]))),
+            ]
+        )
     )
-    offset = data.draw(st.integers(*section).filter(lambda i: i < len(pristine)))
+    offset = data.draw(st.integers(start, stop - 1))
     if data.draw(st.booleans()):
-        damaged = pristine[:offset]
+        bad = pristine[:offset]
     else:
         flipped = pristine[offset] ^ data.draw(st.integers(1, 255))
-        damaged = pristine[:offset] + bytes([flipped]) + pristine[offset + 1 :]
-    path.write_bytes(damaged)
+        bad = pristine[:offset] + bytes([flipped]) + pristine[offset + 1 :]
+    damaged.write_bytes(bad)
     try:
         with pytest.raises(IndexFormatError):
             VectorIndex.load(path)
     finally:
-        path.write_bytes(pristine)
+        damaged.write_bytes(pristine)
 
 
 def test_load_peak_allocation_stays_near_one_matrix(tmp_path):
@@ -497,12 +583,12 @@ def test_upsert_peak_allocation_stays_near_one_matrix():
 
 
 def sharing_files(tmp_path):
-    """Two files whose metadata sections are byte-identical and whose
-    matrices differ: the two legs of one corpus.  Returns both paths, the
-    first file's sections and the registry key of their metadata."""
+    """Two legs in one directory, so of one metadata file, whose matrices
+    differ: the two legs of one corpus.  Returns both paths, the first
+    leg's sections and the registry key of their metadata."""
     first = tmp_path / "first.idx"
     populated_index().persist(first)
-    header, metadata, matrix = split_sections(first.read_bytes())
+    header, metadata, matrix = split_sections(first)
     second = tmp_path / "second.idx"
     rows = -np.frombuffer(matrix, "<f4")
     write_sealed(second, {**header, "model_id": "other"}, metadata, rows.tobytes())
@@ -519,7 +605,9 @@ def test_identical_metadata_sections_share_one_parse(tmp_path):
 
 
 def test_sections_one_byte_apart_share_nothing(tmp_path):
-    first, second, (header, metadata, matrix), _ = sharing_files(tmp_path)
+    first, _, (header, metadata, matrix), _ = sharing_files(tmp_path)
+    second = tmp_path / "other" / "second.idx"
+    second.parent.mkdir()
     write_sealed(second, header, metadata.replace(b'"T0"', b'"T9"', 1), matrix)
     a, b = VectorIndex.load(first), VectorIndex.load(second)
     assert a._snapshot[0] is not b._snapshot[0]
@@ -553,6 +641,14 @@ def test_damaged_file_never_reuses_a_live_parse(tmp_path):
     second.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
     with pytest.raises(IndexFormatError, match="checksum"):
         VectorIndex.load(second)
+    second.write_bytes(pristine)
+    # the metadata file damaged while a parse of its pristine bytes is live:
+    # the header's digest names that parse, but the file no longer matches it
+    metadata_path = second.with_name("metadata.jsonl")
+    metadata_path.write_bytes(metadata.replace(b'"T0"', b'"T9"', 1))
+    with pytest.raises(IndexFormatError, match="checksum does not match second.idx"):
+        VectorIndex.load(second)
+    metadata_path.write_bytes(metadata)
     rows = np.frombuffer(matrix, "<f4").reshape(12, 5).copy()
     rows[7] = 0.0
     write_sealed(second, header, metadata, rows.tobytes())
@@ -619,7 +715,7 @@ def test_loads_racing_on_one_section_each_get_the_whole_parse(tmp_path):
 def test_bad_entries_are_named_by_their_line(tmp_path):
     path = tmp_path / "test.idx"
     populated_index().persist(path)
-    header, metadata, matrix = split_sections(path.read_bytes())
+    header, metadata, matrix = split_sections(path)
     lines = metadata.splitlines(keepends=True)
 
     def sealed_with(n: int, line: bytes) -> None:
@@ -648,7 +744,7 @@ def test_bad_entries_are_named_by_their_line(tmp_path):
 def test_each_metadata_line_is_exactly_one_json_value(tmp_path):
     path = tmp_path / "test.idx"
     populated_index().persist(path)
-    header, metadata, matrix = split_sections(path.read_bytes())
+    header, metadata, matrix = split_sections(path)
     lines = metadata.splitlines(keepends=True)
     for n, line in ((2, b" " + lines[2]), (4, lines[4][:-1] + b" \n")):
         write_sealed(path, header, b"".join([*lines[:n], line, *lines[n + 1 :]]), matrix)
