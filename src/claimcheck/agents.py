@@ -36,7 +36,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .transport import JsonEndpoint, LruMap, remote_endpoint
+from .transport import JsonEndpoint, LruMap, remote_endpoint, run_all, waits_on
 
 SCRIPTED_ENDPOINT = "scripted"
 CLAIM_DEDUPE_THRESHOLD = 0.9
@@ -164,6 +164,10 @@ class ChatMemo:
         lines = (MockAnswer(a.prompt_fingerprint, a.prompt_tokens, a.completion_tokens, a.text) for a in self.answers())
         text = "".join(json.dumps(plain(line), ensure_ascii=False) + "\n" for line in lines)
         write_whole(path, (text.encode("utf-8"),))
+
+    def holds(self, prompt: str) -> bool:
+        """Whether an answer to ``prompt`` is kept, so that ``complete`` posts nothing."""
+        return prompt_fingerprint(prompt) in self._answers
 
     def complete(self, prompt: str) -> RawAnswer:
         key = prompt_fingerprint(prompt)
@@ -381,30 +385,39 @@ def score_with_retry(backend: LlmBackend, prompt: str, what: str) -> bool:
     return verdict
 
 
-def _dedupe_near(found: list[tuple[str, ChunkKey]], vectors) -> list[tuple[str, ChunkKey]]:
-    """The first of each group of claims whose embeddings' cosine reaches the threshold."""
-    kept: list[tuple[str, ChunkKey]] = []
-    kept_vectors = []
-    for (text, key), vec in zip(found, vectors):
-        duplicate = any(
-            cosine_similarity(vec, seen) >= CLAIM_DEDUPE_THRESHOLD for seen in kept_vectors
-        )
-        if not duplicate:
-            kept.append((text, key))
-            kept_vectors.append(vec)
+def _dedupe_near(vectors) -> list[int]:
+    """Positions of the first of each group of claims whose embeddings' cosine reaches the threshold."""
+    kept: list[int] = []
+    for i, vec in enumerate(vectors):
+        if not any(cosine_similarity(vec, vectors[j]) >= CLAIM_DEDUPE_THRESHOLD for j in kept):
+            kept.append(i)
     return kept
 
 
-def _dedupe_exact(found: list[tuple[str, ChunkKey]]) -> list[tuple[str, ChunkKey]]:
-    """The first of each group of claims equal once case-folded and whitespace-collapsed."""
+def _dedupe_exact(texts: list[str]) -> list[int]:
+    """Positions of the first of each group of claims equal once case-folded and whitespace-collapsed."""
     seen: set[str] = set()
     kept = []
-    for text, key in found:
+    for i, text in enumerate(texts):
         normal = " ".join(text.casefold().split())
         if normal not in seen:
             seen.add(normal)
-            kept.append((text, key))
+            kept.append(i)
     return kept
+
+
+def _same_model(a, b) -> bool:
+    """Whether embedders ``a`` and ``b`` give the same vectors: one object, or one ``spec``."""
+    spec = getattr(a, "spec", None)
+    return a is b or (spec is not None and spec == getattr(b, "spec", None))
+
+
+def _first_query(outcome, i: int):
+    """Claim ``i``'s first-round query from a leg's batch ``outcome``: its row,
+    the ``TransportError`` that took the leg down, or None after any other error."""
+    if isinstance(outcome, TransportError):
+        return outcome
+    return None if isinstance(outcome, ClaimcheckError) else outcome[i]
 
 
 class FactCheckAgents:
@@ -433,50 +446,86 @@ class FactCheckAgents:
         article_id: str,
         chunks: Sequence[Chunk],
         warnings: list[str],
+        query_embedders: Sequence = (),
+        queries: list | None = None,
     ) -> list[Claim]:
         """Per-chunk extraction followed by cross-chunk near-duplicate removal.
 
-        A chunk whose generator call fails with a transport, protocol or
-        backend error, or whose listing stays unparseable after one
-        stricter retry, is skipped with a note appended to ``warnings``.
-        If every chunk's call failed, the first failure is raised
-        instead, since no part of the article was read.  Duplicates
-        (embedding cosine >= the threshold) keep the earliest chunk's
-        copy; if the dedupe embedding fails with a transport or protocol
-        error, only exact repeats (case-folded, whitespace collapsed) are
-        dropped, with a note.  Any other error, ``ConfigError`` included,
-        is raised.
+        The chunks' listings are asked for together (see
+        ``transport.run_all``), so a remote generator's overlap.  A chunk
+        whose generator call fails with a transport, protocol or backend
+        error, or whose listing stays unparseable after one stricter
+        retry, is skipped with a note appended to ``warnings``, in chunk
+        order.  If every chunk's call failed, the first chunk's failure is
+        raised instead, since no part of the article was read.
+        Duplicates (embedding cosine >= the threshold) keep the earliest
+        chunk's copy; if the dedupe embedding fails with a transport or
+        protocol error, only exact repeats (case-folded, whitespace
+        collapsed) are dropped, with a note.  Any other error of the
+        dedupe embedding, ``ConfigError`` included, is raised.
+
+        Each of ``query_embedders`` (the retriever legs' embedders) embeds
+        the listed claim texts in one call, at the same time as the dedupe
+        embedding; one with the dedupe embedder's ``spec`` reuses its rows
+        instead.  ``queries`` then receives, per kept claim in claim
+        order, a list holding per query embedder the claim's first-round
+        query vector; the ``TransportError`` its call failed with, which
+        marks that leg down for every claim; or None after any other
+        error, so that each claim embeds on its own and a malformed
+        vector fails only its own claim.
         """
+        listings = [prompts.EXTRACT_CLAIMS.render(chunk=chunk.text) for chunk in chunks]
+
+        def listing(prompt: str) -> list[str] | None | ClaimcheckError:
+            try:
+                return list_with_retry(self.generator, prompt)
+            except (TransportError, ProtocolError, BackendError) as exc:
+                return exc
+
         found: list[tuple[str, ChunkKey]] = []
         failures: list[ClaimcheckError] = []
-        for chunk in chunks:
-            try:
-                lines = list_with_retry(self.generator, prompts.EXTRACT_CLAIMS.render(chunk=chunk.text))
-            except (TransportError, ProtocolError, BackendError) as exc:
-                failures.append(exc)
-                warnings.append(f"chunk {tuple(chunk.key)}: claim extraction failed: {exc}; chunk skipped")
-                continue
-            if lines is None:
+        for chunk, lines in zip(chunks, run_all(listing, listings, lambda p: waits_on(self.generator, p))):
+            if isinstance(lines, ClaimcheckError):
+                failures.append(lines)
+                warnings.append(f"chunk {tuple(chunk.key)}: claim extraction failed: {lines}; chunk skipped")
+            elif lines is None:
                 warnings.append(
                     f"chunk {tuple(chunk.key)}: claim listing unparseable after retry; chunk skipped"
                 )
-                continue
-            found.extend((line, chunk.key) for line in lines)
+            else:
+                found.extend((line, chunk.key) for line in lines)
         if failures and len(failures) == len(chunks):
             raise failures[0]
 
         if not found:
             return []
-        try:
-            vectors = self.embedder.embed([text for text, _ in found])
-        except (TransportError, ProtocolError) as exc:
-            warnings.append(f"claim dedupe embedding failed: {exc}; only exact repeats dropped")
-            kept = _dedupe_exact(found)
+        texts = [text for text, _ in found]
+        models = [self.embedder]
+        for embedder in query_embedders:
+            if not any(_same_model(model, embedder) for model in models):
+                models.append(embedder)
+
+        def embed(model):
+            try:
+                return model.embed(texts)
+            except ClaimcheckError as exc:
+                return exc
+
+        outcomes = run_all(embed, models, lambda model: waits_on(model, texts))
+        vectors = outcomes[0]
+        if isinstance(vectors, (TransportError, ProtocolError)):
+            warnings.append(f"claim dedupe embedding failed: {vectors}; only exact repeats dropped")
+            kept = _dedupe_exact(texts)
+        elif isinstance(vectors, ClaimcheckError):
+            raise vectors
         else:
-            kept = _dedupe_near(found, vectors)
+            kept = _dedupe_near(vectors)
+        if query_embedders and queries is not None:
+            legs = [next(o for m, o in zip(models, outcomes) if _same_model(m, e)) for e in query_embedders]
+            queries.extend([_first_query(out, i) for out in legs] for i in kept)
         return [
-            Claim(id=f"{article_id}:c{i + 1}", text=text, source_chunk=key)
-            for i, (text, key) in enumerate(kept)
+            Claim(id=f"{article_id}:c{n + 1}", text=found[i][0], source_chunk=found[i][1])
+            for n, i in enumerate(kept)
         ]
 
     # -- generation ----------------------------------------------------
@@ -501,6 +550,13 @@ class FactCheckAgents:
         return _complete(self.generator, prompt)
 
     # -- grading -------------------------------------------------------
+
+    def grade_document_waits_on(self, claim: Claim, document: str) -> JsonEndpoint | None:
+        """The endpoint :meth:`grade_document` waits on: None for an
+        in-process grader, and for a memo that holds the grade."""
+        if remote_endpoint(self.grader) is None:
+            return None
+        return waits_on(self.grader, prompts.GRADE_DOCUMENT.render(document=document, question=claim.text))
 
     def grade_document(self, claim: Claim, document: str) -> bool:
         prompt = prompts.GRADE_DOCUMENT.render(document=document, question=claim.text)

@@ -206,6 +206,10 @@ class EmbeddingMemo:
         self.endpoint = inner.endpoint
         self._rows = LruMap(EMBEDDING_MEMO_ENTRIES)
 
+    def holds(self, texts: list[str]) -> bool:
+        """Whether a row is kept for every one of ``texts``, so that ``embed`` posts nothing."""
+        return len(texts) <= self._rows.size and all(text in self._rows for text in texts)
+
     def embed(self, texts: list[str]) -> np.ndarray:
         """The inner embedder's ``(len(texts), dimension)`` float64 matrix."""
         if len(texts) > self._rows.size:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .corpus import ChunkKey
 from .errors import ConfigError, TransportError
-from .transport import remote_endpoint, run_all
+from .transport import run_all, waits_on
 from .vecindex import DEFAULT_K, DEFAULT_LAMBDA, DEFAULT_POOL_SIZE, Hit, VectorIndex
 
 logger = logging.getLogger(__name__)
@@ -102,30 +102,37 @@ class MergingRetriever:
         self.pool_size = int(pool_size)
         self.reorder = reorder
 
-    def _query_leg(self, leg: RetrieverLeg, claim_text: str) -> list[Hit]:
-        return leg.index.mmr_select(
-            leg.embedder.embed([claim_text])[0],
-            k=self.k,
-            pool_size=self.pool_size,
-            lambda_=self.lambda_,
-            min_similarity=self.min_similarity,
-        )
+    def retrieve(self, claim_text: str, queries: Sequence | None = None) -> EvidenceBundle:
+        """Evidence for one claim; degrades to the remaining legs if an embedder is down.
 
-    def retrieve(self, claim_text: str) -> EvidenceBundle:
-        """Evidence for one claim; degrades to a single leg if one embedder is down.
-
-        A leg on a remote embedder is queried on that embedder's endpoint
-        pool, overlapped with the others; an in-process leg runs in the
+        ``queries``, when given, holds one entry per leg: the leg's query
+        vector for ``claim_text``, searched without embedding it again;
+        the ``TransportError`` the leg's embedder already failed with,
+        which counts the leg as down without a new request; or None, to
+        embed ``claim_text`` as when ``queries`` is not given.  A leg
+        that waits on a remote embedder is queried on that embedder's
+        endpoint pool, overlapped with the others; every other leg,
+        in-process, given its vector or answered by a memo, runs in the
         caller's thread.
         """
+        firsts = [None] * len(self.legs) if queries is None else list(queries)
 
-        def query(leg: RetrieverLeg) -> list[Hit] | TransportError:
+        def query(i: int) -> list[Hit] | TransportError:
+            leg, first = self.legs[i], firsts[i]
+            if isinstance(first, TransportError):
+                return first
             try:
-                return self._query_leg(leg, claim_text)
+                vector = leg.embedder.embed([claim_text])[0] if first is None else first
             except TransportError as exc:
                 return exc
+            return leg.index.mmr_select(
+                vector, k=self.k, pool_size=self.pool_size, lambda_=self.lambda_, min_similarity=self.min_similarity
+            )
 
-        per_leg = run_all(query, self.legs, lambda leg: remote_endpoint(leg.embedder))
+        def endpoint_of(i: int):
+            return None if firsts[i] is not None else waits_on(self.legs[i].embedder, [claim_text])
+
+        per_leg = run_all(query, range(len(self.legs)), endpoint_of)
         failures = [
             (leg.retriever_id, out) for leg, out in zip(self.legs, per_leg) if isinstance(out, TransportError)
         ]

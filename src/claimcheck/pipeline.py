@@ -197,18 +197,22 @@ class FactCheckPipeline:
         answer = self.agents.baseline_answer(claim, article.body)
         return self._entry_from_answer(claim, parse_verdict(answer.text), (), trace, baseline=True)
 
-    def _retrieve(self, claim: Claim, trace: SragTrace) -> EvidenceBundle:
+    def _retrieve(self, claim: Claim, trace: SragTrace, queries: list | None = None) -> EvidenceBundle:
         if self.retriever is None:
             raise ConfigError("retrieval mode requested but no retriever is configured")
-        bundle = self.retriever.retrieve(claim.text)
+        if queries is None:
+            bundle = self.retriever.retrieve(claim.text)
+        else:
+            bundle = self.retriever.retrieve(claim.text, queries)
         trace.retrieval_rounds += 1
         trace.notes.extend(bundle.warnings)
         return bundle
 
-    def verify_claim_lotr(self, claim: Claim) -> FactCheckEntry:
-        """Single retrieve-then-generate pass."""
+    def verify_claim_lotr(self, claim: Claim, queries: list | None = None) -> FactCheckEntry:
+        """Single retrieve-then-generate pass; ``queries`` are the claim's
+        first-round leg queries (see ``MergingRetriever.retrieve``)."""
         trace = SragTrace()
-        bundle = self._retrieve(claim, trace)
+        bundle = self._retrieve(claim, trace, queries)
         if not bundle.hits:
             return self._unverifiable_entry(
                 claim, "No evidence above the similarity threshold.", trace
@@ -224,10 +228,11 @@ class FactCheckPipeline:
 
         The grades are independent, so a remote grader's are issued
         together on its endpoint's pool, whose in-flight cap bounds how
-        many reach it at once; an in-process grader answers them in this
-        thread, one after another.  A GradingError makes its document a
-        "no".  Any other error fails the claim, but only after every
-        sibling grade has finished, so no grading task outlives the call.
+        many reach it at once; an in-process grader, and a memo holding
+        the grade, answer in this thread, one after another.  A
+        GradingError makes its document a "no".  Any other error fails
+        the claim, but only after every sibling grade has finished, so no
+        grading task outlives the call.
         """
 
         def grade(hit: Hit) -> tuple[bool, str | None]:
@@ -236,23 +241,24 @@ class FactCheckPipeline:
             except GradingError as exc:
                 return False, f"document grade treated as no: {exc}"
 
-        endpoint = remote_endpoint(self.agents.grader)
         grades: list[bool] = []
-        for ok, note in run_all(grade, hits, lambda hit: endpoint):
+        for ok, note in run_all(grade, hits, lambda hit: self.agents.grade_document_waits_on(claim, _hit_text(hit))):
             grades.append(ok)
             if note is not None:
                 trace.notes.append(note)
         return grades
 
-    def verify_claim_srag(self, claim: Claim) -> FactCheckEntry:
-        """Self-reflective loop: grade evidence, regenerate, rewrite, within budgets."""
+    def verify_claim_srag(self, claim: Claim, queries: list | None = None) -> FactCheckEntry:
+        """Self-reflective loop: grade evidence, regenerate, rewrite, within
+        budgets; ``queries`` serve the first round (see :meth:`verify_claim_lotr`)."""
         budget = self.config.refinement
         trace = SragTrace()
         current = claim
         last_parsed: ParsedVerdict | None = None
         last_kept: tuple[Hit, ...] = ()
         while True:
-            bundle = self._retrieve(current, trace)
+            bundle = self._retrieve(current, trace, queries)
+            queries = None
             grades = self._grade_documents(current, bundle.hits, trace)
             kept = [hit for hit, ok in zip(bundle.hits, grades) if ok]
             trace.doc_grades.append(grades)
@@ -299,16 +305,18 @@ class FactCheckPipeline:
 
     # -- article flow ------------------------------------------------------
 
-    def _verify(self, claim: Claim, article: ArticleText, mode: str) -> FactCheckEntry:
+    def _verify(self, claim: Claim, article: ArticleText, mode: str, queries: list | None) -> FactCheckEntry:
         if mode == "baseline":
             return self.verify_claim_baseline(claim, article)
         if mode == "lotr":
-            return self.verify_claim_lotr(claim)
-        return self.verify_claim_srag(claim)
+            return self.verify_claim_lotr(claim, queries)
+        return self.verify_claim_srag(claim, queries)
 
-    def _verify_safely(self, claim: Claim, article: ArticleText, mode: str) -> FactCheckEntry:
+    def _verify_safely(
+        self, claim: Claim, article: ArticleText, mode: str, queries: list | None = None
+    ) -> FactCheckEntry:
         try:
-            return self._verify(claim, article, mode)
+            return self._verify(claim, article, mode, queries)
         except ClaimcheckError as exc:
             logger.warning("claim %s failed: %s", claim.id, exc)
             trace = SragTrace(terminal_state=TERMINAL_ERROR, notes=[f"claim failed: {exc}"])
@@ -317,11 +325,17 @@ class FactCheckPipeline:
     def check_article(self, article: ArticleText, mode: str) -> Report:
         """Extract and verify every claim of ``article``; entries in claim order.
 
+        The chunks' listings, and in the retrieval modes every listed
+        claim's first-round leg queries, are asked for once per article,
+        so that their waits overlap; each claim's first round searches
+        with its own rows (see ``FactCheckAgents.extract_claims``).
+
         When some model answers over HTTP, the claims are verified side by
         side on a pool of ``concurrency`` workers.  When every model is
         in-process there is nothing to wait on, so the claims are verified
         one after another in the caller's thread; so is an article whose
-        pool would have one worker.
+        pool would have one worker.  A grade or leg query that a memo
+        holds is answered in the thread that needs it.
 
         ``token_usage`` counts the backend calls this call makes, in its
         own context: checks that share the pipeline, one after another or
@@ -336,8 +350,13 @@ class FactCheckPipeline:
             self.config.chunking.article_chunk_size,
             self.config.chunking.article_overlap,
         )
+        legs = () if mode == "baseline" or self.retriever is None else self.retriever.legs
+        queries: list = []
         with count_usage() as token_usage:
-            claims = self.agents.extract_claims(article.id, chunks, warnings=warnings)
+            claims = self.agents.extract_claims(
+                article.id, chunks, warnings=warnings, query_embedders=[leg.embedder for leg in legs], queries=queries
+            )
+            work = list(zip(claims, queries or [None] * len(claims)))
             workers = min(self.config.concurrency, len(claims))
             if self._any_remote and workers > 1:
                 # each claim runs in its own copy of this context, which
@@ -345,12 +364,12 @@ class FactCheckPipeline:
                 # Context cannot be entered by two threads at once
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     futures = [
-                        pool.submit(contextvars.copy_context().run, self._verify_safely, c, article, mode)
-                        for c in claims
+                        pool.submit(contextvars.copy_context().run, self._verify_safely, c, article, mode, q)
+                        for c, q in work
                     ]
                 entries = [future.result() for future in futures]
             else:
-                entries = [self._verify_safely(c, article, mode) for c in claims]
+                entries = [self._verify_safely(c, article, mode, q) for c, q in work]
         return Report(
             article_id=article.id,
             mode=mode,

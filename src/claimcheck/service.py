@@ -95,8 +95,8 @@ def build_pipeline(config: RunConfig, mode: str) -> FactCheckPipeline:
     """A pipeline for ``mode``; only the retrieval modes load indexes.
 
     Claim dedupe and the first leg share one embedder, and so one
-    embedding memo when it is remote: a first-round query reuses the
-    claim's dedupe vector.
+    embedding memo when it is remote: a claim's first-round query on
+    that leg is its dedupe vector.
     """
     embedders = build_embedders(config)
     retriever = None if mode == "baseline" else build_retriever(config, embedders, load_indexes(config))

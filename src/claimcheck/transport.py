@@ -14,9 +14,9 @@ verifies certificates and host names against the system trust store (or
 ``SSL_CERT_FILE``); no proxy is used and no redirect is followed.
 
 :func:`run_all` is the one place that decides where concurrency
-happens: work on an in-process model runs in the caller's thread, and
-only calls that wait on an endpoint are overlapped, on that endpoint's
-pool.
+happens: work on an in-process model, and work a memo answers, runs in
+the caller's thread, and only calls that wait on an endpoint are
+overlapped, on that endpoint's pool.
 """
 
 from __future__ import annotations
@@ -262,6 +262,16 @@ def remote_endpoint(model) -> JsonEndpoint | None:
     return getattr(model, "endpoint", None)
 
 
+def waits_on(model, request) -> JsonEndpoint | None:
+    """The endpoint ``model`` waits on to answer ``request``: None for an
+    in-process model, and for a memo that already holds the answer (its
+    ``holds(request)``), which it gives without a request."""
+    endpoint = remote_endpoint(model)
+    if endpoint is None or getattr(model, "holds", lambda request: False)(request):
+        return None
+    return endpoint
+
+
 def run_all(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -271,7 +281,9 @@ def run_all(
 
     An item whose call waits on an endpoint (``endpoint_of(item)``) runs
     on that endpoint's pool, overlapped with the others; every other item
-    runs in the caller's thread, in order.  A lone item runs inline too,
+    runs in the caller's thread, in order.  Callers name no endpoint for
+    a call that a memo answers (see :func:`waits_on`), so a hit costs no
+    hop to a pool thread and back.  A lone item runs inline too,
     having nothing to overlap with, and so does an item whose endpoint's
     pool is running the caller or a task waiting on it: no task waits on
     its own pool.  The first failure by position is raised once every
@@ -312,6 +324,10 @@ class LruMap:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._entries
 
     def get(self, key):
         with self._lock:

@@ -8,16 +8,19 @@ import hashlib
 import http.server
 import json
 import os
+import random
 import shutil
+import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from claimcheck.agents import RawAnswer, prompt_fingerprint
+from claimcheck.agents import ChatMemo, RawAnswer, prompt_fingerprint
 from claimcheck.config import EmbedderSpec, LlmBackendConfig, RunConfig
 from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder
+from claimcheck.errors import BackendError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -93,7 +96,8 @@ class StubHttpServer:
     ``responses`` is a queue of (status, payload) pairs; when it runs dry
     the optional ``default`` callable builds a response from the request
     body, and with neither the server answers 500.  Each answer waits
-    ``delay`` seconds first.  Connections are kept alive, and
+    ``delay`` seconds first, or after :meth:`seed_delays` a seeded random
+    delay of its own.  Connections are kept alive, and
     ``accepted`` counts them; with ``close_idle`` the server closes each
     one after its answer without saying so, as a server that drops idle
     connections does.
@@ -104,6 +108,7 @@ class StubHttpServer:
         self.requests: list[tuple[str, dict, dict]] = []
         self.default = None
         self.delay = 0.0
+        self._delays: tuple[random.Random, float] | None = None
         self.close_idle = False
         self.accepted = 0
         self._lock = threading.Lock()
@@ -115,6 +120,10 @@ class StubHttpServer:
 
             def setup(self):
                 super().setup()
+                # an answer longer than the write buffer goes out in several
+                # writes, which Nagle's algorithm would hold for the client's
+                # delayed ACK
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with outer._lock:
                     outer.accepted += 1
 
@@ -132,8 +141,9 @@ class StubHttpServer:
                         status, payload = outer.default(body)
                     else:
                         status, payload = 500, {}
+                    delay = outer.delay if outer._delays is None else outer._delays[0].uniform(0, outer._delays[1])
                 raw = payload.encode() if isinstance(payload, str) else json.dumps(payload).encode()
-                time.sleep(outer.delay)
+                time.sleep(delay)
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))
@@ -146,6 +156,12 @@ class StubHttpServer:
 
         self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
+
+    def seed_delays(self, seed: int, most: float = 0.005) -> None:
+        """From now on each answer waits a delay of 0 to ``most`` seconds,
+        drawn in arrival order from a generator seeded with ``seed``."""
+        with self._lock:
+            self._delays = (random.Random(seed), most)
 
     @property
     def url(self) -> str:
@@ -165,6 +181,29 @@ class StubHttpServer:
 def http_stub():
     with StubHttpServer() as server:
         yield server
+
+
+def replay_fixtures(specs, mock_fixtures=FIXTURES / "mock_responses.jsonl"):
+    """A ``StubHttpServer.default`` serving hosted models from the committed
+    fixtures: a chat post gets the ``mock_fixtures`` answer to its prompt's
+    fingerprint, with that line's token counts (404 for an unknown prompt,
+    which no retry can mend), and an embedding post gets the vectors of
+    the deterministic embedder whose spec in ``specs`` names its model."""
+    scripted = ChatMemo.from_file(mock_fixtures)
+    local = {spec.model_id: DeterministicEmbedder(spec) for spec in specs}
+
+    def answer(body):
+        if "input" in body:
+            vectors = local[body["model"]].embed(body["input"])
+            return 200, {"data": [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]}
+        try:
+            kept = scripted.complete(body["messages"][0]["content"])
+        except BackendError:
+            return 404, {}
+        usage = {"prompt_tokens": kept.prompt_tokens, "completion_tokens": kept.completion_tokens}
+        return 200, {"choices": [{"message": {"content": kept.text}}], "usage": usage}
+
+    return answer
 
 
 class FakeResponse:

@@ -746,6 +746,58 @@ def test_extract_claims_raises_when_every_chunk_call_failed():
         )
 
 
+def test_extract_claims_lists_a_remote_generators_chunks_together(http_stub):
+    """Three chunk listings that each wait ``delay`` take well under twice
+    that, and a failing middle chunk still warns, and keeps its claims
+    out, in chunk order."""
+    delay = 0.3
+    http_stub.delay = delay
+
+    def answer(body):
+        prompt = body["messages"][0]["content"]
+        word = next(w for w in ("first", "second", "third") if f"{w} chunk" in prompt)
+        return (400, {}) if word == "second" else (200, chat_payload(f"The {word} claim holds."))
+
+    http_stub.default = answer
+    generator = RemoteChatBackend(chat_config(http_stub.url), base_delay=0.001)
+    warnings: list[str] = []
+    start = time.perf_counter()
+    claims = agents_with(generator=generator).extract_claims("a1", THREE_CHUNKS, warnings=warnings)
+    assert time.perf_counter() - start < 2 * delay
+    assert [(c.id, c.text, c.source_chunk) for c in claims] == [
+        ("a1:c1", "The first claim holds.", ChunkKey("a1", 0)),
+        ("a1:c2", "The third claim holds.", ChunkKey("a1", 2)),
+    ]
+    assert warnings == [
+        "chunk ('a1', 1): claim extraction failed: backend 'chat-model' (generator) returned HTTP 400; chunk skipped"
+    ]
+    assert len(http_stub.requests) == 3
+
+
+class OrderedFailures:
+    """A fake transport session failing every chunk's listing with its own
+    status: the second chunk's at once, the first chunk's only after it."""
+
+    def __init__(self):
+        self.second_failed = threading.Event()
+
+    def post(self, url, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
+        if "second chunk" in prompt:
+            self.second_failed.set()
+            return FakeResponse(403, {})
+        if not self.second_failed.wait(timeout=10):
+            raise AssertionError("the chunks' listings were not asked for together")
+        return FakeResponse(404, {})
+
+
+def test_extract_claims_raises_the_first_chunks_error_when_every_remote_listing_fails():
+    generator = RemoteChatBackend(chat_config("http://chat.invalid/v1"), session=OrderedFailures())
+    chunks = [chunk(0, "first chunk"), chunk(1, "second chunk")]
+    with pytest.raises(TransportError, match="HTTP 404"):
+        agents_with(generator=generator).extract_claims("a1", chunks, warnings=[])
+
+
 def test_extract_claims_skips_a_chunk_whose_answer_utf8_cannot_encode(http_stub):
     """A chat answer holding a lone surrogate, which JSON escapes in ASCII, is
     a malformed answer: that chunk is skipped after one request, and the

@@ -431,7 +431,8 @@ def test_check_over_remote_embedders_posts_each_claim_text_once_per_model(
     first_round = {e["claim"]["text"] for e in report["entries"] if e["claim"]["rewritten_from"] is None}
     assert first_round <= set(dedupe)
     assert set(dedupe).isdisjoint(sum(later, []))
-    assert first_round <= set(sum(posted["hash-384"], []))
+    # leg 1 embeds every listed claim in its first post, beside the dedupe post
+    assert posted["hash-384"][0] == dedupe
     assert len(memos) == 2  # one per model: claim dedupe shares the first leg's
 
 

@@ -23,7 +23,7 @@ from claimcheck.agents import (
 )
 from claimcheck.config import EmbedderSpec, LlmBackendConfig, RefinementConfig, load_config, plain, typed
 from claimcheck.corpus import ArticleText, ChunkKey, load_article
-from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, RemoteEmbedder
+from claimcheck.embedding import DETERMINISTIC_ENDPOINT, DeterministicEmbedder, EmbeddingMemo, RemoteEmbedder
 from claimcheck.errors import BackendError, ConfigError
 from claimcheck.lotr import EvidenceBundle, MergingRetriever, RetrieverLeg
 from claimcheck.pipeline import (
@@ -36,6 +36,7 @@ from claimcheck.pipeline import (
     render_report,
 )
 from claimcheck.prompts import SCORE_RETRY_SUFFIX
+from claimcheck.transport import MAX_ATTEMPTS
 from claimcheck.vecindex import Hit, VectorIndex
 from conftest import (
     CountingSession,
@@ -878,6 +879,44 @@ def test_check_article_malformed_leg_embedding_fails_only_that_claim(tmp_path):
     assert bad.trace.terminal_state == TERMINAL_ERROR
     assert bad.label is VerdictLabel.UNVERIFIABLE
     assert bad.explanation == "Verification failed: model 'leg-a': non-numeric embedding values"
+
+
+class DownEmbeddingSession:
+    """A fake transport session answering every embedding post with HTTP
+    500, and noting the texts of each post."""
+
+    def __init__(self):
+        self.inputs: list[list[str]] = []
+
+    def post(self, url, json, headers, timeout):
+        self.inputs.append(list(json["input"]))
+        return FakeResponse(500, {})
+
+
+def test_check_article_leg_down_for_the_claim_batch_is_down_for_every_first_round(tmp_path):
+    claims = ["Zinc cures colds.", "Garlic prevents flu.", "Water helps."]
+    healthy, local = remote_leg_retriever("never in any text")
+    session = DownEmbeddingSession()
+    spec = EmbedderSpec(model_id="leg-b", dimension=32, endpoint="http://embeddings.invalid/v1")
+    down = EmbeddingMemo(RemoteEmbedder(spec, session=session, sleep=lambda s: None))
+    legs = [*healthy.legs, RetrieverLeg("leg-b", down, VectorIndex(model_id="leg-b", dimension=32))]
+    retriever = MergingRetriever(legs, k=2, min_similarity=-1.0, pool_size=2)
+    agents = FactCheckAgents(
+        generator=srag_generator(claims),
+        grader=RuleBackend(lambda prompt: YES),
+        rewriter=QueueBackend([]),
+        embedder=local,
+    )
+    report = FactCheckPipeline(make_run_config(tmp_path, concurrency=3), agents, retriever).check_article(
+        ARTICLE, "lotr_srag"
+    )
+    assert [e.claim.text for e in report.entries] == claims
+    for entry in report.entries:
+        assert entry.trace.terminal_state == TERMINAL_DONE
+        assert entry.trace.notes.count("retriever 'leg-b' unavailable, degraded to remaining legs") == 1
+    # one batch of every listed claim, retried until the attempts ran out,
+    # and no claim posted its first-round text again
+    assert session.inputs == [claims] * MAX_ATTEMPTS
 
 
 def test_check_article_survives_a_malformed_dedupe_embedding(tmp_path):
