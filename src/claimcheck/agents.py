@@ -16,6 +16,7 @@ import hashlib
 import json
 import re
 import threading
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -551,9 +552,9 @@ class FactCheckAgents:
 
     # -- grading -------------------------------------------------------
 
-    def grade_document_waits_on(self, claim: Claim, document: str) -> JsonEndpoint | None:
-        """The endpoint :meth:`grade_document` waits on: None for an
-        in-process grader, and for a memo that holds the grade."""
+    def grade_document_waits_on(self, claim: Claim, document: str) -> Executor | None:
+        """The pool of the endpoint :meth:`grade_document` waits on: None
+        for an in-process grader, and for a memo that holds the grade."""
         if remote_endpoint(self.grader) is None:
             return None
         return waits_on(self.grader, prompts.GRADE_DOCUMENT.render(document=document, question=claim.text))

@@ -29,6 +29,7 @@ from .errors import ClaimcheckError, ConfigError
 
 MODES = ("baseline", "lotr", "lotr_srag")
 ROLES = ("generator", "grader", "rewriter")
+REORDER_MODES = ("ends", "none")
 
 
 FreeText = NewType("FreeText", str)
@@ -204,8 +205,8 @@ class RetrievalConfig:
             raise ConfigError(
                 f"{key} needs 0 < k <= pool_size, got k={self.k} pool_size={self.pool_size}"
             )
-        if self.reorder not in ("ends", "none"):
-            raise ConfigError(f"reorder must be 'ends' or 'none', got {self.reorder!r}")
+        if self.reorder not in REORDER_MODES:
+            raise ConfigError(f"reorder must be {' or '.join(map(repr, REORDER_MODES))}, got {self.reorder!r}")
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+from .config import ChunkingConfig
 from .errors import ConfigError, ValidationError
-
-ARTICLE_CHUNK_SIZE = 2000
-ARTICLE_CHUNK_OVERLAP = 200
-KB_CHUNK_SIZE = 400
-KB_CHUNK_OVERLAP = 50
 
 _CSV_COLUMNS = ["id", "title", "abstract", "authors", "published_date", "keywords"]
 # the reason a JSONL line is rejected, by the error reading it raised; else "invalid json"
@@ -109,8 +105,8 @@ def _token_pieces(text: str) -> tuple[list[str], list[int]]:
 def chunk_text(
     parent_id: str,
     text: str,
-    chunk_size: int = ARTICLE_CHUNK_SIZE,
-    overlap: int = ARTICLE_CHUNK_OVERLAP,
+    chunk_size: int = ChunkingConfig.article_chunk_size,
+    overlap: int = ChunkingConfig.article_overlap,
     metadata: dict | None = None,
 ) -> list[Chunk]:
     """Cut ``text`` into overlapping token windows.
@@ -265,8 +261,8 @@ def record_metadata(record: CorpusRecord) -> dict:
 
 def chunk_corpus(
     records: Iterable[CorpusRecord],
-    chunk_size: int = KB_CHUNK_SIZE,
-    overlap: int = KB_CHUNK_OVERLAP,
+    chunk_size: int = ChunkingConfig.kb_chunk_size,
+    overlap: int = ChunkingConfig.kb_overlap,
 ) -> list[Chunk]:
     """Chunk every record's abstract, falling back to the title when empty."""
     chunks: list[Chunk] = []

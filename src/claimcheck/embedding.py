@@ -175,7 +175,7 @@ class RemoteEmbedder:
         run_all(
             lambda offset: self._post_batch(texts, offset, out),
             range(0, len(texts), MAX_BATCH),
-            lambda offset: self.endpoint,
+            lambda offset: self.endpoint.pool,
         )
         bad = ~np.isfinite(out).all(axis=1)
         if bad.any():

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import prompts
 from .agents import LlmBackend, list_with_retry, score_with_retry
-from .config import FreeText, plain, read_json_lines
+from .config import EvaluationConfig, FreeText, plain, read_json_lines
 from .embedding import cosine_similarity
 from .pipeline import Report, entry_response_text
 from .errors import (
@@ -52,7 +52,6 @@ SYSTEM_DISPLAY = {
 PREFERRED_PAIRS = (("baseline", "lotr"), ("lotr", "lotr_srag"), ("baseline", "lotr_srag"))
 
 WILCOXON_EXACT_LIMIT = 25
-DEFAULT_MATCH_THRESHOLD = 0.75
 
 
 # -- per-pair metrics --------------------------------------------------------
@@ -514,7 +513,7 @@ def evaluate_run(
     embed: Callable[[list[str]], np.ndarray],
     statements_fn: Callable[[str], list[str]],
     judge_fn: Callable[[str, str], bool],
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
+    match_threshold: float = EvaluationConfig.match_threshold,
 ) -> EvalRunResult:
     """Score reports against ground truth and compare the systems.
 

@@ -15,15 +15,13 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import REORDER_MODES, RetrievalConfig
 from .corpus import ChunkKey
 from .errors import ConfigError, TransportError
 from .transport import run_all, waits_on
-from .vecindex import DEFAULT_K, DEFAULT_LAMBDA, DEFAULT_POOL_SIZE, Hit, VectorIndex
+from .vecindex import Hit, VectorIndex
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MIN_SIMILARITY = 0.8
-REORDER_MODES = ("ends", "none")
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ def dedupe(hits: Sequence[Hit]) -> list[Hit]:
     return list(first.values())
 
 
-def long_context_reorder(hits: Sequence[Hit], mode: str = "ends") -> list[Hit]:
+def long_context_reorder(hits: Sequence[Hit], mode: str = RetrievalConfig.reorder) -> list[Hit]:
     """Place the most relevant hits at the edges of the context.
 
     ``ends`` sends input ranks 1,3,5,... to the front and 2,4,6,... to
@@ -85,11 +83,11 @@ class MergingRetriever:
     def __init__(
         self,
         legs: Sequence[RetrieverLeg],
-        k: int = DEFAULT_K,
-        lambda_: float = DEFAULT_LAMBDA,
-        min_similarity: float = DEFAULT_MIN_SIMILARITY,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        reorder: str = "ends",
+        k: int = RetrievalConfig.k,
+        lambda_: float = RetrievalConfig.lambda_,
+        min_similarity: float = RetrievalConfig.min_similarity,
+        pool_size: int = RetrievalConfig.pool_size,
+        reorder: str = RetrievalConfig.reorder,
     ):
         if not legs:
             raise ConfigError("retriever needs at least one leg")

@@ -19,10 +19,10 @@ article.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .agents import Claim, FactCheckAgents, ParsedVerdict, VerdictLabel, count_usage, parse_verdict
@@ -200,10 +200,7 @@ class FactCheckPipeline:
     def _retrieve(self, claim: Claim, trace: SragTrace, queries: list | None = None) -> EvidenceBundle:
         if self.retriever is None:
             raise ConfigError("retrieval mode requested but no retriever is configured")
-        if queries is None:
-            bundle = self.retriever.retrieve(claim.text)
-        else:
-            bundle = self.retriever.retrieve(claim.text, queries)
+        bundle = self.retriever.retrieve(claim.text, queries)
         trace.retrieval_rounds += 1
         trace.notes.extend(bundle.warnings)
         return bundle
@@ -305,18 +302,15 @@ class FactCheckPipeline:
 
     # -- article flow ------------------------------------------------------
 
-    def _verify(self, claim: Claim, article: ArticleText, mode: str, queries: list | None) -> FactCheckEntry:
-        if mode == "baseline":
-            return self.verify_claim_baseline(claim, article)
-        if mode == "lotr":
-            return self.verify_claim_lotr(claim, queries)
-        return self.verify_claim_srag(claim, queries)
-
     def _verify_safely(
         self, claim: Claim, article: ArticleText, mode: str, queries: list | None = None
     ) -> FactCheckEntry:
         try:
-            return self._verify(claim, article, mode, queries)
+            if mode == "baseline":
+                return self.verify_claim_baseline(claim, article)
+            if mode == "lotr":
+                return self.verify_claim_lotr(claim, queries)
+            return self.verify_claim_srag(claim, queries)
         except ClaimcheckError as exc:
             logger.warning("claim %s failed: %s", claim.id, exc)
             trace = SragTrace(terminal_state=TERMINAL_ERROR, notes=[f"claim failed: {exc}"])
@@ -330,12 +324,16 @@ class FactCheckPipeline:
         so that their waits overlap; each claim's first round searches
         with its own rows (see ``FactCheckAgents.extract_claims``).
 
-        When some model answers over HTTP, the claims are verified side by
-        side on a pool of ``concurrency`` workers.  When every model is
-        in-process there is nothing to wait on, so the claims are verified
-        one after another in the caller's thread; so is an article whose
-        pool would have one worker.  A grade or leg query that a memo
-        holds is answered in the thread that needs it.
+        The claims go through one ``transport.run_all``, the outermost
+        of an article's.  When some model answers over HTTP, they are
+        verified side by side on a pool of ``concurrency`` workers.  When
+        every model is in-process there is nothing to wait on, so they
+        are verified one after another in the caller's thread, with no
+        pool built; so is an article whose pool would have one worker.
+        A grade or leg query that a memo holds is answered in the thread
+        that needs it.  A claim's ``ClaimcheckError`` becomes its error
+        entry; any other error is raised once every claim has finished,
+        the first by claim order.
 
         ``token_usage`` counts the backend calls this call makes, in its
         own context: checks that share the pipeline, one after another or
@@ -358,18 +356,8 @@ class FactCheckPipeline:
             )
             work = list(zip(claims, queries or [None] * len(claims)))
             workers = min(self.config.concurrency, len(claims))
-            if self._any_remote and workers > 1:
-                # each claim runs in its own copy of this context, which
-                # carries the usage totals into the pool's threads; one
-                # Context cannot be entered by two threads at once
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(contextvars.copy_context().run, self._verify_safely, c, article, mode, q)
-                        for c, q in work
-                    ]
-                entries = [future.result() for future in futures]
-            else:
-                entries = [self._verify_safely(c, article, mode, q) for c, q in work]
+            with ThreadPoolExecutor(max_workers=workers) if self._any_remote and workers > 1 else nullcontext() as pool:
+                entries = run_all(lambda w: self._verify_safely(w[0], article, mode, w[1]), work, lambda w: pool)
         return Report(
             article_id=article.id,
             mode=mode,

@@ -13,10 +13,10 @@ kept-alive connections, at most one per request in flight.  HTTPS
 verifies certificates and host names against the system trust store (or
 ``SSL_CERT_FILE``); no proxy is used and no redirect is followed.
 
-:func:`run_all` is the one place that decides where concurrency
-happens: work on an in-process model, and work a memo answers, runs in
-the caller's thread, and only calls that wait on an endpoint are
-overlapped, on that endpoint's pool.
+:func:`run_all` is the one place where work is overlapped: an article's
+claims on the pipeline's pool, and listings, grades, retriever legs and
+embedding batches on the pool of the endpoint they wait on.  Work on an
+in-process model, and work a memo answers, runs in the caller's thread.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import ssl
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from json import dumps, loads
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import urlsplit
@@ -53,10 +53,8 @@ _STALE = (ConnectionResetError, BrokenPipeError)
 T = TypeVar("T")
 R = TypeVar("R")
 
-# the endpoints whose pools run the current task and the tasks that wait on it
-_running_on: contextvars.ContextVar[tuple[JsonEndpoint, ...]] = contextvars.ContextVar(
-    "claimcheck_endpoint_pools", default=()
-)
+# the pools that run the current task and the tasks that wait on it
+_running_on: contextvars.ContextVar[tuple[Executor, ...]] = contextvars.ContextVar("claimcheck_pools", default=())
 
 
 def _retryable(status: int) -> bool:
@@ -172,7 +170,7 @@ class JsonEndpoint:
     and raises ``OSError`` or ``http.client.HTTPException`` when the
     request fails.  By default it is a private keep-alive client.
 
-    Calls that wait on the endpoint overlap on its one pool of
+    Calls that wait on the endpoint overlap on ``pool``, an executor of
     ``max_in_flight`` threads, started on first use (see :func:`run_all`).
     The pool's threads exit once the endpoint is garbage collected.
     """
@@ -195,25 +193,10 @@ class JsonEndpoint:
         self.timeout = timeout
         self.api_key_env = api_key_env
         self.session = session or _KeepAliveSession()
-        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self.base_delay = base_delay
         self.sleep = sleep
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _submit(self, fn: Callable[[T], R], item: T) -> Future:
-        """Run ``fn(item)`` on the pool, in a copy of the caller's context."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_in_flight, thread_name_prefix="claimcheck-endpoint"
-                )
-        return self._pool.submit(contextvars.copy_context().run, self._run_task, fn, item)
-
-    def _run_task(self, fn: Callable[[T], R], item: T) -> R:
-        _running_on.set(_running_on.get() + (self,))
-        return fn(item)
+        self.pool = ThreadPoolExecutor(max_workers=max_in_flight, thread_name_prefix="claimcheck-endpoint")
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
@@ -262,39 +245,45 @@ def remote_endpoint(model) -> JsonEndpoint | None:
     return getattr(model, "endpoint", None)
 
 
-def waits_on(model, request) -> JsonEndpoint | None:
-    """The endpoint ``model`` waits on to answer ``request``: None for an
-    in-process model, and for a memo that already holds the answer (its
-    ``holds(request)``), which it gives without a request."""
+def waits_on(model, request) -> Executor | None:
+    """The pool of the endpoint ``model`` waits on to answer ``request``:
+    None for an in-process model, and for a memo that already holds the
+    answer (its ``holds(request)``), which it gives without a request."""
     endpoint = remote_endpoint(model)
     if endpoint is None or getattr(model, "holds", lambda request: False)(request):
         return None
-    return endpoint
+    return endpoint.pool
+
+
+def _run_on(pool: Executor, fn: Callable[[T], R], item: T) -> R:
+    _running_on.set(_running_on.get() + (pool,))
+    return fn(item)
 
 
 def run_all(
     fn: Callable[[T], R],
     items: Sequence[T],
-    endpoint_of: Callable[[T], JsonEndpoint | None] = lambda item: None,
+    pool_of: Callable[[T], Executor | None] = lambda item: None,
 ) -> list[R]:
     """``fn(item)`` for every item, with the results in input order.
 
-    An item whose call waits on an endpoint (``endpoint_of(item)``) runs
-    on that endpoint's pool, overlapped with the others; every other item
-    runs in the caller's thread, in order.  Callers name no endpoint for
-    a call that a memo answers (see :func:`waits_on`), so a hit costs no
-    hop to a pool thread and back.  A lone item runs inline too,
-    having nothing to overlap with, and so does an item whose endpoint's
-    pool is running the caller or a task waiting on it: no task waits on
-    its own pool.  The first failure by position is raised once every
-    call has finished.
+    An item routed to a pool (``pool_of(item)``) runs there, in a copy of
+    the caller's context, overlapped with the others; every other item
+    runs in the caller's thread, in order.  Callers route a call that
+    waits on an endpoint to that endpoint's pool, and name no pool for a
+    call that a memo answers (see :func:`waits_on`), so a hit costs no
+    hop to a pool thread and back.  A lone item runs inline too, having
+    nothing to overlap with, and so does an item whose pool is running
+    the caller or a task waiting on it: no task waits on its own pool.
+    An ``Exception`` fails only its own item, and the first failure by
+    position is raised once every call has finished.
     """
     pending: dict[int, Future] = {}
     if len(items) > 1:
         for i, item in enumerate(items):
-            endpoint = endpoint_of(item)
-            if endpoint is not None and endpoint not in _running_on.get():
-                pending[i] = endpoint._submit(fn, item)
+            pool = pool_of(item)
+            if pool is not None and pool not in _running_on.get():
+                pending[i] = pool.submit(contextvars.copy_context().run, _run_on, pool, fn, item)
     outcomes: list[Future] = []
     for i, item in enumerate(items):
         if i in pending:

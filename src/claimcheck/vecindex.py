@@ -61,7 +61,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .config import write_whole
+from .config import RetrievalConfig, write_whole
 from .corpus import ChunkKey
 from .embedding import checked_norm, unit_normalize
 from .errors import ConfigError, IndexFormatError, ValidationError
@@ -76,9 +76,6 @@ _HEADER_FIELDS = frozenset(
 )
 _ENTRY_FIELDS = frozenset({"metadata", "parent_id", "seq"})
 
-DEFAULT_K = 5
-DEFAULT_POOL_SIZE = 20
-DEFAULT_LAMBDA = 0.5
 NO_THRESHOLD = -1.0
 
 
@@ -159,9 +156,9 @@ class VectorIndex:
     def mmr_select(
         self,
         query,
-        k: int = DEFAULT_K,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        lambda_: float = DEFAULT_LAMBDA,
+        k: int = RetrievalConfig.k,
+        pool_size: int = RetrievalConfig.pool_size,
+        lambda_: float = RetrievalConfig.lambda_,
         min_similarity: float = NO_THRESHOLD,
     ) -> list[Hit]:
         """Relevance/diversity trade-off selection.

@@ -321,7 +321,7 @@ class RepeatRetriever:
         self.hits = tuple(hits)
         self.calls = 0
 
-    def retrieve(self, text: str) -> EvidenceBundle:
+    def retrieve(self, text: str, queries=None) -> EvidenceBundle:
         self.calls += 1
         return EvidenceBundle(hits=self.hits)
 

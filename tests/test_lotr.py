@@ -294,7 +294,7 @@ def one_thread_endpoint_jobs() -> None:
         results.append(retriever.retrieve("zinc lozenges"))
         # inside the pool's one thread, each job queries legs or posts
         # batches on that same endpoint
-        results.append(run_all(lambda job: job(), jobs, lambda job: endpoint))
+        results.append(run_all(lambda job: job(), jobs, lambda job: endpoint.pool))
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()

@@ -68,7 +68,7 @@ class StubRetriever:
         self.bundles = list(bundles)
         self.queries: list[str] = []
 
-    def retrieve(self, text: str) -> EvidenceBundle:
+    def retrieve(self, text: str, queries=None) -> EvidenceBundle:
         self.queries.append(text)
         hits = self.bundles.pop(0) if self.bundles else self.bundles_last
         self.bundles_last = hits
@@ -1023,6 +1023,36 @@ def test_check_article_one_remote_leg_uses_the_claim_pool(tmp_path, monkeypatch)
     assert pools == [2]
     assert [e.claim.id for e in report.entries] == ["art:c1", "art:c2", "art:c3"]
     assert all(e.trace.terminal_state == TERMINAL_DONE for e in report.entries)
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["inline", "claim-pool"])
+def test_check_article_raises_a_claims_unexpected_error_after_every_claim(tmp_path, remote):
+    # claim 1's grader crashes at once while the other claims are still
+    # grading; in-process models verify the claims in this thread, a
+    # remote grader at concurrency 2 on the claim pool
+    claims = ["Zinc cures colds.", "Garlic prevents flu.", "Water helps."]
+    finished: list[str] = []
+    crashed_on: list[int] = []
+
+    def rule(prompt: str) -> str:
+        if claims[0] in prompt:
+            crashed_on.append(threading.get_ident())
+            raise RuntimeError("grader crashed on claim 1")
+        time.sleep(0.05)
+        if doc_parent(prompt) is None:  # the answer grade: the claim's last call
+            finished.extend(text for text in claims if text in prompt)
+        return YES
+
+    grader = remote_grader(ChatSession(rule)) if remote else RuleBackend(rule)
+    pipeline, _ = make_pipeline(
+        tmp_path, srag_generator(claims), grader, bundles=[[hit("a")]], concurrency=2
+    )
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="grader crashed on claim 1"):
+        pipeline.check_article(ARTICLE, "lotr_srag")
+    assert sorted(finished) == sorted(claims[1:])
+    assert (crashed_on[0] != threading.get_ident()) is remote
+    assert set(threading.enumerate()) == before
 
 
 def test_check_article_extraction_warnings_surface(tmp_path):

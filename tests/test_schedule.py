@@ -92,13 +92,18 @@ def test_a_second_check_answers_every_memo_hit_in_place(served, monkeypatch):
     pipeline = served.pipeline(concurrency=4)
     first = render_report(pipeline.check_article(served.article, "lotr_srag"))
     submitted: list[str] = []
-    submit = JsonEndpoint._submit
 
-    def spy(endpoint, fn, item):
-        submitted.append(endpoint.name)
-        return submit(endpoint, fn, item)
+    def spy(endpoint: JsonEndpoint):
+        submit = endpoint.pool.submit
 
-    monkeypatch.setattr(JsonEndpoint, "_submit", spy)
+        def recorded(fn, /, *args, **kwargs):
+            submitted.append(endpoint.name)
+            return submit(fn, *args, **kwargs)
+
+        return recorded
+
+    for model in served.chat + served.embedders:
+        monkeypatch.setattr(model.endpoint.pool, "submit", spy(model.endpoint))
     posted = len(served.stub.requests)
     second = render_report(pipeline.check_article(served.article, "lotr_srag"))
     assert submitted == []

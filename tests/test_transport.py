@@ -289,10 +289,10 @@ def test_run_all_raises_the_first_failure_by_position_after_every_call():
         finished.append(item)
         return item
 
-    for endpoint_of in (lambda item: None, lambda item: remote):
+    for pool_of in (lambda item: None, lambda item: remote.pool):
         finished.clear()
         with pytest.raises(ValueError, match="item 1"):
-            run_all(call, [0, 1, 2, 3], endpoint_of)
+            run_all(call, [0, 1, 2, 3], pool_of)
         assert sorted(finished) == [0, 3]
 
 
@@ -309,7 +309,7 @@ def test_endpoint_pool_tasks_see_the_submitters_context():
 
     token = var.set("submitter")
     try:
-        seen = run_all(call, [0, 1, 2], lambda item: remote)
+        seen = run_all(call, [0, 1, 2], lambda item: remote.pool)
         assert var.get() == "submitter"
     finally:
         var.reset(token)
@@ -332,10 +332,10 @@ def test_concurrent_callers_share_one_pool_per_endpoint():
 
     def caller(n: int) -> None:
         for _ in range(20):
-            results[n] = run_all(call, list(range(n, n + 5)), lambda item: remote)
+            results[n] = run_all(call, list(range(n, n + 5)), lambda item: remote.pool)
 
-    # callers racing to start the pool, switching often: a second pool
-    # would show as more pool threads than the endpoint's cap
+    # callers racing to start the pool's threads, switching often: a
+    # second pool would show as more pool threads than the endpoint's cap
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
